@@ -9,8 +9,8 @@ basis with a cheap online solve.
 from ._kernels import backend_name, compiled_available
 from .errors import (DegenerateElementError, DegenerateSampleError,
                      DegenerateSnapshotsError, DomainError,
-                     IllConditionedOnlineError, IllPosedOnlineError,
-                     MeshFormatError, ZeroReferenceError)
+                     IllPosedOnlineError, MeshFormatError,
+                     ZeroReferenceError)
 from .idw import (IdwConfig, IdwOperator, assemble, deform, read_operator,
                   weights_at, write_operator)
 from .laws import (DisplacementLaw, bend_law, evaluate, read_tabulated,

@@ -44,10 +44,6 @@ class IllPosedOnlineError(ValueError):
         self.smallest_singular_value = smallest_singular_value
 
 
-class IllConditionedOnlineError(RuntimeError):
-    """The online normal-equation solve failed to factorize."""
-
-
 class DomainError(ValueError):
     """A parameter value lies outside the law's declared domain."""
 

@@ -135,9 +135,10 @@ def evaluate(law, mesh, mu):
         vec = entry.vectors.copy()
 
     if law.clamp_groups:
-        clamped = np.unique(np.concatenate(
-            [mesh.group(g) for g in law.clamp_groups]))
-        vec[np.isin(ids, clamped)] = 0.0
+        clamped = np.zeros(mesh.node_count, dtype=bool)
+        for g in law.clamp_groups:
+            clamped[mesh.group(g)] = True
+        vec[clamped[ids]] = 0.0
     return DisplacementField(ids, vec)
 
 

@@ -70,7 +70,9 @@ class DisplacementField:
                 f"vectors shape {vec.shape} does not match {idx.shape[0]} indices")
         if idx.ndim != 1:
             raise ValueError("indices must be one-dimensional")
-        if np.unique(idx).size != idx.size:
+        # strictly increasing ids are unique, an O(n) test; sort otherwise
+        if (not np.all(idx[1:] > idx[:-1])
+                and np.unique(idx).size != idx.size):
             raise ValueError("indices contain duplicates")
         if not np.all(np.isfinite(vec)):
             raise ValueError("vectors contain non-finite entries")

@@ -3,21 +3,21 @@
 Offline: evaluate the morphing operator on training parameters, stack
 the flattened interior displacements as snapshot columns (node-major,
 components interleaved), extract an orthonormal basis Z by thin SVD, and
-precompute the small online matrices. The mode count N is the smallest
-one whose discarded spectral energy
+precompute one online map R. The mode count N is the smallest one whose
+discarded spectral energy
 
     E(N) = sum_{n>N} sigma_n^2 / sum_n sigma_n^2
 
 drops to the requested epsilon.
 
-Online: for a new parameter, solve an N x N system for the reduced
-coordinates and expand through Z. Two projections exist:
+Online: for a new parameter, the reduced coordinates are beta = R d for
+the control displacement d, expanded through Z. Two projections fix R:
 
 * "weighted": least squares of the control displacement through the
-  pseudo-inverse of the weight matrix, A = Zt Kt K Z with K = pinv(W),
-  B = Zt Kt; A is solved by Cholesky factorization.
-* "plain": A = I and B = Zt W, i.e. ordinary projection of the morphed
-  field onto the basis.
+  pseudo-inverse of the weight matrix, R = pinv(K Z) with K = pinv(W);
+  taken from the SVD of K Z, so the condition number is never squared.
+* "plain": R = Zt W, i.e. ordinary projection of the morphed field onto
+  the basis.
 
 Both reproduce any morph whose image already lies in span(Z).
 """
@@ -29,11 +29,9 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (DegenerateSnapshotsError, IllConditionedOnlineError,
-                     IllPosedOnlineError)
-from .idw import IdwOperator, deform
+from .errors import DegenerateSnapshotsError, IllPosedOnlineError
+from .idw import deform
 from .laws import evaluate
 from .mesh import DisplacementField
 
@@ -81,15 +79,14 @@ class SnapshotSet:
 
 @dataclass(frozen=True, eq=False)
 class PodModel:
-    """Offline artifact: basis plus precomputed online matrices."""
+    """Offline artifact: basis plus the precomputed online map."""
 
     basis: np.ndarray            # (n_targets * dim, n_modes)
     singular_values: np.ndarray  # all retained values, >= n_modes of them
     n_modes: int
     epsilon: float
     mode: str                    # "weighted" or "plain"
-    online_lhs: np.ndarray       # (N, N)
-    online_rhs_map: np.ndarray   # (N, n_controls * dim)
+    online_map: np.ndarray       # (N, n_controls * dim): beta = R @ d
     control_ids: np.ndarray
     target_ids: np.ndarray
     dim: int
@@ -97,7 +94,7 @@ class PodModel:
     selection_params: dict | None = None
 
     def __post_init__(self):
-        for name in ("basis", "singular_values", "online_lhs", "online_rhs_map"):
+        for name in ("basis", "singular_values", "online_map"):
             arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -110,11 +107,9 @@ class PodModel:
             raise ValueError(f"mode must be one of {MODES}")
         if self.basis.shape != (self.target_ids.size * self.dim, self.n_modes):
             raise ValueError("basis shape inconsistent with targets and n_modes")
-        if self.online_lhs.shape != (self.n_modes, self.n_modes):
-            raise ValueError("online_lhs must be N x N")
-        if self.online_rhs_map.shape != (self.n_modes,
-                                         self.control_ids.size * self.dim):
-            raise ValueError("online_rhs_map must be N x (n_controls * dim)")
+        if self.online_map.shape != (self.n_modes,
+                                     self.control_ids.size * self.dim):
+            raise ValueError("online_map must be N x (n_controls * dim)")
 
 
 def build_snapshots(op, law, mesh, train_params):
@@ -172,17 +167,9 @@ def pseudo_inverse(matrix, rank_tol=RANK_TOL):
     return (Vt.T / inv) @ U.T
 
 
-def _apply_per_component(mat, Z, n_nodes, dim):
-    # (mat ⊗ I_dim) @ Z for flattened node-major/component-minor vectors
-    n_cols = Z.shape[1]
-    Zr = Z.reshape(n_nodes, dim, n_cols)
-    out = np.tensordot(mat, Zr, axes=([1], [0]))  # (rows, dim, n_cols)
-    return out.reshape(mat.shape[0] * dim, n_cols)
-
-
 def build_online(Z, sigma, op, mode="weighted", epsilon=0.0,
                  train_params=(), selection_params=None, rank_tol=RANK_TOL):
-    """Precompute the online system for basis ``Z`` over operator ``op``."""
+    """Precompute the online map for basis ``Z`` over operator ``op``."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if Z.shape[0] % op.n_targets:
@@ -190,29 +177,30 @@ def build_online(Z, sigma, op, mode="weighted", epsilon=0.0,
     dim = Z.shape[0] // op.n_targets
     n_modes = Z.shape[1]
     if mode == "weighted":
-        pinv = pseudo_inverse(op.matrix, rank_tol)
-        KZ = _apply_per_component(pinv, Z, op.n_targets, dim)
-        s = np.linalg.svd(KZ, compute_uv=False)
+        # K Z = (pinv(W) ⊗ I_dim) Z: a minimum-norm least-squares solve
+        # against Z laid out (targets) x (components, modes)
+        rhs = Z.reshape(op.n_targets, dim * n_modes)
+        KZ = np.linalg.lstsq(op.matrix, rhs, rcond=rank_tol)[0]
+        KZ = KZ.reshape(op.n_controls * dim, n_modes)
+        U, s, Vt = np.linalg.svd(KZ, full_matrices=False)
         if s.size == 0 or s[0] == 0.0 or s[-1] < rank_tol * s[0]:
             raise IllPosedOnlineError(
                 "pinv(W) @ Z is rank deficient; the weighted online system "
                 "is not solvable", float(s[-1]) if s.size else 0.0)
-        lhs = KZ.T @ KZ
-        rhs_map = KZ.T
+        online_map = (Vt.T / s) @ U.T  # pinv(K Z)
     else:
-        lhs = np.eye(n_modes)
         # Zt (W ⊗ I_dim), laid out (N) x (controls, components)
         Zr = Z.reshape(op.n_targets, dim, n_modes)
-        rhs_map = np.tensordot(Zr, op.matrix, axes=([0], [0]))  # (dim, N, m)
-        rhs_map = rhs_map.transpose(1, 2, 0).reshape(n_modes,
-                                                     op.n_controls * dim)
-    return PodModel(Z, sigma, n_modes, float(epsilon), mode, lhs, rhs_map,
+        online_map = np.tensordot(Zr, op.matrix, axes=([0], [0]))  # (dim, N, m)
+        online_map = online_map.transpose(1, 2, 0).reshape(n_modes,
+                                                           op.n_controls * dim)
+    return PodModel(Z, sigma, n_modes, float(epsilon), mode, online_map,
                     op.control_ids, op.target_ids, dim,
                     tuple(float(m) for m in train_params), selection_params)
 
 
 def online_solve(model, d_controls):
-    """Reduced solve for one control displacement; expands through the basis.
+    """Reduced coordinates of one control displacement, expanded through the basis.
 
     ``d_controls`` must cover exactly ``model.control_ids``, in order.
     """
@@ -220,16 +208,7 @@ def online_solve(model, d_controls):
         raise ValueError("displacement indices must equal model.control_ids in order")
     if d_controls.dim != model.dim:
         raise ValueError(f"field dim {d_controls.dim} != model dim {model.dim}")
-    rhs = model.online_rhs_map @ d_controls.as_vector()
-    if model.mode == "weighted":
-        try:
-            beta = scipy.linalg.cho_solve(
-                scipy.linalg.cho_factor(model.online_lhs), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise IllConditionedOnlineError(
-                f"online normal equations failed to factorize: {exc}") from None
-    else:
-        beta = rhs
+    beta = model.online_map @ d_controls.as_vector()
     flat = model.basis @ beta
     return DisplacementField(model.target_ids,
                              flat.reshape(model.target_ids.size, model.dim))
@@ -237,7 +216,7 @@ def online_solve(model, d_controls):
 
 def build_pod_model(op, law, mesh, train_params, epsilon, mode="weighted",
                     selection_params=None, rank_tol=RANK_TOL):
-    """Full offline stage: snapshots, basis, online matrices."""
+    """Full offline stage: snapshots, basis, online map."""
     snaps = build_snapshots(op, law, mesh, train_params)
     Z, sigma, _ = compute_pod(snaps, epsilon, rank_tol)
     return build_online(Z, sigma, op, mode=mode, epsilon=epsilon,
@@ -249,16 +228,17 @@ def build_pod_model(op, law, mesh, train_params, epsilon, mode="weighted",
 # persistence
 #
 # binary layout, little-endian:
-#   4s  magic "POD1"
+#   4s  magic "POD2"
 #   u32 rows (n_targets * dim), u32 n_modes, u32 n_sigma,
 #   u32 n_controls, u32 n_targets, u32 dim, u8 mode (0 weighted, 1 plain)
 #   f64[] basis (rows x n_modes, row-major), f64[] sigma,
-#   f64[] online_lhs (N x N), f64[] online_rhs_map (N x n_controls*dim)
+#   f64[] online_map (N x n_controls*dim)
 #   i64[] target_ids, i64[] control_ids
 # plus a JSON sidecar at <path>.json with epsilon, n_modes, train_params,
-# selection_params.
+# selection_params. "POD1" dumps (a normal-equation matrix plus a
+# right-hand-side map) are not read.
 
-_MAGIC = b"POD1"
+_MAGIC = b"POD2"
 _HEADER = struct.Struct("<4sIIIIIIB")
 
 
@@ -270,8 +250,7 @@ def write_model(model, path):
                               model.singular_values.size,
                               model.control_ids.size, model.target_ids.size,
                               model.dim, MODES.index(model.mode)))
-        for arr in (model.basis, model.singular_values, model.online_lhs,
-                    model.online_rhs_map):
+        for arr in (model.basis, model.singular_values, model.online_map):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         for arr in (model.target_ids, model.control_ids):
             fh.write(arr.astype("<i8").tobytes())
@@ -292,19 +271,19 @@ def read_model(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a POD1 model dump")
+        raise ValueError(f"{path}: magic {raw[:4]!r} is not POD2; POD1 dumps "
+                         "of older versions are not read, re-run pod-offline")
     _, rows, n_modes, n_sigma, n_ctl, n_tgt, dim, mode_flag = _HEADER.unpack_from(raw)
     if mode_flag >= len(MODES):
         raise ValueError(f"{path}: unknown mode flag {mode_flag}")
-    counts = (rows * n_modes, n_sigma, n_modes * n_modes,
-              n_modes * n_ctl * dim, n_tgt, n_ctl)
+    counts = (rows * n_modes, n_sigma, n_modes * n_ctl * dim, n_tgt, n_ctl)
     expected = _HEADER.size + 8 * sum(counts)
     if len(raw) != expected:
         raise ValueError(f"{path}: truncated model dump "
                          f"({len(raw)} bytes, expected {expected})")
     offset = _HEADER.size
     blocks = []
-    for count, dtype in zip(counts, ("<f8",) * 4 + ("<i8",) * 2):
+    for count, dtype in zip(counts, ("<f8",) * 3 + ("<i8",) * 2):
         blocks.append(np.frombuffer(raw, dtype=dtype, count=count, offset=offset))
         offset += 8 * count
     try:
@@ -318,10 +297,9 @@ def read_model(path):
         n_modes=n_modes,
         epsilon=float(sidecar.get("epsilon", 0.0)),
         mode=MODES[mode_flag],
-        online_lhs=blocks[2].reshape(n_modes, n_modes),
-        online_rhs_map=blocks[3].reshape(n_modes, n_ctl * dim),
-        control_ids=blocks[5],
-        target_ids=blocks[4],
+        online_map=blocks[2].reshape(n_modes, n_ctl * dim),
+        control_ids=blocks[4],
+        target_ids=blocks[3],
         dim=dim,
         train_params=tuple(sidecar.get("train_params", ())),
         selection_params=sidecar.get("selection_params"),

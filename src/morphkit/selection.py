@@ -294,13 +294,17 @@ def random_baseline_stats(errors):
     errors = np.asarray(errors, dtype=np.float64)
     if errors.ndim != 1 or errors.size < 2:
         raise ValueError("need at least two error samples")
-    mean = float(errors.mean())
-    std = float(errors.std(ddof=1))
-    if std == 0.0:
+    lo, hi = float(errors.min()), float(errors.max())
+    if lo == hi:
         raise DegenerateSampleError("all draws have identical error")
-    return BaselineStats(mean, std,
-                         (float(errors.min()) - mean) / std,
-                         (float(errors.max()) - mean) / std)
+    # a rounded mean can leave [lo, hi]; clipped, delta_min <= 0 <= delta_max
+    mean = min(max(float(errors.mean()), lo), hi)
+    # the deltas are scale-free, so take them on deviations divided by the
+    # range: their squares cannot underflow to a zero spread
+    dev = (errors - mean) / (hi - lo)
+    spread = float(dev.std(ddof=1))
+    return BaselineStats(mean, spread * (hi - lo),
+                         float(dev.min()) / spread, float(dev.max()) / spread)
 
 
 # ---------------------------------------------------------------------------

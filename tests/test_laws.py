@@ -46,6 +46,23 @@ def test_bend_clamp_zeroes_the_left_face(tiny_wing):
     assert np.any(d.vectors[~clamped] != 0.0)
 
 
+def test_clamp_overlapping_groups_and_foreign_nodes(tiny_wing):
+    # "left" and "left_edge" overlap, and "right" holds nodes that are not
+    # control ids of this law; the field matches a sort-based membership test
+    ids = np.setdiff1d(tiny_wing.boundary_ids, tiny_wing.group("right"))[::-1]
+    groups = ("left", "left_edge", "right", "top")
+    law = rotation_law(ids, (0.0, 30.0), pivot=(0.5, 0.5, 0.5), axis="x",
+                       clamp_groups=groups)
+    d = evaluate(law, tiny_wing, 20.0)
+    free = rotation_law(ids, (0.0, 30.0), pivot=(0.5, 0.5, 0.5), axis="x")
+    expected = evaluate(free, tiny_wing, 20.0).vectors.copy()
+    expected[np.isin(ids, np.concatenate(
+        [tiny_wing.group(g) for g in groups]))] = 0.0
+    np.testing.assert_array_equal(d.indices, ids)
+    np.testing.assert_array_equal(d.vectors, expected)
+    assert np.any(d.vectors != 0.0)
+
+
 # ---------------------------------------------------------------------------
 # rotation
 

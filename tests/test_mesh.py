@@ -47,6 +47,12 @@ def test_field_rejects_duplicates_and_nonfinite():
         DisplacementField([1], [[np.nan, 0.0]])
 
 
+@pytest.mark.parametrize("ids", [[1, 2, 2, 3], [3, 1, 3]])
+def test_field_rejects_duplicates_sorted_or_not(ids):
+    with pytest.raises(ValueError, match="duplicates"):
+        DisplacementField(ids, np.zeros((len(ids), 2)))
+
+
 def test_field_arrays_frozen():
     f = DisplacementField([0], [[1.0, 2.0]])
     with pytest.raises(ValueError):

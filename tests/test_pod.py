@@ -5,8 +5,7 @@ import pytest
 
 import morphkit as mk
 from morphkit import (DegenerateSnapshotsError, DisplacementField,
-                      IllConditionedOnlineError, IllPosedOnlineError,
-                      PodModel, SnapshotSet, assemble, bend_law,
+                      IllPosedOnlineError, SnapshotSet, assemble, bend_law,
                       build_online, build_pod_model, build_snapshots,
                       compute_pod, deform, evaluate, online_solve,
                       pod_energy, pseudo_inverse, read_model, relative_error,
@@ -156,9 +155,23 @@ def test_plain_online_matches_full_morph(wing):
     law = bend_law(wing.boundary_ids, (0.0, 0.02))
     train = sample_domain(law.domain, 10, seed=1)
     model = build_pod_model(op, law, wing, train, epsilon=1e-5, mode="plain")
-    np.testing.assert_array_equal(model.online_lhs, np.eye(model.n_modes))
+    # plain projection: the online map is Zt (W ⊗ I)
+    np.testing.assert_allclose(model.online_map,
+                               model.basis.T @ np.kron(op.matrix, np.eye(3)),
+                               rtol=0.0, atol=1e-14)
     d_c = evaluate(law, wing, 0.011)
     assert relative_error(online_solve(model, d_c), deform(op, d_c)) < 1e-12
+
+
+def test_weighted_online_map_is_pinv_of_KZ(wing):
+    op = assemble(wing, wing.boundary_ids, wing.interior_ids)
+    law = rotation_law(wing.boundary_ids, (-36.0, 0.0),
+                       pivot=(0.5, 0.125, 0.0))
+    model = build_pod_model(op, law, wing, sample_domain(law.domain, 8, seed=3),
+                            epsilon=1e-5)
+    KZ = np.kron(np.linalg.pinv(op.matrix), np.eye(3)) @ model.basis
+    np.testing.assert_allclose(model.online_map, np.linalg.pinv(KZ),
+                               rtol=0.0, atol=1e-10)
 
 
 def test_rotation_family_needs_two_modes(wing):
@@ -203,16 +216,16 @@ def test_rank_deficient_basis_rejected():
     assert err.value.smallest_singular_value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_indefinite_online_system_surfaces():
-    model = PodModel(
-        basis=np.eye(2), singular_values=np.array([1.0, 1.0]), n_modes=2,
-        epsilon=0.0, mode="weighted",
-        online_lhs=np.array([[1.0, 2.0], [2.0, 1.0]]),  # not positive definite
-        online_rhs_map=np.zeros((2, 4)), control_ids=[0, 1],
-        target_ids=[5], dim=2)
-    zero = DisplacementField.zero([0, 1], 2)
-    with pytest.raises(IllConditionedOnlineError):
-        online_solve(model, zero)
+def test_nearly_collinear_basis_rejected_at_build():
+    # the two directions differ by 1e-14: K Z has full rank in exact
+    # arithmetic but not at the rank tolerance, so no online map is built
+    nodes = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]]
+    mesh = mk.Mesh(2, nodes, np.empty((0, 3), dtype=np.int64), [0, 1], [2])
+    op = assemble(mesh, [0, 1], [2])
+    Z = np.array([[1.0, 1.0], [0.0, 1e-14]])
+    with pytest.raises(IllPosedOnlineError) as err:
+        build_online(Z, np.array([1.0, 1.0]), op)
+    assert 0.0 < err.value.smallest_singular_value < 1e-13
 
 
 def test_build_online_validation(wing):
@@ -243,8 +256,7 @@ def test_model_roundtrip(wing, tmp_path):
     np.testing.assert_array_equal(back.basis, model.basis)
     np.testing.assert_array_equal(back.singular_values,
                                   model.singular_values)
-    np.testing.assert_array_equal(back.online_lhs, model.online_lhs)
-    np.testing.assert_array_equal(back.online_rhs_map, model.online_rhs_map)
+    np.testing.assert_array_equal(back.online_map, model.online_map)
     np.testing.assert_array_equal(back.control_ids, model.control_ids)
     np.testing.assert_array_equal(back.target_ids, model.target_ids)
     assert back.mode == model.mode
@@ -272,8 +284,17 @@ def test_model_missing_sidecar(wing, tmp_path):
 def test_read_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"WHAT" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="POD1"):
+    with pytest.raises(ValueError, match="POD2"):
         read_model(path)
+
+
+def test_read_model_rejects_pod1(wing, tmp_path):
+    path = tmp_path / "model.bin"
+    write_model(_small_model(wing), path)
+    path.write_bytes(b"POD1" + path.read_bytes()[4:])
+    with pytest.raises(ValueError, match="POD1.*re-run pod-offline") as err:
+        read_model(path)
+    assert "POD2" in str(err.value)
 
 
 def test_read_model_rejects_truncation(wing, tmp_path):

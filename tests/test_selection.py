@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 import morphkit as mk
@@ -216,12 +216,19 @@ def test_baseline_stats_errors():
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(0.0, 10.0), min_size=2, max_size=40))
+@example([0.7] * 3)   # the rounded mean leaves [min, max]
+@example([0.7, 0.7, float(np.nextafter(0.7, 1.0))])
+@example([1e-200, 2e-200])   # squared deviations underflow
+@example([0.0, 5e-324])
 def test_baseline_delta_signs(errors):
     errors = np.asarray(errors)
-    if errors.std(ddof=1) == 0.0:
+    if errors.min() == errors.max():
+        with pytest.raises(DegenerateSampleError):
+            random_baseline_stats(errors)
         return
     stats = random_baseline_stats(errors)
     assert stats.delta_min <= 0.0 <= stats.delta_max
+    assert stats.delta_min < stats.delta_max
 
 
 # ---------------------------------------------------------------------------
