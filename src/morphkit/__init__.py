@@ -11,8 +11,8 @@ from .errors import (DegenerateElementError, DegenerateSampleError,
                      DegenerateSnapshotsError, DomainError,
                      IllPosedOnlineError, MeshFormatError,
                      ZeroReferenceError)
-from .idw import (IdwConfig, IdwOperator, assemble, deform, read_operator,
-                  weights_at, write_operator)
+from .idw import (IdwConfig, IdwOperator, assemble, deform, interpolate,
+                  read_operator, weights_at, write_operator)
 from .laws import (DisplacementLaw, bend_law, evaluate, read_tabulated,
                    rotation_law, sample_domain, tabulated_law)
 from .mesh import (DisplacementField, Mesh, apply_deformation,

@@ -11,7 +11,9 @@ algebraically identical. Rows therefore always sum to one and a constant
 control displacement is reproduced exactly.
 
 :func:`assemble` builds the dense weight matrix through the kernel layer
-(compiled extension or NumPy fallback); :func:`weights_at` is the
+(compiled extension or NumPy fallback); :func:`interpolate` streams the
+same weights through the same kernels in row blocks and applies them
+without ever holding the dense matrix; :func:`weights_at` is the
 independent single-point reference path.
 """
 
@@ -32,12 +34,17 @@ __all__ = [
     "weights_at",
     "assemble",
     "deform",
+    "interpolate",
     "write_operator",
     "read_operator",
 ]
 
 # coincidence tolerance as a fraction of the relevant bounding-box diagonal
 TOL_FACTOR = 1e-12
+
+# weight entries per row block of a streamed morph (~2 MB of float64,
+# so a block stays in a per-core L2 cache between the kernel's passes)
+_STREAM_BUDGET = 250_000
 
 
 @dataclass(frozen=True)
@@ -138,13 +145,8 @@ def weights_at(x, controls, config=IdwConfig()):
     return w / w.sum()
 
 
-def assemble(mesh, control_ids, target_ids, config=IdwConfig()):
-    """Weight matrix of ``control_ids`` at ``target_ids`` for ``mesh``.
-
-    The coincidence tolerance resolves against the mesh bounding box and
-    is stored back into the returned operator's config, so dumps carry
-    concrete numbers.
-    """
+def _validated(mesh, control_ids, target_ids, config):
+    """Checked id arrays, control coordinates and resolved tolerance."""
     control_ids = np.atleast_1d(np.asarray(control_ids, dtype=np.int64))
     target_ids = np.atleast_1d(np.asarray(target_ids, dtype=np.int64))
     if control_ids.size == 0:
@@ -157,10 +159,43 @@ def assemble(mesh, control_ids, target_ids, config=IdwConfig()):
     tol = config.resolve_tol(mesh.nodes)
     controls = np.ascontiguousarray(mesh.nodes[control_ids])
     _check_distinct_controls(controls, tol)
+    return control_ids, target_ids, controls, tol
+
+
+def assemble(mesh, control_ids, target_ids, config=IdwConfig()):
+    """Weight matrix of ``control_ids`` at ``target_ids`` for ``mesh``.
+
+    The coincidence tolerance resolves against the mesh bounding box and
+    is stored back into the returned operator's config, so dumps carry
+    concrete numbers.
+    """
+    control_ids, target_ids, controls, tol = _validated(
+        mesh, control_ids, target_ids, config)
     matrix = _kernels.assemble_weight_matrix(mesh.nodes[target_ids], controls,
                                              config.p, tol)
     return IdwOperator(matrix, target_ids, control_ids,
                        IdwConfig(config.p, tol))
+
+
+def interpolate(mesh, displacement, target_ids, config=IdwConfig()):
+    """IDW morph of ``displacement`` (over its own ids) at ``target_ids``.
+
+    Equals ``deform(assemble(mesh, displacement.indices, target_ids,
+    config), displacement)`` to rounding, with the same validation, but
+    never builds the dense operator: the weights of one block of target
+    rows at a time go through the kernel layer and straight into the
+    product, so memory stays at one block of ``_STREAM_BUDGET`` entries.
+    """
+    control_ids, target_ids, controls, tol = _validated(
+        mesh, displacement.indices, target_ids, config)
+    targets = mesh.nodes[target_ids]
+    out = np.empty((target_ids.size, displacement.dim))
+    rows = max(1, _STREAM_BUDGET // control_ids.size)
+    for lo in range(0, target_ids.size, rows):
+        weights = _kernels.assemble_weight_matrix(targets[lo:lo + rows],
+                                                  controls, config.p, tol)
+        np.matmul(weights, displacement.vectors, out=out[lo:lo + rows])
+    return DisplacementField(target_ids, out)
 
 
 def deform(op, displacement):

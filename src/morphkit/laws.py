@@ -124,8 +124,10 @@ def evaluate(law, mesh, mu):
         if law.pivot.size != mesh.dim:
             raise ValueError(f"pivot has dim {law.pivot.size}, mesh has {mesh.dim}")
         rot = _rotation_matrix(mesh.dim, law.axis, np.deg2rad(mu))
-        rel = mesh.nodes[ids] - law.pivot
-        vec = rel @ rot.T - rel
+        # take and a contiguous rot.T are the fast forms of the gather and
+        # the product, with bitwise the same results
+        rel = np.take(mesh.nodes, ids, axis=0) - law.pivot
+        vec = rel @ np.ascontiguousarray(rot.T) - rel
     else:
         try:
             entry = law.table[mu]

@@ -92,14 +92,17 @@ class DisplacementField:
     def restrict(self, ids):
         """Rows of this field at ``ids`` (all must be present), in that order."""
         ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
-        order = np.argsort(self.indices, kind="stable")
-        pos = np.searchsorted(self.indices, ids, sorter=order)
-        if np.any(pos >= self.indices.size):
-            missing = ids[pos >= self.indices.size]
+        idx = self.indices
+        # strictly increasing ids (the usual case) need no sort permutation
+        order = (None if np.all(idx[1:] > idx[:-1])
+                 else np.argsort(idx, kind="stable"))
+        pos = np.searchsorted(idx, ids, sorter=order)
+        if np.any(pos >= idx.size):
+            missing = ids[pos >= idx.size]
             raise ValueError(f"ids not covered by field: {missing[:5].tolist()}")
-        rows = order[pos]
-        if not np.array_equal(self.indices[rows], ids):
-            missing = ids[self.indices[rows] != ids]
+        rows = pos if order is None else order[pos]
+        if not np.array_equal(idx[rows], ids):
+            missing = ids[idx[rows] != ids]
             raise ValueError(f"ids not covered by field: {missing[:5].tolist()}")
         return DisplacementField(ids, self.vectors[rows])
 
@@ -499,7 +502,9 @@ def write_mesh(mesh, path, format="native-json"):
             "groups": {k: v.tolist() for k, v in mesh.groups.items()},
         }
         with open(path, "w") as fh:
-            json.dump(doc, fh)
+            # dumps runs the C encoder; dump would go through the
+            # pure-Python iterencode for the same bytes
+            fh.write(json.dumps(doc))
             fh.write("\n")
     elif format == "vtk-legacy-ascii":
         _write_vtk(mesh, path)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import morphkit as mk
-from morphkit import read_mesh, read_selection
+from morphkit import idw, read_mesh, read_selection
 from morphkit.cli import main
 from morphkit.metrics import CSV_COLUMNS
 
@@ -235,6 +235,36 @@ def test_random_baseline_needs_selection(tmp_path, capsys):
     assert main(["random-baseline", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 1
     assert "selection" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["morph"], ["pod-online", "--reference", "idw"],
+    ["random-baseline", "--draws", "2"]])
+def test_full_reference_is_streamed(tmp_path, monkeypatch, command):
+    # the reference morph must not build the dense full-boundary operator
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    if command[0] == "pod-online":
+        assert main(["pod-offline", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    full = cli_mesh().boundary_ids.size
+    dense = idw.assemble
+
+    def thinned_only(mesh, control_ids, target_ids, config=idw.IdwConfig()):
+        assert np.size(control_ids) < full, "full operator assembled"
+        return dense(mesh, control_ids, target_ids, config)
+
+    monkeypatch.setattr(idw, "assemble", thinned_only)
+    assert main([command[0], "--config", str(cfg), "--out", str(out),
+                 *command[1:]]) == 0
+    name = {"morph": "report.json", "pod-online": "online_report.json",
+            "random-baseline": "random_baseline.csv"}[command[0]]
+    assert (out / name).exists()
+    if command[0] != "random-baseline":
+        rows = json.loads((out / name).read_text())
+        assert rows[1]["method"] == "idw"
+        assert rows[1]["t_assembly_s"] is None
+        assert rows[1]["t_deform_s"] > 0.0
 
 
 # ---------------------------------------------------------------------------

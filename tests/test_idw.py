@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import morphkit as mk
 from morphkit import (DisplacementField, IdwConfig, IdwOperator, assemble,
-                      deform, read_operator, weights_at, write_operator)
+                      deform, idw, interpolate, read_operator, weights_at,
+                      write_operator)
 
 
 def brute_weights(x, controls, p):
@@ -176,6 +177,63 @@ def test_deform_order_sensitive(tiny_wing):
     flipped = DisplacementField([1, 0], np.zeros((2, 3)))
     with pytest.raises(ValueError):
         deform(op, flipped)
+
+
+# ---------------------------------------------------------------------------
+# streamed morph
+
+def random_field(ids, seed, dim=3):
+    rng = np.random.default_rng(seed)
+    return DisplacementField(ids, rng.normal(size=(len(ids), dim)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 7])
+def test_interpolate_matches_dense_deform(wing, p):
+    config = IdwConfig(p=p)
+    d = random_field(wing.boundary_ids, p)
+    dense = deform(assemble(wing, wing.boundary_ids, wing.interior_ids,
+                            config), d)
+    streamed = interpolate(wing, d, wing.interior_ids, config)
+    np.testing.assert_array_equal(streamed.indices, dense.indices)
+    np.testing.assert_allclose(streamed.vectors, dense.vectors, rtol=0,
+                               atol=1e-14)
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_interpolate_block_edges(wing, monkeypatch, offset):
+    # blocks of 7 rows; None is a single target row
+    controls = wing.boundary_ids[::3]
+    monkeypatch.setattr(idw, "_STREAM_BUDGET", 7 * controls.size)
+    n = 1 if offset is None else 7 + offset
+    targets = wing.interior_ids[:n]
+    d = random_field(controls, 11)
+    dense = deform(assemble(wing, controls, targets), d)
+    streamed = interpolate(wing, d, targets)
+    assert streamed.vectors.shape == (n, 3)
+    np.testing.assert_allclose(streamed.vectors, dense.vectors, rtol=0,
+                               atol=1e-14)
+
+
+def test_interpolate_target_on_control_gets_control_value(tiny_wing):
+    ids = np.concatenate([tiny_wing.interior_ids, [5]])
+    d = random_field(tiny_wing.boundary_ids, 3)
+    out = interpolate(tiny_wing, d, ids)
+    np.testing.assert_array_equal(out.vectors[-1], d.restrict([5]).vectors[0])
+
+
+def test_interpolate_validates_like_assemble(tiny_wing):
+    nodes = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+             [1.0, 1e-15, 0.0], [0.5, 0.5, 0.5]]
+    close = mk.Mesh(3, nodes, np.empty((0, 4), dtype=np.int64),
+                    [0, 1, 2, 3], [4])
+    cases = [(tiny_wing, [0, 999], [13]), (tiny_wing, [0, 1], [13, 13]),
+             (close, [0, 1, 2, 3], [4])]
+    for mesh, controls, targets in cases:
+        with pytest.raises(ValueError) as dense:
+            assemble(mesh, controls, targets)
+        with pytest.raises(ValueError) as streamed:
+            interpolate(mesh, random_field(controls, 0), targets)
+        assert str(streamed.value) == str(dense.value)
 
 
 # ---------------------------------------------------------------------------

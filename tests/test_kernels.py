@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from morphkit import _kernels
 from morphkit._kernels import numpy_backend
@@ -19,6 +20,19 @@ def random_cloud(seed, n_targets, n_controls, dim=3):
     rng = np.random.default_rng(seed)
     return (rng.uniform(size=(n_targets, dim)),
             rng.uniform(size=(n_controls, dim)))
+
+
+def rooted_weights(targets, controls, p, tol):
+    """Reference: (d_min / d_k)^p from rooted distances, as NumPy did
+    before it switched to squared ones."""
+    dist = cdist(targets, controls)
+    dmin = dist.min(axis=1)
+    hit = dmin <= tol
+    out = np.zeros_like(dist)
+    out[np.nonzero(hit)[0], dist[hit].argmin(axis=1)] = 1.0
+    w = (dmin[~hit, None] / dist[~hit]) ** p
+    out[~hit] = w / w.sum(axis=1, keepdims=True)
+    return out
 
 
 def test_backend_name_is_known():
@@ -56,6 +70,19 @@ def test_backends_agree_on_coincidence():
     assert a[3, 5] == 1.0
     np.testing.assert_array_equal(a[7], b[7])
     assert a[7, 0] == 1.0
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_numpy_backend_matches_rooted_form(p):
+    targets, controls = random_cloud(8, 120, 37)
+    targets[3] = controls[5]  # exact hit
+    targets[7] = controls[0] + 1e-14  # inside tolerance
+    w = _kernels.assemble_weight_matrix(targets, controls, p, 1e-9,
+                                        backend="numpy")
+    ref = rooted_weights(targets, controls, p, 1e-9)
+    np.testing.assert_allclose(w, ref, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(w[[3, 7]], ref[[3, 7]])
+    assert w[3, 5] == 1.0 and w[7, 0] == 1.0
 
 
 def test_numpy_backend_chunking_is_invisible(monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import morphkit as mk
+from morphkit import laws
 from morphkit import (DisplacementField, DomainError, bend_law, evaluate,
                       read_tabulated, rotation_law, sample_domain,
                       tabulated_law)
@@ -107,6 +108,17 @@ def test_rotation_preserves_distance_to_pivot(wing):
     after = np.linalg.norm(wing.nodes[wing.boundary_ids] + d.vectors - pivot,
                            axis=1)
     np.testing.assert_allclose(after, before, rtol=1e-12)
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_rotation_is_bitwise_the_explicit_form(wing, axis):
+    pivot = np.array([0.5, 0.125, 1.0])
+    law = rotation_law(wing.boundary_ids, (-36.0, 0.0), pivot=pivot,
+                       axis=axis)
+    d = evaluate(law, wing, -17.3)
+    rot = laws._rotation_matrix(3, axis, np.deg2rad(-17.3))
+    rel = wing.nodes[wing.boundary_ids] - pivot
+    np.testing.assert_array_equal(d.vectors, rel @ rot.T - rel)
 
 
 def test_rotation_2d():

@@ -40,6 +40,33 @@ def test_field_restrict_missing_id():
         f.restrict([1, 5])
 
 
+def sorted_and_shuffled_fields():
+    ids = np.array([1, 4, 9, 12, 20])
+    vec = np.arange(10.0).reshape(5, 2)
+    perm = [3, 0, 4, 2, 1]
+    return (DisplacementField(ids, vec),
+            DisplacementField(ids[perm], vec[perm]))
+
+
+@pytest.mark.parametrize("request_ids", [[9, 1, 20], [20], [1, 4, 9, 12, 20]])
+def test_field_restrict_sorted_or_not(request_ids):
+    ordered, shuffled = sorted_and_shuffled_fields()
+    a, b = ordered.restrict(request_ids), shuffled.restrict(request_ids)
+    np.testing.assert_array_equal(a.indices, request_ids)
+    np.testing.assert_array_equal(b.indices, request_ids)
+    np.testing.assert_array_equal(a.vectors, b.vectors)
+
+
+@pytest.mark.parametrize("request_ids", [[1, 5], [21, 4], [0]])
+def test_field_restrict_missing_id_sorted_or_not(request_ids):
+    messages = []
+    for field in sorted_and_shuffled_fields():
+        with pytest.raises(ValueError, match="not covered") as err:
+            field.restrict(request_ids)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_field_rejects_duplicates_and_nonfinite():
     with pytest.raises(ValueError):
         DisplacementField([1, 1], [[0.0, 0.0], [0.0, 0.0]])
@@ -267,6 +294,21 @@ def test_json_roundtrip_exact(wing, tmp_path):
     back = read_mesh(path)
     assert back == wing
     assert set(back.groups) == set(wing.groups)
+
+
+def test_json_bytes_match_json_dump(tiny_wing, tmp_path):
+    path = tmp_path / "wing.json"
+    write_mesh(tiny_wing, path)
+    doc = {"dim": tiny_wing.dim, "nodes": tiny_wing.nodes.tolist(),
+           "elements": tiny_wing.elements.tolist(),
+           "boundary": tiny_wing.boundary_ids.tolist(),
+           "interior": tiny_wing.interior_ids.tolist(),
+           "groups": {k: v.tolist() for k, v in tiny_wing.groups.items()}}
+    expected = tmp_path / "dump.json"
+    with open(expected, "w") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+    assert path.read_bytes() == expected.read_bytes()
 
 
 def test_json_roundtrip_2d(lattice11, tmp_path):
