@@ -10,11 +10,11 @@ evaluated in the overflow-safe ratio form (d_min / d_k)^p, which is
 algebraically identical. Rows therefore always sum to one and a constant
 control displacement is reproduced exactly.
 
-:func:`assemble` builds the dense weight matrix through the kernel layer
-(compiled extension or NumPy fallback); :func:`interpolate` streams the
-same weights through the same kernels in row blocks and applies them
-without ever holding the dense matrix; :func:`weights_at` is the
-independent single-point reference path.
+:func:`assemble` builds the dense weight matrix through the kernel
+layer; :func:`interpolate` streams the same weights through the same
+kernel in row blocks and applies them without ever holding the dense
+matrix; :func:`weights_at` is the independent single-point reference
+path.
 """
 
 from __future__ import annotations
@@ -92,7 +92,13 @@ class IdwOperator:
     config: IdwConfig
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.float64, copy=True)
+        mat = self.matrix
+        # a read-only float64 array that owns its data is taken as is (the
+        # fresh kernel output ``assemble`` hands over); anything else may
+        # still be written through some other reference, so it is copied
+        if not (type(mat) is np.ndarray and mat.dtype == np.float64
+                and mat.flags.owndata and not mat.flags.writeable):
+            mat = np.array(mat, dtype=np.float64, copy=True)
         tgt = np.array(np.atleast_1d(self.target_ids), dtype=np.int64, copy=True)
         ctl = np.array(np.atleast_1d(self.control_ids), dtype=np.int64, copy=True)
         if mat.ndim != 2 or mat.shape != (tgt.size, ctl.size):
@@ -173,6 +179,7 @@ def assemble(mesh, control_ids, target_ids, config=IdwConfig()):
         mesh, control_ids, target_ids, config)
     matrix = _kernels.assemble_weight_matrix(mesh.nodes[target_ids], controls,
                                              config.p, tol)
+    matrix.setflags(write=False)  # hand the fresh output over uncopied
     return IdwOperator(matrix, target_ids, control_ids,
                        IdwConfig(config.p, tol))
 

@@ -143,6 +143,28 @@ def test_operator_shape_validation():
         IdwOperator(np.ones((2, 3)), [0, 1], [5, 6], IdwConfig())
 
 
+def test_assemble_hands_over_kernel_output(tiny_wing, monkeypatch):
+    made = []
+    kernel = idw._kernels.assemble_weight_matrix
+
+    def capture(*args, **kwargs):
+        made.append(kernel(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(idw._kernels, "assemble_weight_matrix", capture)
+    op = assemble(tiny_wing, tiny_wing.boundary_ids, tiny_wing.interior_ids)
+    assert np.shares_memory(op.matrix, made[0])
+    assert not op.matrix.flags.writeable
+
+
+def test_operator_copies_writeable_matrix():
+    mat = np.full((2, 3), 1.0 / 3.0)
+    op = IdwOperator(mat, [0, 1], [5, 6, 7], IdwConfig())
+    mat[:] = 0.0
+    np.testing.assert_array_equal(op.matrix, 1.0 / 3.0)
+    assert not op.matrix.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # deformation
 
