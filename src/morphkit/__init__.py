@@ -16,8 +16,9 @@ from .idw import (IdwConfig, IdwOperator, assemble, deform, interpolate,
 from .laws import (DisplacementLaw, bend_law, evaluate, read_tabulated,
                    rotation_law, sample_domain, tabulated_law)
 from .mesh import (DisplacementField, Mesh, apply_deformation,
-                   element_quality, generate_box_wing, generate_tunnel,
-                   merge_fields, mesh_quality, read_mesh, write_mesh)
+                   coincident_pair, element_quality, generate_box_wing,
+                   generate_tunnel, merge_fields, mesh_quality, read_mesh,
+                   write_mesh)
 from .metrics import (CSV_COLUMNS, ComparisonReport,
                       normalized_quality_index, relative_error, time_mean,
                       write_reports_csv, write_reports_json)

@@ -23,10 +23,10 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import _kernels
-from .mesh import DisplacementField
+from .mesh import (COINCIDENCE_FACTOR, DisplacementField, coincident_pair,
+                   has_duplicates)
 
 __all__ = [
     "IdwConfig",
@@ -38,9 +38,6 @@ __all__ = [
     "write_operator",
     "read_operator",
 ]
-
-# coincidence tolerance as a fraction of the relevant bounding-box diagonal
-TOL_FACTOR = 1e-12
 
 # weight entries per row block of a streamed morph (~2 MB of float64,
 # so a block stays in a per-core L2 cache between the kernel's passes)
@@ -72,7 +69,7 @@ class IdwConfig:
         if self.coincidence_tol is not None:
             return float(self.coincidence_tol)
         span = np.asarray(points).max(axis=0) - np.asarray(points).min(axis=0)
-        return TOL_FACTOR * float(np.linalg.norm(span))
+        return COINCIDENCE_FACTOR * float(np.linalg.norm(span))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,10 +117,10 @@ class IdwOperator:
 
 
 def _check_distinct_controls(controls, tol, what="control points"):
-    if len(controls) > 1 and tol > 0:
-        pairs = cKDTree(controls).query_pairs(tol)
-        if pairs:
-            i, j = sorted(next(iter(pairs)))
+    if tol > 0:
+        pair = coincident_pair(controls, tol)
+        if pair is not None:
+            i, j = pair
             raise ValueError(f"{what} {i} and {j} coincide within {tol:.3e}")
 
 
@@ -160,9 +157,11 @@ def _validated(mesh, control_ids, target_ids, config):
     for name, ids in (("control_ids", control_ids), ("target_ids", target_ids)):
         if ids.size and (ids.min() < 0 or ids.max() >= mesh.node_count):
             raise ValueError(f"{name} contains a node id out of range")
-        if np.unique(ids).size != ids.size:
+        if has_duplicates(ids):
             raise ValueError(f"{name} contains duplicates")
-    tol = config.resolve_tol(mesh.nodes)
+    # the mesh's own tolerance is resolve_tol(mesh.nodes), computed once
+    tol = (mesh.coincidence_tolerance if config.coincidence_tol is None
+           else float(config.coincidence_tol))
     controls = np.ascontiguousarray(mesh.nodes[control_ids])
     _check_distinct_controls(controls, tol)
     return control_ids, target_ids, controls, tol

@@ -18,12 +18,12 @@ legacy ASCII VTK (write only, for external viewers).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateElementError, MeshFormatError
 
@@ -35,6 +35,7 @@ __all__ = [
     "element_quality",
     "mesh_quality",
     "apply_deformation",
+    "coincident_pair",
     "merge_fields",
     "read_mesh",
     "write_mesh",
@@ -42,6 +43,58 @@ __all__ = [
 
 # node-coincidence tolerance, as a fraction of the bounding-box diagonal
 COINCIDENCE_FACTOR = 1e-12
+
+_EPS = np.finfo(np.float64).eps
+
+
+def coincident_pair(points, tol):
+    """Lowest index pair (i, j), i < j, of ``points`` at most ``tol`` apart.
+
+    Returns None when every pair is farther apart. The points are sorted
+    by their projection on a fixed generic unit direction; two points
+    within ``tol`` of each other have projections within ``tol`` plus a
+    rounding slack, so only neighbours inside that window in sorted order
+    have their Euclidean distance checked. The answer does not depend on
+    the sort. On typical point sets the sweep is O(n log n); points spread
+    over a plane orthogonal to the direction make it O(n²).
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    if n < 2:
+        return None
+    pts = pts.reshape(n, -1)
+    dim = pts.shape[1]
+    direction = np.sqrt(np.arange(1.0, dim + 1.0))
+    direction /= np.sqrt(direction @ direction)
+    proj = pts @ direction
+    order = np.argsort(proj)
+    proj = proj[order]
+    # rounding in the projections, their differences and the distances
+    slack = 8 * (dim + 1) * _EPS * (float(np.abs(pts).sum(axis=1).max()) + tol)
+    reach = tol + slack
+    best = None
+    for gap in range(1, n):
+        near = np.flatnonzero(proj[gap:] - proj[:-gap] <= reach)
+        if near.size == 0:
+            break  # every wider gap spans one of these differences
+        a, b = order[near], order[near + gap]
+        diff = pts[a] - pts[b]
+        hit = np.sqrt(np.add.reduce(diff * diff, axis=1)) <= tol
+        if hit.any():
+            lo, hi = np.minimum(a[hit], b[hit]), np.maximum(a[hit], b[hit])
+            pair = min(zip(lo.tolist(), hi.tolist()))
+            best = pair if best is None else min(best, pair)
+    return best
+
+
+def has_duplicates(ids):
+    """Whether the 1-D integer array ``ids`` repeats a value.
+
+    Strictly increasing ids, the usual case, are unique: an O(n) test.
+    Others take the sort-based one.
+    """
+    return (not np.all(ids[1:] > ids[:-1])
+            and np.unique(ids).size != ids.size)
 
 
 def _own(a, dtype):
@@ -70,9 +123,7 @@ class DisplacementField:
                 f"vectors shape {vec.shape} does not match {idx.shape[0]} indices")
         if idx.ndim != 1:
             raise ValueError("indices must be one-dimensional")
-        # strictly increasing ids are unique, an O(n) test; sort otherwise
-        if (not np.all(idx[1:] > idx[:-1])
-                and np.unique(idx).size != idx.size):
+        if has_duplicates(idx):
             raise ValueError("indices contain duplicates")
         if not np.all(np.isfinite(vec)):
             raise ValueError("vectors contain non-finite entries")
@@ -124,7 +175,7 @@ def merge_fields(*fields):
     if len(dims) != 1:
         raise ValueError(f"mixed dimensions {sorted(dims)}")
     idx = np.concatenate([f.indices for f in fields])
-    if np.unique(idx).size != idx.size:
+    if has_duplicates(idx):
         raise ValueError("fields overlap")
     vec = np.vstack([f.vectors for f in fields])
     return DisplacementField(idx, vec)
@@ -174,13 +225,15 @@ class Mesh:
     def element_count(self):
         return self.elements.shape[0]
 
-    @property
+    # nodes are read-only and the instance is frozen, so both are computed
+    # once
+    @functools.cached_property
     def bbox_diagonal(self):
         if self.node_count == 0:
             return 0.0
         return float(np.linalg.norm(self.nodes.max(axis=0) - self.nodes.min(axis=0)))
 
-    @property
+    @functools.cached_property
     def coincidence_tolerance(self):
         return COINCIDENCE_FACTOR * self.bbox_diagonal
 
@@ -210,7 +263,7 @@ class Mesh:
         if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= n):
             raise ValueError("element refers to a node id out of range")
         merged = np.concatenate([self.boundary_ids, self.interior_ids])
-        if np.unique(merged).size != merged.size:
+        if has_duplicates(merged):
             raise ValueError("boundary and interior ids overlap")
         if not np.array_equal(np.sort(merged), np.arange(n)):
             raise ValueError("boundary and interior ids do not partition the node set")
@@ -222,9 +275,9 @@ class Mesh:
         if n > 1:
             if tol == 0.0:
                 raise ValueError("all nodes coincide")
-            pairs = cKDTree(self.nodes).query_pairs(tol)
-            if pairs:
-                i, j = sorted(next(iter(pairs)))
+            pair = coincident_pair(self.nodes, tol)
+            if pair is not None:
+                i, j = pair
                 raise ValueError(f"nodes {i} and {j} coincide within {tol:.3e}")
         return self
 

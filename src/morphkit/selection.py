@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSampleError
+from .mesh import has_duplicates
 
 __all__ = [
     "RegionParams",
@@ -116,6 +117,16 @@ class SelectionResult:
         return int(self.selected.size)
 
 
+def _distances(coords, point):
+    """Euclidean distances of the rows of ``coords`` to ``point``; the
+    arithmetic of ``np.linalg.norm(coords - point, axis=1)`` without its
+    dispatch."""
+    diff = coords - point
+    np.multiply(diff, diff, out=diff)
+    dist = np.add.reduce(diff, axis=1)
+    return np.sqrt(dist, out=dist)
+
+
 def _pick_first(coords, strategy, rng, candidate_ids, seed_point):
     if seed_point is not None:
         where = np.nonzero(candidate_ids == seed_point)[0]
@@ -124,8 +135,7 @@ def _pick_first(coords, strategy, rng, candidate_ids, seed_point):
         return int(where[0])
     if strategy == "random":
         return int(rng.integers(0, len(coords)))
-    centroid = coords.mean(axis=0)
-    dist = np.linalg.norm(coords - centroid, axis=1)
+    dist = _distances(coords, coords.mean(axis=0))
     if strategy == "centroid_nearest":
         return int(dist.argmin())
     return int(dist.argmax())  # farthest_point: start far out
@@ -134,11 +144,11 @@ def _pick_first(coords, strategy, rng, candidate_ids, seed_point):
 def _pick_from(beta_positions, coords, strategy, rng, min_dist_to_selected):
     # beta_positions is sorted, so argmin/argmax tie-break to lowest index
     if strategy == "random":
-        return int(rng.choice(beta_positions))
+        # the draw of rng.choice(beta_positions), without its overhead
+        return int(beta_positions[rng.integers(beta_positions.size)])
     pts = coords[beta_positions]
     if strategy == "centroid_nearest":
-        centroid = pts.mean(axis=0)
-        local = np.linalg.norm(pts - centroid, axis=1)
+        local = _distances(pts, pts.mean(axis=0))
         return int(beta_positions[local.argmin()])
     return int(beta_positions[min_dist_to_selected[beta_positions].argmax()])
 
@@ -158,7 +168,7 @@ def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
     candidates = np.atleast_1d(np.asarray(candidates, dtype=np.int64))
     if candidates.size == 0:
         raise ValueError("candidate set is empty")
-    if np.unique(candidates).size != candidates.size:
+    if has_duplicates(candidates):
         raise ValueError("candidate ids contain duplicates")
     if candidates.min() < 0 or candidates.max() >= mesh.node_count:
         raise ValueError("candidate ids out of range")
@@ -180,7 +190,7 @@ def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
     order = [int(candidates[first])]
     trace = [(order[0], nc)]
 
-    d_first = np.linalg.norm(coords - coords[first], axis=1)
+    d_first = _distances(coords, coords[first])
     r_omega = float(d_first.max())
 
     # annuli (R + (j-1)aR, R + j*aR], j = 1..n; the last ring may reach
@@ -200,25 +210,30 @@ def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
         sel = np.array(sorted(order), dtype=np.int64)
         return SelectionResult(sel, order, trace, annulus_count=0)
 
+    # alive always lies outside the ball of the last pick, so a candidate
+    # of the ring m is alive, in the ring and within b*R of that pick
+    outer = b * radius
     m = 1
+    in_ring = ring == m
     d_last = d_first
-    beta = alive & (ring == m) & (d_last > radius) & (d_last <= b * radius)
+    beta = alive & in_ring & (d_last <= outer)
     while m <= n_annuli:
         while beta.any():
             beta_positions = np.nonzero(beta)[0]
             pick = _pick_from(beta_positions, coords, strategy, rng, min_dist)
             order.append(int(candidates[pick]))
             trace.append((order[-1], int(beta_positions.size)))
-            d_last = np.linalg.norm(coords - coords[pick], axis=1)
+            d_last = _distances(coords, coords[pick])
             alive &= d_last > radius  # closed ball knockout, removes the pick too
             np.minimum(min_dist, d_last, out=min_dist)
-            beta = alive & (ring == m) & (d_last > radius) & (d_last <= b * radius)
-        if not (alive & (ring == m)).any():
+            beta = alive & in_ring & (d_last <= outer)
+        if not (alive & in_ring).any():
             m += 1
-            beta = alive & (ring == m) & (d_last > radius) & (d_last <= b * radius)
+            in_ring = ring == m
+            beta = alive & in_ring & (d_last <= outer)
         else:
             # ring m still holds points unreachable from the last pick
-            beta = alive & (ring == m)
+            beta = alive & in_ring
 
     sel = np.array(sorted(order), dtype=np.int64)
     return SelectionResult(sel, order, trace, annulus_count=n_annuli)
@@ -233,14 +248,17 @@ def select_multi(mesh, params):
     if not params.regions:
         raise ValueError("no regions given")
     seen = {}
+    taken = np.zeros(mesh.node_count, dtype=bool)  # nodes of earlier regions
     for region in params.regions:
         ids = mesh.group(region.group)
         if ids.size == 0:
             raise ValueError(f"region group {region.group!r} is empty")
-        for other, other_ids in seen.items():
-            if np.intersect1d(ids, other_ids).size:
-                raise ValueError(
-                    f"region groups {other!r} and {region.group!r} overlap")
+        if taken[ids].any():
+            other = next(name for name, other_ids in seen.items()
+                         if np.intersect1d(ids, other_ids).size)
+            raise ValueError(
+                f"region groups {other!r} and {region.group!r} overlap")
+        taken[ids] = True
         seen[region.group] = ids
 
     per_region = {}

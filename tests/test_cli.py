@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -331,3 +334,14 @@ def test_pod_online_without_model(tmp_path, capsys):
     assert main(["pod-online", "--config", str(cfg),
                  "--out", str(tmp_path / "out"), "--mu", "0.01"]) == 1
     capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy():
+    # the package runs on NumPy alone; SciPy is only a test oracle
+    code = ("import sys, morphkit.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    src = os.path.dirname(os.path.dirname(mk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

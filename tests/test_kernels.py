@@ -74,3 +74,22 @@ def test_unknown_backend_rejected():
         with pytest.raises(ValueError):
             _kernels.assemble_weight_matrix(targets, controls, 4, 1e-12,
                                             backend=backend)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_squared_distances_are_bitwise_cdist(dim):
+    # the kernel's coordinate-at-a-time sum rounds like a per-pair loop
+    targets, controls = random_cloud(9, 70, 23, dim)
+    targets *= 1e3
+    block = np.empty((70, 23))
+    _kernels._squared_distances(targets, np.ascontiguousarray(controls.T),
+                                block, np.empty_like(block))
+    np.testing.assert_array_equal(block,
+                                  cdist(targets, controls, "sqeuclidean"))
+
+
+def test_mismatched_dims_rejected():
+    targets, _ = random_cloud(10, 4, 1)
+    _, controls = random_cloud(10, 1, 4, dim=2)
+    with pytest.raises(ValueError, match="dim"):
+        _kernels.assemble_weight_matrix(targets, controls, 4, 1e-12)

@@ -64,6 +64,52 @@ def test_clamp_overlapping_groups_and_foreign_nodes(tiny_wing):
     assert np.any(d.vectors != 0.0)
 
 
+OUTER_FACES = ("left", "right", "top", "bottom", "front", "rear")
+
+
+def explicit_field(kind, mesh, ids, mu):
+    """The law's field written out from its definition, no clamping."""
+    if kind == "bend":
+        vec = np.zeros((ids.size, 3))
+        vec[:, 1] = mu * mesh.nodes[ids, 2] ** 2
+        return vec
+    if kind == "rotation":
+        rel = mesh.nodes[ids] - np.array([2.0, 2.0, 2.0])
+        return rel @ laws._rotation_matrix(3, "z", np.deg2rad(mu)).T - rel
+    return np.sin(mesh.nodes[ids] * mu)
+
+
+def make_law(kind, mesh, ids, groups, mus):
+    if kind == "bend":
+        return bend_law(ids, (-36.0, 0.0), clamp_groups=groups)
+    if kind == "rotation":
+        return rotation_law(ids, (-36.0, 0.0), pivot=(2.0, 2.0, 2.0),
+                            clamp_groups=groups)
+    table = {mu: DisplacementField(ids, explicit_field(kind, mesh, ids, mu))
+             for mu in mus}
+    return tabulated_law(ids, (-36.0, 0.0), table, clamp_groups=groups)
+
+
+@pytest.mark.parametrize("kind", ["bend", "rotation", "tabulated"])
+def test_evaluate_is_bitwise_with_and_without_clamps(small_tunnel, kind):
+    # the tunnel's outer faces hold most boundary ids, as in the benchmark;
+    # clamped rows are +0.0 and free rows the unclamped law, bit for bit
+    mesh = small_tunnel
+    ids = mesh.boundary_ids
+    mus = np.linspace(-36.0, 0.0, 50).tolist()
+    free = make_law(kind, mesh, ids, (), mus)
+    clamped = make_law(kind, mesh, ids, OUTER_FACES, mus)
+    mask = np.isin(ids, np.concatenate([mesh.group(g) for g in OUTER_FACES]))
+    assert 0 < np.count_nonzero(~mask) < mask.sum()
+    for mu in mus:
+        expected = explicit_field(kind, mesh, ids, mu)
+        assert evaluate(free, mesh, mu).vectors.tobytes() == expected.tobytes()
+        expected[mask] = 0.0
+        got = evaluate(clamped, mesh, mu)
+        np.testing.assert_array_equal(got.indices, ids)
+        assert got.vectors.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # rotation
 

@@ -4,12 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 import morphkit as mk
 from morphkit import (DisplacementField, Mesh, MeshFormatError,
                       DegenerateElementError, apply_deformation,
-                      element_quality, generate_box_wing, generate_tunnel,
-                      merge_fields, mesh_quality, read_mesh, write_mesh)
+                      coincident_pair, element_quality, generate_box_wing,
+                      generate_tunnel, merge_fields, mesh_quality, read_mesh,
+                      write_mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +252,133 @@ def test_mesh_equality(tiny_wing):
     again = generate_box_wing(2, 2, 2, (1.0, 1.0, 1.0))
     assert tiny_wing == again
     assert tiny_wing != again.with_nodes(again.nodes + 0.5)
+
+
+def test_validate_names_the_lowest_coincident_pair():
+    nodes = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+             [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    mesh = Mesh(3, nodes, [[0, 1, 2, 3]], [0, 1, 2, 3, 4, 5], [])
+    with pytest.raises(ValueError, match="nodes 1 and 4 coincide"):
+        mesh.validate()
+
+
+def test_bbox_and_tolerance_are_computed_once(tiny_wing):
+    mesh = generate_box_wing(2, 2, 2, (1.0, 1.0, 1.0))
+    first = mesh.coincidence_tolerance
+    assert "bbox_diagonal" in vars(mesh)
+    assert mesh.coincidence_tolerance is first
+    assert first == tiny_wing.coincidence_tolerance
+
+
+# ---------------------------------------------------------------------------
+# coincident_pair against a brute-force oracle
+
+def brute_pair(points, tol):
+    """Lowest (i, j), i < j, with cdist distance <= tol, or None."""
+    points = np.asarray(points, dtype=np.float64)
+    if len(points) < 2:
+        return None
+    i, j = np.nonzero(np.triu(cdist(points, points) <= tol, k=1))
+    return min(zip(i.tolist(), j.tolist())) if i.size else None
+
+
+def plant(seed, n, dim, offsets):
+    """Uniform cloud in [0, 1)^dim with point ``b`` moved to ``a + offset``
+    for each ((a, b), offset); returns the points and the planted distances."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(size=(n, dim))
+    dists = []
+    for (a, b), length in offsets:
+        step = rng.normal(size=dim)
+        pts[b] = pts[a] + length * step / np.linalg.norm(step)
+        dists.append(float(cdist(pts[[a]], pts[[b]])[0, 0]))
+    return pts, dists
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_coincident_pair_at_and_around_tol(dim, seed):
+    pts, (dist,) = plant(seed, 400, dim, [((17, 311), 3e-9)])
+    at = dist
+    inside = float(np.nextafter(dist, np.inf))
+    outside = float(np.nextafter(dist, 0.0))
+    for tol, expected in ((at, (17, 311)), (inside, (17, 311)),
+                          (outside, None)):
+        assert brute_pair(pts, tol) == expected
+        assert coincident_pair(pts, tol) == expected
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_coincident_pair_reports_the_lowest_pair(dim, seed):
+    # planted pairs (40, 300), (5, 250), (5, 120) all fall within tol; the
+    # lowest is (5, 120) although (40, 300) is the closest
+    pts, dists = plant(seed, 400, dim, [((40, 300), 1e-10), ((5, 250), 5e-9),
+                                        ((120, 5), 4e-9)])
+    tol = max(dists) * 1.5
+    assert brute_pair(pts, tol) == (5, 120)
+    assert coincident_pair(pts, tol) == (5, 120)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(0, 60),
+       dim=st.sampled_from([1, 2, 3]),
+       tol=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0 ** 0.5, 3.0]))
+def test_coincident_pair_matches_oracle_on_integer_grids(seed, n, dim, tol):
+    # small integer coordinates give exact duplicates and many pairs at
+    # exactly tol
+    pts = np.random.default_rng(seed).integers(0, 4, size=(n, dim)) * 1.0
+    assert coincident_pair(pts, tol) == brute_pair(pts, tol)
+
+
+def test_coincident_pair_exact_duplicates():
+    pts = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [1.0, 2.0],
+                    [3.0, 1.0]])
+    assert coincident_pair(pts, 0.0) == (1, 3)
+    assert coincident_pair(pts, 1e-12) == (1, 3)
+    assert coincident_pair(pts[[0, 2, 4]], 0.0) == (1, 2)
+
+
+def test_coincident_pair_small_inputs():
+    assert coincident_pair(np.empty((0, 3)), 1.0) is None
+    assert coincident_pair([[0.0, 0.0, 0.0]], 1.0) is None
+    assert coincident_pair([[0.0, 0.0], [0.5, 0.0]], 0.5) == (0, 1)
+    assert coincident_pair([[0.0, 0.0], [0.5, 0.0]], 0.4) is None
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_coincident_pair_on_plane_orthogonal_to_sweep(dim):
+    # every projection on the sweep direction is equal up to rounding, so
+    # no pair is ruled out by the sort and all are checked
+    direction = np.sqrt(np.arange(1.0, dim + 1.0))
+    direction /= np.linalg.norm(direction)
+    basis = np.linalg.qr(np.column_stack(
+        [direction, np.eye(dim)[:, :dim - 1]]))[0][:, 1:]
+    rng = np.random.default_rng(dim)
+    pts = 0.7 * direction + rng.uniform(-1.0, 1.0, size=(150, dim - 1)) @ basis.T
+    proj = pts @ direction
+    assert np.ptp(proj) < 1e-14
+    tol = 0.5 * float(cdist(pts, pts)[np.triu_indices(150, 1)].min())
+    assert coincident_pair(pts, tol) is None
+    pts[97] = pts[12] + 0.5 * tol * basis[:, 0]
+    assert brute_pair(pts, tol) == (12, 97)
+    assert coincident_pair(pts, tol) == (12, 97)
+
+
+def test_coincident_pair_one_ulp_apart_far_from_origin():
+    # near 1e6 a one-ulp step is ~1.2e-10 while the projections round by
+    # up to ~2.3e-10: without its rounding slack the sweep misses pairs
+    rng = np.random.default_rng(11)
+    base = 1e6 + rng.uniform(size=(100, 3))
+    twin = base.copy()
+    rows, axes = np.arange(100), rng.integers(0, 3, size=100)
+    twin[rows, axes] = np.nextafter(base[rows, axes], np.inf)
+    for a, b in zip(base, twin):
+        pts = np.vstack([a, b])
+        tol = float(cdist(pts[:1], pts[1:])[0, 0])
+        assert coincident_pair(pts, tol) == brute_pair(pts, tol) == (0, 1)
+        outside = float(np.nextafter(tol, 0.0))
+        assert coincident_pair(pts, outside) is brute_pair(pts, outside) is None
 
 
 # ---------------------------------------------------------------------------

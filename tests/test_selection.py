@@ -1,5 +1,8 @@
 """Annulus-walk thinning: invariants, determinism, and the random baseline."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -44,6 +47,70 @@ def test_lattice_walk_frozen(lattice11):
     d = cdist(pts, pts)
     np.fill_diagonal(d, np.inf)
     assert d.min() == pytest.approx(np.sqrt(5.0))
+
+
+# Pick orders, pool sizes and annulus counts recorded with the earlier
+# implementation (rng.choice for the random pick, np.linalg.norm for the
+# distances); the walk must repeat them exactly.
+LATTICE_WALKS = {
+    ("random", 0): (6, [102, 93, 116, 70, 79, 88, 111, 49, 45, 73, 96, 109,
+                        24, 52, 65, 17, 11, 32, 4, 8],
+                    [121, 6, 2, 12, 1, 1, 1, 12, 9, 5, 1, 2, 5, 1, 2, 6, 1,
+                     6, 3, 1]),
+    ("random", 5): (5, [81, 102, 89, 68, 47, 60, 73, 94, 115, 107, 86, 39,
+                        52, 44, 24, 110, 120, 3, 16, 31, 65, 7, 11, 10],
+                    [121, 8, 2, 1, 1, 1, 1, 1, 1, 17, 1, 11, 2, 6, 3, 1, 9,
+                     8, 1, 2, 1, 4, 2, 1]),
+    ("centroid_nearest", 0): (3, [60, 37, 28, 41, 81, 68, 84, 97, 76, 45, 24,
+                                  3, 104, 113, 89, 7, 117, 20, 11, 110, 120],
+                              [121, 8, 2, 2, 17, 2, 6, 4, 1, 24, 1, 1, 12, 2,
+                               4, 2, 1, 8, 4, 2, 1]),
+    ("farthest_point", 0): (8, [0, 13, 34, 47, 26, 5, 55, 68, 18, 39, 60, 81,
+                                88, 101, 43, 52, 73, 94, 10, 76, 97, 114, 117,
+                                120],
+                            [121, 2, 1, 3, 1, 1, 1, 2, 3, 1, 1, 1, 2, 2, 16,
+                             2, 1, 1, 2, 6, 1, 2, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("strategy,seed", sorted(LATTICE_WALKS))
+def test_lattice_walk_golden(lattice11, strategy, seed):
+    annuli, order, pools = LATTICE_WALKS[strategy, seed]
+    res = select(lattice11, lattice11.boundary_ids, 2.1, strategy=strategy,
+                 seed=seed)
+    assert res.annulus_count == annuli
+    assert list(res.order) == order
+    assert res.trace == tuple(zip(order, pools))
+    np.testing.assert_array_equal(res.selected, sorted(order))
+
+
+# SHA-256 of json.dumps([order, trace, {region: annulus_count}]) for the
+# thinning study's regions on box_wing(8, 4, 25)
+WING_WALKS = {
+    (0.03, 1): (217, "9f7def060a45a8595ed320467926c959"
+                     "eeb4ff8e6b1991a406916e491deaac7b"),
+    (0.07, 2): (87, "167e0203874264e7d2409ba0a5a3105f"
+                    "9a7d053927bdb4683760753255239cce"),
+    (0.12, 3): (67, "3dc1b8c0b7a3b159fc2e00beed00f763"
+                    "bd46bac98079208ed85063521bc71564"),
+}
+
+
+@pytest.fixture(scope="module")
+def study_wing():
+    return mk.generate_box_wing(8, 4, 25, (1.0, 0.25, 6.3))
+
+
+@pytest.mark.parametrize("r_lr,seed", sorted(WING_WALKS))
+def test_multi_region_walk_golden(study_wing, r_lr, seed):
+    regions = ([("left", r_lr), ("right", r_lr)]
+               + [(g, 10 * r_lr) for g in ("top", "bottom", "front", "rear")])
+    res = select_multi(study_wing, SelectionParams(regions, seed=seed))
+    doc = json.dumps([list(res.order), [list(t) for t in res.trace],
+                      {k: v.annulus_count for k, v in res.per_region.items()}])
+    count, digest = WING_WALKS[r_lr, seed]
+    assert len(res.order) == count
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 def test_radius_below_spacing_selects_everything(lattice11):
