@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .mesh import (COINCIDENCE_FACTOR, DisplacementField, coincident_pair,
-                   has_duplicates)
+from .mesh import (COINCIDENCE_FACTOR, DisplacementField, _own,
+                   coincident_pair, has_duplicates)
 
 __all__ = [
     "IdwConfig",
@@ -89,20 +89,15 @@ class IdwOperator:
     config: IdwConfig
 
     def __post_init__(self):
-        mat = self.matrix
-        # a read-only float64 array that owns its data is taken as is (the
-        # fresh kernel output ``assemble`` hands over); anything else may
-        # still be written through some other reference, so it is copied
-        if not (type(mat) is np.ndarray and mat.dtype == np.float64
-                and mat.flags.owndata and not mat.flags.writeable):
-            mat = np.array(mat, dtype=np.float64, copy=True)
-        tgt = np.array(np.atleast_1d(self.target_ids), dtype=np.int64, copy=True)
-        ctl = np.array(np.atleast_1d(self.control_ids), dtype=np.int64, copy=True)
+        # the fresh, frozen kernel output ``assemble`` hands over is taken
+        # as is; anything that some other reference may still write is
+        # copied
+        mat = _own(self.matrix, np.float64)
+        tgt = _own(np.atleast_1d(self.target_ids), np.int64)
+        ctl = _own(np.atleast_1d(self.control_ids), np.int64)
         if mat.ndim != 2 or mat.shape != (tgt.size, ctl.size):
             raise ValueError(f"matrix shape {mat.shape} does not match "
                              f"{tgt.size} targets x {ctl.size} controls")
-        for arr in (mat, tgt, ctl):
-            arr.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "target_ids", tgt)
         object.__setattr__(self, "control_ids", ctl)
@@ -201,6 +196,7 @@ def interpolate(mesh, displacement, target_ids, config=IdwConfig()):
         weights = _kernels.assemble_weight_matrix(targets[lo:lo + rows],
                                                   controls, config.p, tol)
         np.matmul(weights, displacement.vectors, out=out[lo:lo + rows])
+    out.setflags(write=False)  # frozen, so the field keeps it uncopied
     return DisplacementField(target_ids, out)
 
 
@@ -211,7 +207,9 @@ def deform(op, displacement):
     """
     if not np.array_equal(displacement.indices, op.control_ids):
         raise ValueError("displacement indices must equal op.control_ids in order")
-    return DisplacementField(op.target_ids, op.matrix @ displacement.vectors)
+    out = op.matrix @ displacement.vectors
+    out.setflags(write=False)  # frozen, so the field keeps it uncopied
+    return DisplacementField(op.target_ids, out)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ Nodes of ``clamp_groups`` are forced to zero displacement for every mu.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .mesh import DisplacementField
+from .mesh import DisplacementField, has_duplicates
 
 __all__ = [
     "DisplacementLaw",
@@ -46,12 +47,19 @@ class DisplacementLaw:
     axis: str = "z"                 # rotation only
     pivot: np.ndarray | None = None  # rotation only
     table: dict | None = None        # tabulated only: mu -> DisplacementField
+    # _resolve's cache: (weakref to the last mesh met, (free, rows))
+    _resolved: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         ids = np.array(np.atleast_1d(self.control_ids), dtype=np.int64, copy=True)
         ids.setflags(write=False)
+        if ids.ndim != 1:
+            raise ValueError("control_ids must be one-dimensional")
+        if has_duplicates(ids):
+            raise ValueError("control_ids contain duplicates")
         object.__setattr__(self, "control_ids", ids)
         lo, hi = (float(v) for v in self.domain)
         if not lo <= hi:
@@ -62,6 +70,8 @@ class DisplacementLaw:
             if self.axis not in _AXES:
                 raise ValueError(f"axis must be one of {sorted(_AXES)}")
             pivot = np.array(np.atleast_1d(self.pivot), dtype=np.float64, copy=True)
+            if not np.all(np.isfinite(pivot)):
+                raise ValueError(f"pivot {pivot.tolist()} is not finite")
             pivot.setflags(write=False)
             object.__setattr__(self, "pivot", pivot)
         if self.kind == "tabulated":
@@ -101,52 +111,85 @@ def _rotation_matrix(dim, axis, radians):
     return rot
 
 
+def _resolve(law, mesh):
+    """``law`` against ``mesh``, independent of mu: (free, rows).
+
+    ``free`` holds the positions in ``law.control_ids`` outside every
+    clamp group, or is None when the law has no clamp groups (every
+    position is free). ``rows`` holds, for the free ids in that order,
+    the squared span coordinate (bend) or the coordinates relative to
+    the pivot (rotation); it is None for a tabulated law.
+
+    Both the law and the mesh are immutable, so the answer is cached on
+    the law for the last mesh it met, keyed by that mesh's identity
+    through a weak reference. A check that fails caches nothing.
+    """
+    cached = law._resolved
+    if cached is not None and cached[0]() is mesh:
+        return cached[1]
+    ids = law.control_ids
+    if ids.size and (ids.min() < 0 or ids.max() >= mesh.node_count):
+        raise ValueError("law control ids out of range for this mesh")
+    free = None
+    if law.clamp_groups:
+        clamped = np.zeros(mesh.node_count, dtype=bool)
+        for g in law.clamp_groups:
+            clamped[mesh.group(g)] = True
+        free = np.flatnonzero(~clamped[ids])
+    free_ids = ids if free is None else ids[free]
+    if law.kind == "bend":
+        span_axis = 2 if mesh.dim == 3 else 0
+        rows = mesh.nodes[free_ids, span_axis] ** 2
+    elif law.kind == "rotation":
+        if law.pivot.size != mesh.dim:
+            raise ValueError(f"pivot has dim {law.pivot.size}, mesh has {mesh.dim}")
+        _rotation_matrix(mesh.dim, law.axis, 0.0)  # raises unless the axis suits dim
+        # take is the fast form of the gather, with bitwise the same rows
+        rows = np.take(mesh.nodes, free_ids, axis=0) - law.pivot
+    else:
+        rows = None
+    resolved = (free, rows)
+    object.__setattr__(law, "_resolved", (weakref.ref(mesh), resolved))
+    return resolved
+
+
 def evaluate(law, mesh, mu):
     """Displacement field of ``law`` at parameter ``mu`` over its control ids.
 
-    Raises DomainError when mu falls outside the declared domain and
-    KeyError when a tabulated law has no entry for mu.
+    Only the free rows are computed; clamped rows are zero. Raises
+    DomainError when mu falls outside the declared domain and KeyError
+    when a tabulated law has no entry for mu.
     """
     mu = float(mu)
     lo, hi = law.domain
     if not lo <= mu <= hi:
         raise DomainError(f"mu={mu} outside domain [{lo}, {hi}]")
+    free, rows = _resolve(law, mesh)
     ids = law.control_ids
-    if ids.size and (ids.min() < 0 or ids.max() >= mesh.node_count):
-        raise ValueError("law control ids out of range for this mesh")
 
     if law.kind == "bend":
-        span_axis = 2 if mesh.dim == 3 else 0
-        s = mesh.nodes[ids, span_axis]
-        vec = np.zeros((ids.size, mesh.dim))
-        vec[:, 1] = mu * s**2
+        moved = np.zeros((rows.size, mesh.dim))
+        moved[:, 1] = mu * rows
     elif law.kind == "rotation":
-        if law.pivot.size != mesh.dim:
-            raise ValueError(f"pivot has dim {law.pivot.size}, mesh has {mesh.dim}")
         rot = _rotation_matrix(mesh.dim, law.axis, np.deg2rad(mu))
-        # take and a contiguous rot.T are the fast forms of the gather and
-        # the product, with bitwise the same results
-        rel = np.take(mesh.nodes, ids, axis=0) - law.pivot
-        vec = rel @ np.ascontiguousarray(rot.T) - rel
+        # a contiguous rot.T is the fast form of the product, with bitwise
+        # the same results; a row's result does not depend on the others
+        moved = rows @ np.ascontiguousarray(rot.T) - rows
     else:
         try:
             entry = law.table[mu]
         except KeyError:
             raise KeyError(f"tabulated law has no entry for mu={mu}") from None
-        entry = entry.restrict(ids)
-        vec = entry.vectors.copy()
+        moved = entry.restrict(ids).vectors
+        if free is not None:
+            moved = moved[free]
 
-    if law.clamp_groups:
-        clamped = np.zeros(mesh.node_count, dtype=bool)
-        for g in law.clamp_groups:
-            clamped[mesh.group(g)] = True
-        # clamp groups usually hold most of the ids: copying the few free
-        # rows into zeros is cheaper than zeroing the many clamped ones
-        free = np.flatnonzero(~clamped[ids])
-        out = np.zeros_like(vec)
-        out[free] = vec[free]
-        vec = out
-    return DisplacementField(ids, vec)
+    if free is None:
+        vec = moved
+    else:
+        vec = np.zeros((ids.size, moved.shape[1]))
+        vec[free] = moved
+    return DisplacementField._built(ids, vec)
 
 
 def sample_domain(domain, n, seed):

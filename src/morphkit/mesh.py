@@ -93,11 +93,17 @@ def has_duplicates(ids):
     Strictly increasing ids, the usual case, are unique: an O(n) test.
     Others take the sort-based one.
     """
-    return (not np.all(ids[1:] > ids[:-1])
+    return (not (ids[1:] > ids[:-1]).all()
             and np.unique(ids).size != ids.size)
 
 
 def _own(a, dtype):
+    """``a`` as a read-only array of ``dtype`` that no other reference can
+    write: a read-only array of that dtype which owns its data is kept as
+    is, anything else is copied and frozen."""
+    if (type(a) is np.ndarray and a.dtype == dtype and a.flags.owndata
+            and not a.flags.writeable):
+        return a
     arr = np.array(a, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
@@ -106,6 +112,11 @@ def _own(a, dtype):
 @dataclass(frozen=True, eq=False)
 class DisplacementField:
     """Per-node displacement vectors on a subset of mesh nodes.
+
+    Both arrays are read-only. An input that already is a read-only
+    array of the right dtype (int64 ids, float64 vectors) and owns its
+    data is kept without a copy; any other input is copied, so a caller
+    writing to its own array later does not change the field.
 
     Attributes:
         indices: unique node ids, shape (k,).
@@ -117,7 +128,7 @@ class DisplacementField:
 
     def __post_init__(self):
         idx = _own(np.atleast_1d(self.indices), np.int64)
-        vec = np.array(self.vectors, dtype=np.float64, copy=True)
+        vec = _own(self.vectors, np.float64)
         if vec.ndim != 2 or vec.shape[0] != idx.shape[0]:
             raise ValueError(
                 f"vectors shape {vec.shape} does not match {idx.shape[0]} indices")
@@ -125,11 +136,25 @@ class DisplacementField:
             raise ValueError("indices must be one-dimensional")
         if has_duplicates(idx):
             raise ValueError("indices contain duplicates")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("vectors contain non-finite entries")
-        vec.setflags(write=False)
+        _check_finite(vec)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "vectors", vec)
+
+    @classmethod
+    def _built(cls, indices, vectors):
+        """Field over arrays a producer has just built, neither copied.
+
+        ``indices`` are read-only, one-dimensional and unique, which the
+        producer has established at their source; ``vectors`` (k, dim)
+        are fresh and nothing else writes them. Only the finiteness scan
+        runs here.
+        """
+        _check_finite(vectors)
+        vectors.setflags(write=False)
+        built = object.__new__(cls)
+        object.__setattr__(built, "indices", indices)
+        object.__setattr__(built, "vectors", vectors)
+        return built
 
     @property
     def dim(self):
@@ -142,29 +167,42 @@ class DisplacementField:
 
     def restrict(self, ids):
         """Rows of this field at ``ids`` (all must be present), in that order."""
-        ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+        ids = _own(np.atleast_1d(ids), np.int64)
+        if ids.ndim != 1:
+            raise ValueError("indices must be one-dimensional")
         idx = self.indices
         # strictly increasing ids (the usual case) need no sort permutation
-        order = (None if np.all(idx[1:] > idx[:-1])
+        order = (None if (idx[1:] > idx[:-1]).all()
                  else np.argsort(idx, kind="stable"))
         pos = np.searchsorted(idx, ids, sorter=order)
-        if np.any(pos >= idx.size):
-            missing = ids[pos >= idx.size]
-            raise ValueError(f"ids not covered by field: {missing[:5].tolist()}")
-        rows = pos if order is None else order[pos]
-        if not np.array_equal(idx[rows], ids):
-            missing = ids[idx[rows] != ids]
-            raise ValueError(f"ids not covered by field: {missing[:5].tolist()}")
-        return DisplacementField(ids, self.vectors[rows])
+        # an id above every index gets pos == idx.size; clipping points it
+        # at a smaller index, so the comparison below reports it missing
+        rows = pos if order is None else order.take(pos, mode="clip")
+        found = (idx.take(rows, mode="clip") == ids if idx.size
+                 else np.zeros(ids.size, dtype=bool))
+        if not found.all():
+            raise ValueError(f"ids not covered by field: {ids[~found][:5].tolist()}")
+        if has_duplicates(ids):
+            raise ValueError("indices contain duplicates")
+        return DisplacementField._built(ids, self.vectors[rows])
 
     def as_vector(self):
-        """Flattened copy, node-major with the dim components interleaved."""
+        """Node-major flattening with the dim components interleaved.
+
+        A read-only view of ``vectors`` when they are C-contiguous, as
+        every field morphkit builds is; a copy otherwise.
+        """
         return self.vectors.ravel()
 
     def max_magnitude(self):
         if self.indices.size == 0:
             return 0.0
         return float(np.linalg.norm(self.vectors, axis=1).max())
+
+
+def _check_finite(vectors):
+    if not np.isfinite(vectors).all():
+        raise ValueError("vectors contain non-finite entries")
 
 
 def merge_fields(*fields):
@@ -177,8 +215,8 @@ def merge_fields(*fields):
     idx = np.concatenate([f.indices for f in fields])
     if has_duplicates(idx):
         raise ValueError("fields overlap")
-    vec = np.vstack([f.vectors for f in fields])
-    return DisplacementField(idx, vec)
+    idx.setflags(write=False)
+    return DisplacementField._built(idx, np.vstack([f.vectors for f in fields]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DegenerateSnapshotsError, IllPosedOnlineError
 from .idw import deform
 from .laws import evaluate
-from .mesh import DisplacementField
+from .mesh import DisplacementField, has_duplicates
 
 __all__ = [
     "SnapshotSet",
@@ -110,6 +110,13 @@ class PodModel:
         if self.online_map.shape != (self.n_modes,
                                      self.control_ids.size * self.dim):
             raise ValueError("online_map must be N x (n_controls * dim)")
+        # checked once here, so online_solve can trust them on every query
+        for name in ("control_ids", "target_ids"):
+            if has_duplicates(getattr(self, name)):
+                raise ValueError(f"{name} contain duplicates")
+        for name in ("basis", "online_map"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} contains non-finite entries")
 
 
 def build_snapshots(op, law, mesh, train_params):
@@ -210,8 +217,10 @@ def online_solve(model, d_controls):
         raise ValueError(f"field dim {d_controls.dim} != model dim {model.dim}")
     beta = model.online_map @ d_controls.as_vector()
     flat = model.basis @ beta
-    return DisplacementField(model.target_ids,
-                             flat.reshape(model.target_ids.size, model.dim))
+    flat.setflags(write=False)  # so the reshaped view cannot be made writeable
+    # the model has checked its target ids for duplicates
+    return DisplacementField._built(
+        model.target_ids, flat.reshape(model.target_ids.size, model.dim))
 
 
 def build_pod_model(op, law, mesh, train_params, epsilon, mode="weighted",

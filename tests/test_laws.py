@@ -1,6 +1,8 @@
 """Displacement laws: bend, rigid rotation, tabulated lookup."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -110,6 +112,78 @@ def test_evaluate_is_bitwise_with_and_without_clamps(small_tunnel, kind):
         assert got.vectors.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["bend", "rotation"])
+@pytest.mark.parametrize("moved_first", [False, True])
+def test_law_answers_each_mesh_for_itself(small_tunnel, kind, moved_first):
+    # one law alternates between two meshes of one topology; each call
+    # gives that mesh's own field, bit for bit the explicit form
+    moved = small_tunnel.with_nodes(small_tunnel.nodes * 1.05 + 0.1)
+    ids = small_tunnel.boundary_ids
+    law = make_law(kind, small_tunnel, ids, OUTER_FACES, [])
+    mask = np.isin(ids, np.concatenate(
+        [small_tunnel.group(g) for g in OUTER_FACES]))
+    meshes = [moved, small_tunnel] if moved_first else [small_tunnel, moved]
+    for mesh in meshes + meshes:
+        expected = explicit_field(kind, mesh, ids, -12.5)
+        expected[mask] = 0.0
+        got = evaluate(law, mesh, -12.5)
+        assert got.vectors.tobytes() == expected.tobytes()
+    a, b = (evaluate(law, m, -12.5).vectors for m in (small_tunnel, moved))
+    assert a.tobytes() != b.tobytes()
+
+
+def test_failed_evaluate_caches_nothing(tiny_wing, lattice11):
+    law = bend_law(tiny_wing.boundary_ids, (0.0, 1.0), clamp_groups=("left",))
+    with pytest.raises(ValueError, match="unknown group"):
+        evaluate(law, lattice11, 0.5)   # the lattice has no group "left"
+    assert law._resolved is None
+    expected = evaluate(bend_law(tiny_wing.boundary_ids, (0.0, 1.0)),
+                        tiny_wing, 0.5).vectors.copy()
+    expected[np.isin(tiny_wing.boundary_ids, tiny_wing.group("left"))] = 0.0
+    np.testing.assert_array_equal(evaluate(law, tiny_wing, 0.5).vectors,
+                                  expected)
+    with pytest.raises(ValueError, match="unknown group"):
+        evaluate(law, lattice11, 0.5)
+    assert law._resolved[0]() is tiny_wing
+
+    far = bend_law([100], (0.0, 1.0))
+    with pytest.raises(ValueError, match="out of range"):
+        evaluate(far, tiny_wing, 0.5)   # 27 nodes
+    assert far._resolved is None
+    x = lattice11.nodes[100, 0]
+    np.testing.assert_array_equal(evaluate(far, lattice11, 0.5).vectors,
+                                  [[0.0, 0.5 * x**2]])
+
+
+def test_law_cache_does_not_keep_the_mesh_alive(tiny_wing):
+    mesh = tiny_wing.with_nodes(tiny_wing.nodes)
+    ref = weakref.ref(mesh)
+    law = bend_law(tiny_wing.boundary_ids, (0.0, 1.0), clamp_groups=("left",))
+    evaluate(law, mesh, 0.5)
+    del mesh
+    gc.collect()
+    assert ref() is None
+    assert law._resolved[0]() is None   # a dead key matches no mesh
+    evaluate(law, tiny_wing, 0.5)
+
+
+def test_evaluate_rejects_nonfinite_values(wing):
+    # mu * z^2 overflows: the computed field is scanned, not trusted
+    law = bend_law(wing.boundary_ids, (0.0, 1e308))
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        evaluate(law, wing, 1e308)
+
+
+def test_evaluated_fields_are_frozen(tiny_wing):
+    for law in (bend_law(tiny_wing.boundary_ids, (0.0, 1.0)),
+                rotation_law(tiny_wing.boundary_ids, (0.0, 1.0),
+                             pivot=(0.5, 0.5, 0.5), clamp_groups=("left",))):
+        d = evaluate(law, tiny_wing, 0.5)
+        assert not d.vectors.flags.writeable
+        assert not d.indices.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # rotation
 
@@ -183,6 +257,12 @@ def test_rotation_2d_rejects_other_axes():
         evaluate(law, mesh, 45.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_rotation_rejects_nonfinite_pivot(bad):
+    with pytest.raises(ValueError, match=r"pivot \[.*\] is not finite"):
+        rotation_law([0], (0.0, 1.0), pivot=(0.0, bad, 0.0))
+
+
 def test_rotation_validates_pivot_dim(tiny_wing):
     law = rotation_law([0], (0.0, 1.0), pivot=(0.0, 0.0))
     with pytest.raises(ValueError, match="pivot"):
@@ -211,6 +291,8 @@ def test_law_validation():
         rotation_law([0], (0.0, 1.0), pivot=(0.0, 0.0, 0.0), axis="w")
     with pytest.raises(ValueError, match="table"):
         tabulated_law([0], (0.0, 1.0), {})
+    with pytest.raises(ValueError, match="duplicates"):
+        bend_law([3, 1, 3], (0.0, 1.0))
 
 
 def test_evaluate_checks_control_ids(lattice11):

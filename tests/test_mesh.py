@@ -89,6 +89,44 @@ def test_field_arrays_frozen():
         f.vectors[0, 0] = 9.0
 
 
+def test_field_copies_a_writeable_caller_array():
+    ids = np.array([3, 5])
+    vec = np.array([[1.0, 2.0], [3.0, 4.0]])
+    f = DisplacementField(ids, vec)
+    ids[0] = 4
+    vec[0, 0] = 9.0
+    np.testing.assert_array_equal(f.indices, [3, 5])
+    np.testing.assert_array_equal(f.vectors, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_field_keeps_a_frozen_owned_array():
+    ids = np.array([3, 5])
+    vec = np.array([[1.0, 2.0], [3.0, 4.0]])
+    ids.setflags(write=False)
+    vec.setflags(write=False)
+    f = DisplacementField(ids, vec)
+    assert np.shares_memory(f.indices, ids)
+    assert np.shares_memory(f.vectors, vec)
+    assert np.shares_memory(f.as_vector(), vec)
+    # a frozen view is copied: its base may still be written
+    base = np.zeros((4, 2))
+    view = base[:2]
+    view.setflags(write=False)
+    g = DisplacementField([1, 2], view)
+    assert not np.shares_memory(g.vectors, base)
+
+
+def test_field_restrict_copies_the_request_and_rejects_duplicates():
+    f = DisplacementField([1, 4, 9], [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    request = np.array([9, 1])
+    g = f.restrict(request)
+    request[0] = 4
+    np.testing.assert_array_equal(g.indices, [9, 1])
+    assert not g.vectors.flags.writeable
+    with pytest.raises(ValueError, match="duplicates"):
+        f.restrict([4, 1, 4])
+
+
 def test_merge_fields_disjoint_union():
     a = DisplacementField([0], [[1.0, 0.0]])
     b = DisplacementField([2], [[0.0, 1.0]])

@@ -206,6 +206,25 @@ def test_online_solve_checks_ids(wing):
         online_solve(model, wrong)
 
 
+def test_online_solve_rejects_nonfinite_values():
+    # finite model and field, but beta = 1e300 * 1e10 overflows: the
+    # computed field is scanned, not trusted
+    model = mk.PodModel(np.ones((1, 1)), np.ones(1), 1, 0.0, "plain",
+                        np.array([[1e300]]), [2], [5], 1)
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        online_solve(model, DisplacementField([2], [[1e10]]))
+
+
+def test_online_output_is_frozen(wing):
+    op = assemble(wing, wing.boundary_ids, wing.interior_ids)
+    law = bend_law(wing.boundary_ids, (0.0, 0.02))
+    model = build_pod_model(op, law, wing, (0.01, 0.02), epsilon=1e-5)
+    out = online_solve(model, evaluate(law, wing, 0.015))
+    with pytest.raises(ValueError):
+        out.vectors.setflags(write=True)
+
+
 def test_rank_deficient_basis_rejected():
     nodes = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]]
     mesh = mk.Mesh(2, nodes, np.empty((0, 3), dtype=np.int64), [0, 1], [2])
@@ -305,3 +324,40 @@ def test_read_model_rejects_truncation(wing, tmp_path):
     path.write_bytes(raw[:-16])
     with pytest.raises(ValueError):
         read_model(path)
+
+
+def _patched_model(wing, tmp_path, offset_of, value):
+    """Write the small model, overwrite one 8-byte entry, read it back."""
+    model = _small_model(wing)
+    path = tmp_path / "model.bin"
+    write_model(model, path)
+    raw = bytearray(path.read_bytes())
+    rows, n_modes = model.basis.shape
+    at = mk.pod._HEADER.size + 8 * offset_of(model, rows, n_modes)
+    raw[at:at + 8] = value
+    path.write_bytes(bytes(raw))
+    return read_model(path)
+
+
+def test_read_model_rejects_repeated_target_id(wing, tmp_path):
+    def second_target(model, rows, n_modes):
+        return (rows * n_modes + model.singular_values.size
+                + model.online_map.size + 1)
+    first = _small_model(wing).target_ids[0]
+    with pytest.raises(ValueError, match="target_ids contain duplicates"):
+        _patched_model(wing, tmp_path, second_target,
+                       np.array(first, dtype="<i8").tobytes())
+
+
+def test_read_model_rejects_nan_in_online_map(wing, tmp_path):
+    def map_entry(model, rows, n_modes):
+        return rows * n_modes + model.singular_values.size + 3
+    with pytest.raises(ValueError, match="online_map contains non-finite"):
+        _patched_model(wing, tmp_path, map_entry,
+                       np.array(np.nan, dtype="<f8").tobytes())
+
+
+def test_model_rejects_repeated_control_id():
+    with pytest.raises(ValueError, match="control_ids contain duplicates"):
+        mk.PodModel(np.ones((1, 1)), np.ones(1), 1, 0.0, "plain",
+                    np.ones((1, 2)), [2, 2], [5], 1)
