@@ -38,7 +38,9 @@ KINDS = ("bend", "rotation", "tabulated")
 _AXES = {"x": 0, "y": 1, "z": 2}
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity, like Mesh and DisplacementField: a
+# field-wise == would compare arrays
+@dataclass(frozen=True, eq=False)
 class DisplacementLaw:
     kind: str
     control_ids: np.ndarray
@@ -48,8 +50,7 @@ class DisplacementLaw:
     pivot: np.ndarray | None = None  # rotation only
     table: dict | None = None        # tabulated only: mu -> DisplacementField
     # _resolve's cache: (weakref to the last mesh met, (free, rows))
-    _resolved: tuple | None = field(default=None, init=False, repr=False,
-                                    compare=False)
+    _resolved: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:

@@ -87,14 +87,28 @@ def coincident_pair(points, tol):
     return best
 
 
+# np.unique would import numpy.ma (~16 ms) into every cold command, so
+# the two helpers below sort instead
+
 def has_duplicates(ids):
     """Whether the 1-D integer array ``ids`` repeats a value.
 
     Strictly increasing ids, the usual case, are unique: an O(n) test.
     Others take the sort-based one.
     """
-    return (not (ids[1:] > ids[:-1]).all()
-            and np.unique(ids).size != ids.size)
+    if (ids[1:] > ids[:-1]).all():
+        return False
+    ids = np.sort(ids)
+    return bool((ids[1:] == ids[:-1]).any())
+
+
+def sorted_unique(ids):
+    """The distinct values of the 1-D array ``ids``, sorted, as
+    ``np.unique`` gives them."""
+    ids = np.sort(ids)
+    keep = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
 
 
 def _own(a, dtype):
@@ -219,6 +233,36 @@ def merge_fields(*fields):
     return DisplacementField._built(idx, np.vstack([f.vectors for f in fields]))
 
 
+class _Memo:
+    """Arrays derived from a mesh's read-only nodes, keyed by their user.
+
+    No entry goes stale, so none is ever dropped; instead the entries
+    together hold at most ``cap`` bytes, and what would not fit is not
+    kept.
+    """
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.nbytes = 0
+        self._entries = {}
+
+    def get(self, key):
+        return self._entries.get(key)
+
+    def fits(self, nbytes):
+        return self.nbytes + nbytes <= self.cap
+
+    def put(self, key, arrays):
+        """Keep the tuple ``arrays`` under ``key``; the caller has checked
+        that they fit."""
+        self._entries[key] = arrays
+        self.nbytes += sum(a.nbytes for a in arrays)
+
+
+# bytes one mesh's memo may hold: four 256 x 256 distance matrices
+_MEMO_BYTES = 2 * 2**20
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Immutable simplicial mesh.
@@ -274,6 +318,11 @@ class Mesh:
     @functools.cached_property
     def coincidence_tolerance(self):
         return COINCIDENCE_FACTOR * self.bbox_diagonal
+
+    @functools.cached_property
+    def _memo(self):
+        # selection keeps each small candidate set's distances here
+        return _Memo(_MEMO_BYTES)
 
     def group(self, name):
         try:
@@ -532,34 +581,44 @@ def generate_tunnel(outer, inner, resolution):
 # ---------------------------------------------------------------------------
 # quality
 
-def _edge_lengths(mesh, element_rows):
-    verts = mesh.nodes[element_rows]  # (e, dim+1, dim)
-    pairs = list(itertools.combinations(range(mesh.dim + 1), 2))
-    diffs = np.stack([verts[:, i] - verts[:, j] for i, j in pairs], axis=1)
-    return np.linalg.norm(diffs, axis=2)  # (e, n_edges)
+def _squared_edges(mesh, element_rows):
+    """Squared edge lengths, shape (e, n_edges), of the elements
+    ``element_rows``, summed one coordinate at a time in the order
+    ``np.linalg.norm`` sums them. Roots are taken of the extremes only:
+    ``sqrt`` is monotone and correctly rounded, so the root of the largest
+    (smallest) square is bitwise the longest (shortest) edge."""
+    first, second = map(list, zip(*itertools.combinations(range(mesh.dim + 1), 2)))
+    sq = 0.0
+    for c in range(mesh.dim):
+        x = mesh.nodes[:, c][element_rows]  # (e, dim+1)
+        diff = x[:, first] - x[:, second]
+        diff *= diff
+        diff += sq  # addition commutes exactly, and 0.0 + d² is d²
+        sq = diff
+    return sq
 
 
 def element_quality(mesh, e):
     """Edge-length ratio (longest over shortest) of element ``e``; 1 is best."""
     if not 0 <= e < mesh.element_count:
         raise ValueError(f"element index {e} out of range")
-    lengths = _edge_lengths(mesh, mesh.elements[e:e + 1])[0]
-    shortest = lengths.min()
+    sq = _squared_edges(mesh, mesh.elements[e:e + 1])[0]
+    shortest = np.sqrt(sq.min())
     if shortest == 0.0:
         raise DegenerateElementError(f"element {e} has a zero-length edge")
-    return float(lengths.max() / shortest)
+    return float(np.sqrt(sq.max()) / shortest)
 
 
 def mesh_quality(mesh):
     """(max, mean) of the edge-length ratio over all elements."""
     if mesh.element_count == 0:
         raise ValueError("mesh has no elements")
-    lengths = _edge_lengths(mesh, mesh.elements)
-    shortest = lengths.min(axis=1)
+    sq = _squared_edges(mesh, mesh.elements)
+    shortest = np.sqrt(sq.min(axis=1))
     bad = np.nonzero(shortest == 0.0)[0]
     if bad.size:
         raise DegenerateElementError(f"element {bad[0]} has a zero-length edge")
-    q = lengths.max(axis=1) / shortest
+    q = np.sqrt(sq.max(axis=1)) / shortest
     return float(q.max()), float(q.mean())
 
 

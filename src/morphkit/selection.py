@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .mesh import has_duplicates
+from .mesh import sorted_unique
 
 __all__ = [
     "RegionParams",
@@ -40,6 +40,14 @@ __all__ = [
 ]
 
 STRATEGIES = ("random", "centroid_nearest", "farthest_point")
+
+# a candidate set of n points gets its n x n distance matrix memoized on
+# the mesh when n * n fits this many entries (512 KiB, one chunk of the
+# weight kernel): the wing's faces and the tunnel's obstacle do, the
+# tunnel's outer faces do not
+_MEMO_BUDGET = 65_536
+# row blocks that build such a matrix stay within this many entries
+_BUILD_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,21 @@ class SelectionResult:
         object.__setattr__(self, "trace",
                            tuple((int(i), int(s)) for i, s in self.trace))
 
+    @classmethod
+    def _built(cls, selected, order, trace, annulus_count=None,
+               per_region=None):
+        """Result over a fresh sorted unique int64 ``selected`` and the
+        lists ``order`` (ints) and ``trace`` ((int, int) pairs) a walk has
+        just built; nothing is converted again."""
+        selected.setflags(write=False)
+        built = object.__new__(cls)
+        for name, value in (("selected", selected), ("order", tuple(order)),
+                            ("trace", tuple(trace)),
+                            ("annulus_count", annulus_count),
+                            ("per_region", per_region)):
+            object.__setattr__(built, name, value)
+        return built
+
     @property
     def cardinality(self):
         return int(self.selected.size)
@@ -125,6 +148,50 @@ def _distances(coords, point):
     np.multiply(diff, diff, out=diff)
     dist = np.add.reduce(diff, axis=1)
     return np.sqrt(dist, out=dist)
+
+
+def _pairwise(coords):
+    """The n x n distances between the rows of ``coords``, row i bitwise
+    ``_distances(coords, coords[i])``: the squares are summed one
+    coordinate at a time, in the order ``add.reduce`` sums them. Built in
+    row blocks, so the only n x n array is the result."""
+    n, dim = coords.shape
+    cols = np.ascontiguousarray(coords.T)
+    dist = np.empty((n, n))
+    step = max(1, _BUILD_BLOCK // n)
+    scratch = np.empty((step, n))
+    for lo in range(0, n, step):
+        block = dist[lo:lo + step]
+        rows = coords[lo:lo + step]
+        np.subtract(cols[0], rows[:, :1], out=block)
+        block *= block
+        sq = scratch[:block.shape[0]]
+        for c in range(1, dim):
+            np.subtract(cols[c], rows[:, c:c + 1], out=sq)
+            sq *= sq
+            block += sq
+        np.sqrt(block, out=block)
+    return dist
+
+
+def _memoized(mesh, candidates):
+    """(coords, distances) of the sorted ``candidates``, memoized on the
+    mesh, or None when n * n exceeds the budget or the memo is full."""
+    n = candidates.size
+    if n * n > _MEMO_BUDGET:
+        return None
+    memo = mesh._memo
+    key = candidates.tobytes()
+    entry = memo.get(key)
+    if entry is None:
+        if not memo.fits(8 * n * (n + mesh.nodes.shape[1])):
+            return None
+        coords = mesh.nodes[candidates]
+        entry = (coords, _pairwise(coords))
+        for arr in entry:
+            arr.setflags(write=False)
+        memo.put(key, entry)
+    return entry
 
 
 def _pick_first(coords, strategy, rng, candidate_ids, seed_point):
@@ -143,6 +210,9 @@ def _pick_first(coords, strategy, rng, candidate_ids, seed_point):
 
 def _pick_from(beta_positions, coords, strategy, rng, min_dist_to_selected):
     # beta_positions is sorted, so argmin/argmax tie-break to lowest index
+    if beta_positions.size == 1:
+        # every strategy takes it, and rng.integers(1) draws nothing
+        return int(beta_positions[0])
     if strategy == "random":
         # the draw of rng.choice(beta_positions), without its overhead
         return int(beta_positions[rng.integers(beta_positions.size)])
@@ -165,12 +235,12 @@ def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
     of radius R around itself, and an exhausted ring hands over to the
     next one.
     """
-    candidates = np.atleast_1d(np.asarray(candidates, dtype=np.int64))
+    candidates = np.sort(np.atleast_1d(np.asarray(candidates, dtype=np.int64)))
     if candidates.size == 0:
         raise ValueError("candidate set is empty")
-    if has_duplicates(candidates):
+    if (candidates[1:] == candidates[:-1]).any():  # sorted: repeats are neighbours
         raise ValueError("candidate ids contain duplicates")
-    if candidates.min() < 0 or candidates.max() >= mesh.node_count:
+    if candidates[0] < 0 or candidates[-1] >= mesh.node_count:
         raise ValueError("candidate ids out of range")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -181,16 +251,30 @@ def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
 
-    candidates = np.sort(candidates)
-    coords = mesh.nodes[candidates]
     nc = candidates.size
+    outer = b * radius
+    # rows(i): distances of every candidate to candidate i, the closed-ball
+    # knockout (> R) and the reach of the next pick (<= b*R)
+    memo = _memoized(mesh, candidates)
+    if memo is None:
+        coords = mesh.nodes[candidates]
+
+        def rows(i):
+            d = _distances(coords, coords[i])
+            return d, d > radius, d <= outer
+    else:
+        coords, dist = memo
+        far, near = dist > radius, dist <= outer
+
+        def rows(i):
+            return dist[i], far[i], near[i]
     rng = np.random.default_rng(seed)
 
     first = _pick_first(coords, strategy, rng, candidates, seed_point)
     order = [int(candidates[first])]
     trace = [(order[0], nc)]
 
-    d_first = _distances(coords, coords[first])
+    d_first, far_first, near_last = rows(first)
     r_omega = float(d_first.max())
 
     # annuli (R + (j-1)aR, R + j*aR], j = 1..n; the last ring may reach
@@ -199,44 +283,50 @@ def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
     while radius + n_annuli * (a * radius) <= r_omega:
         n_annuli += 1
 
-    ring = np.ceil(np.maximum(d_first - radius, 0.0) / (a * radius)).astype(np.int64)
-    np.minimum(ring, max(n_annuli, 1), out=ring)  # clip float spill at the rim
-
-    alive = d_first > radius  # closed influence ball of the first pick
-    alive[first] = False
-    min_dist = d_first.copy()  # running min distance to the selected set
-
     if n_annuli == 0:
-        sel = np.array(sorted(order), dtype=np.int64)
-        return SelectionResult(sel, order, trace, annulus_count=0)
+        return SelectionResult._built(np.array(order, dtype=np.int64),
+                                      order, trace, annulus_count=0)
+
+    ring = np.ceil(np.maximum(d_first - radius, 0.0) / (a * radius)).astype(np.int64)
+    np.minimum(ring, n_annuli, out=ring)  # clip float spill at the rim
+
+    alive = far_first.copy()  # closed influence ball of the first pick
+    alive[first] = False
+    # running min distance to the selected set, read by farthest_point only
+    min_dist = d_first.copy() if strategy == "farthest_point" else None
 
     # alive always lies outside the ball of the last pick, so a candidate
-    # of the ring m is alive, in the ring and within b*R of that pick
-    outer = b * radius
+    # of the ring m is alive, in the ring (live) and within b*R of that pick
     m = 1
-    in_ring = ring == m
-    d_last = d_first
-    beta = alive & in_ring & (d_last <= outer)
-    while m <= n_annuli:
-        while beta.any():
-            beta_positions = np.nonzero(beta)[0]
-            pick = _pick_from(beta_positions, coords, strategy, rng, min_dist)
-            order.append(int(candidates[pick]))
-            trace.append((order[-1], int(beta_positions.size)))
-            d_last = _distances(coords, coords[pick])
-            alive &= d_last > radius  # closed ball knockout, removes the pick too
+    live = alive & (ring == m)
+    beta = live & near_last
+    while True:
+        beta_positions = beta.nonzero()[0]
+        if not beta_positions.size:
+            # ring m may still hold points unreachable from the last pick
+            beta_positions = live.nonzero()[0]
+        if not beta_positions.size:
+            # rings up to m are exhausted and ring 0 lies in the first
+            # ball, so the next ring to walk is the lowest one still alive
+            later = ring[alive]
+            if not later.size:
+                break
+            m = int(later.min())
+            live = alive & (ring == m)
+            beta = live & near_last
+            continue
+        pick = _pick_from(beta_positions, coords, strategy, rng, min_dist)
+        order.append(int(candidates[pick]))
+        trace.append((order[-1], beta_positions.size))
+        d_last, far_last, near_last = rows(pick)
+        alive &= far_last  # closed ball knockout, removes the pick too
+        live &= far_last
+        beta = live & near_last
+        if min_dist is not None:
             np.minimum(min_dist, d_last, out=min_dist)
-            beta = alive & in_ring & (d_last <= outer)
-        if not (alive & in_ring).any():
-            m += 1
-            in_ring = ring == m
-            beta = alive & in_ring & (d_last <= outer)
-        else:
-            # ring m still holds points unreachable from the last pick
-            beta = alive & in_ring
 
     sel = np.array(sorted(order), dtype=np.int64)
-    return SelectionResult(sel, order, trace, annulus_count=n_annuli)
+    return SelectionResult._built(sel, order, trace, annulus_count=n_annuli)
 
 
 def select_multi(mesh, params):
@@ -272,8 +362,9 @@ def select_multi(mesh, params):
         per_region[region.group] = result
         order.extend(result.order)
         trace.extend(result.trace)
-    selected = np.unique(np.concatenate([res.selected for res in per_region.values()]))
-    return SelectionResult(selected, order, trace, per_region=per_region)
+    # the regions are disjoint, so sorting is the union
+    selected = np.sort(np.concatenate([res.selected for res in per_region.values()]))
+    return SelectionResult._built(selected, order, trace, per_region=per_region)
 
 
 def enrich(selected, mesh, group_names):
@@ -281,7 +372,7 @@ def enrich(selected, mesh, group_names):
     parts = [np.atleast_1d(np.asarray(selected, dtype=np.int64))]
     for name in group_names:
         parts.append(mesh.group(name))
-    return np.unique(np.concatenate(parts))
+    return sorted_unique(np.concatenate(parts))
 
 
 def select_random(candidates, k, seed):

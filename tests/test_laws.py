@@ -167,6 +167,14 @@ def test_law_cache_does_not_keep_the_mesh_alive(tiny_wing):
     evaluate(law, tiny_wing, 0.5)
 
 
+def test_laws_compare_by_identity():
+    # field-wise == would ask the truth value of an id array and raise
+    a = bend_law([1, 2, 3], (0, 1))
+    b = bend_law([1, 2, 3], (0, 1))
+    assert a == a and a != b
+    assert {a: "a", b: "b"}[b] == "b"
+
+
 def test_evaluate_rejects_nonfinite_values(wing):
     # mu * z^2 overflows: the computed field is scanned, not trusted
     law = bend_law(wing.boundary_ids, (0.0, 1e308))

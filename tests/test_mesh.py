@@ -1,5 +1,6 @@
 """Mesh containers, generators, quality metric, and file formats."""
 
+import itertools
 import json
 
 import numpy as np
@@ -13,6 +14,8 @@ from morphkit import (DisplacementField, Mesh, MeshFormatError,
                       coincident_pair, element_quality, generate_box_wing,
                       generate_tunnel, merge_fields, mesh_quality, read_mesh,
                       write_mesh)
+from morphkit.mesh import has_duplicates, sorted_unique
+from conftest import make_lattice2d
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +117,17 @@ def test_field_keeps_a_frozen_owned_array():
     view.setflags(write=False)
     g = DisplacementField([1, 2], view)
     assert not np.shares_memory(g.vectors, base)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-40, 40), max_size=60))
+def test_duplicates_and_union_match_np_unique(values):
+    ids = np.array(values, dtype=np.int64)
+    oracle = np.unique(ids)
+    assert has_duplicates(ids) == (oracle.size != ids.size)
+    union = sorted_unique(ids)
+    assert union.dtype == np.int64
+    np.testing.assert_array_equal(union, oracle)
 
 
 def test_field_restrict_copies_the_request_and_rejects_duplicates():
@@ -443,6 +457,42 @@ def test_degenerate_element_raises():
     mesh = Mesh(2, nodes, [[0, 1, 3]], [0, 1, 2, 3], [])
     with pytest.raises(DegenerateElementError):
         element_quality(mesh, 0)
+
+
+def quality_by_norms(mesh):
+    """Per-element edge-length ratios from the norms of all edge vectors:
+    the form mesh_quality had before it took roots of the extremes only."""
+    verts = mesh.nodes[mesh.elements]
+    pairs = itertools.combinations(range(mesh.dim + 1), 2)
+    lengths = np.linalg.norm(
+        np.stack([verts[:, i] - verts[:, j] for i, j in pairs], axis=1), axis=2)
+    return lengths.max(axis=1) / lengths.min(axis=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["lattice", "wing", "tunnel"])
+def test_quality_is_bitwise_the_norm_form(kind, seed, wing, small_tunnel):
+    mesh = {"lattice": make_lattice2d(7, 5, (1.0, 0.6)), "wing": wing,
+            "tunnel": small_tunnel}[kind]
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(-1e-3, 1e-3, mesh.nodes.shape) * mesh.bbox_diagonal
+    mesh = mesh.with_nodes(mesh.nodes + jitter)
+    q = quality_by_norms(mesh)
+    assert mesh_quality(mesh) == (float(q.max()), float(q.mean()))
+    for e in range(0, mesh.element_count, 7):
+        assert element_quality(mesh, e) == q[e]
+
+
+def test_mesh_quality_names_the_degenerate_element(tiny_wing):
+    nodes = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [1.0, 0.0]]
+    mesh = Mesh(2, nodes, [[0, 1, 2], [0, 1, 3]], [0, 1, 2, 3], [])
+    with pytest.raises(DegenerateElementError, match="element 1 "):
+        mesh_quality(mesh)
+    a, b = tiny_wing.elements[5, :2]
+    nodes = tiny_wing.nodes.copy()
+    nodes[b] = nodes[a]
+    with pytest.raises(DegenerateElementError):
+        mesh_quality(tiny_wing.with_nodes(nodes))
 
 
 def test_apply_deformation_moves_only_listed_nodes(tiny_wing):

@@ -13,6 +13,7 @@ from morphkit import (BaselineStats, DegenerateSampleError, RegionParams,
                       SelectionParams, enrich, random_baseline_stats,
                       read_selection, select, select_multi, select_random,
                       write_selection)
+from morphkit import mesh as mesh_mod, selection
 from morphkit.selection import STRATEGIES
 from conftest import make_lattice2d
 
@@ -26,6 +27,20 @@ def separation_and_covering(mesh, candidates, selected, radius):
         assert d.min() >= radius - 1e-12, "two selected points too close"
     cover = cdist(mesh.nodes[candidates], pts).min(axis=1)
     assert cover.max() <= radius + 1e-12, "a candidate is uncovered"
+
+
+@pytest.fixture
+def row_path(monkeypatch):
+    # a budget of 0 sends every candidate set down the path that computes
+    # one row of distances per pick
+    monkeypatch.setattr(selection, "_MEMO_BUDGET", 0)
+
+
+def walk(mesh, regions, seed, strategy="random"):
+    res = select_multi(mesh, SelectionParams(regions, seed=seed,
+                                             strategy=strategy))
+    return res.order, res.trace, {k: v.annulus_count
+                                  for k, v in res.per_region.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +88,26 @@ LATTICE_WALKS = {
 }
 
 
-@pytest.mark.parametrize("strategy,seed", sorted(LATTICE_WALKS))
-def test_lattice_walk_golden(lattice11, strategy, seed):
+def check_lattice_walk(lattice11, strategy, seed, memoized):
     annuli, order, pools = LATTICE_WALKS[strategy, seed]
-    res = select(lattice11, lattice11.boundary_ids, 2.1, strategy=strategy,
-                 seed=seed)
+    mesh = lattice11.with_nodes(lattice11.nodes)   # with an empty memo
+    res = select(mesh, mesh.boundary_ids, 2.1, strategy=strategy, seed=seed)
+    memo = mesh._memo.get(mesh.boundary_ids.tobytes())
+    assert (memo is not None) == memoized
     assert res.annulus_count == annuli
     assert list(res.order) == order
     assert res.trace == tuple(zip(order, pools))
     np.testing.assert_array_equal(res.selected, sorted(order))
+
+
+@pytest.mark.parametrize("strategy,seed", sorted(LATTICE_WALKS))
+def test_lattice_walk_golden(lattice11, strategy, seed):
+    check_lattice_walk(lattice11, strategy, seed, memoized=True)
+
+
+@pytest.mark.parametrize("strategy,seed", sorted(LATTICE_WALKS))
+def test_lattice_walk_golden_row_path(lattice11, strategy, seed, row_path):
+    check_lattice_walk(lattice11, strategy, seed, memoized=False)
 
 
 # SHA-256 of json.dumps([order, trace, {region: annulus_count}]) for the
@@ -101,16 +127,128 @@ def study_wing():
     return mk.generate_box_wing(8, 4, 25, (1.0, 0.25, 6.3))
 
 
+def wing_regions(r_lr):
+    return ([("left", r_lr), ("right", r_lr)]
+            + [(g, 10 * r_lr) for g in ("top", "bottom", "front", "rear")])
+
+
+def check_wing_walk(study_wing, r_lr, seed):
+    order, trace, annuli = walk(study_wing, wing_regions(r_lr), seed)
+    doc = json.dumps([list(order), [list(t) for t in trace], annuli])
+    count, digest = WING_WALKS[r_lr, seed]
+    assert len(order) == count
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("r_lr,seed", sorted(WING_WALKS))
 def test_multi_region_walk_golden(study_wing, r_lr, seed):
-    regions = ([("left", r_lr), ("right", r_lr)]
-               + [(g, 10 * r_lr) for g in ("top", "bottom", "front", "rear")])
-    res = select_multi(study_wing, SelectionParams(regions, seed=seed))
-    doc = json.dumps([list(res.order), [list(t) for t in res.trace],
-                      {k: v.annulus_count for k, v in res.per_region.items()}])
-    count, digest = WING_WALKS[r_lr, seed]
-    assert len(res.order) == count
-    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    check_wing_walk(study_wing, r_lr, seed)
+
+
+@pytest.mark.parametrize("r_lr,seed", sorted(WING_WALKS))
+def test_multi_region_walk_golden_row_path(study_wing, r_lr, seed, row_path):
+    check_wing_walk(study_wing, r_lr, seed)
+
+
+# ---------------------------------------------------------------------------
+# the per-mesh memo of candidate distances
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("block", [None, 1, 50])
+def test_pairwise_rows_are_bitwise_distances(dim, block, monkeypatch):
+    if block is not None:   # 1: one row per block; 50: a ragged last block
+        monkeypatch.setattr(selection, "_BUILD_BLOCK", block * 90)
+    rng = np.random.default_rng(dim)
+    coords = rng.standard_normal((90, dim)) * rng.uniform(0.1, 1e3, dim)
+    dist = selection._pairwise(coords)
+    for i in range(coords.shape[0]):
+        np.testing.assert_array_equal(dist[i],
+                                      selection._distances(coords, coords[i]))
+
+
+def test_memo_keeps_small_sets_only():
+    mesh = mk.generate_tunnel((5.0, 5.0, 5.0), (1.0, 1.0, 1.0), 16)
+    face, obstacle = mesh.group("left"), mesh.group("obstacle")
+    assert face.size ** 2 > selection._MEMO_BUDGET >= obstacle.size ** 2
+    for ids in (face, obstacle):
+        select(mesh, ids, 0.8, seed=2)
+    assert mesh._memo.get(face.tobytes()) is None
+    coords, dist = mesh._memo.get(obstacle.tobytes())
+    assert not coords.flags.writeable and not dist.flags.writeable
+    assert mesh._memo.nbytes == coords.nbytes + dist.nbytes
+
+
+def test_memo_stays_under_its_cap(lattice11, monkeypatch):
+    mesh = lattice11.with_nodes(lattice11.nodes)
+    subsets = [lattice11.boundary_ids[j:] for j in range(30)]
+    walks = [select(mesh, ids, 2.1, seed=j) for j, ids in enumerate(subsets)]
+    memo = mesh._memo
+    assert mesh_mod._MEMO_BYTES - 8 * 121 * 123 < memo.nbytes
+    assert memo.nbytes <= mesh_mod._MEMO_BYTES
+    assert memo.get(subsets[-1].tobytes()) is None   # it did not fit
+    monkeypatch.setattr(selection, "_MEMO_BUDGET", 0)
+    for j, (ids, res) in enumerate(zip(subsets, walks)):
+        again = select(mesh, ids, 2.1, seed=j)
+        assert (again.order, again.trace) == (res.order, res.trace)
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_paths_agree_on_ties(lattice11, radius, strategy, monkeypatch):
+    # unit-lattice distances hit R and b*R exactly: the ball is closed,
+    # the reach (R, b*R] open below and closed above, on either path
+    mesh, ids = lattice11.with_nodes(lattice11.nodes), lattice11.boundary_ids
+    memo = select(mesh, ids, radius, b=1.5, strategy=strategy, seed=1)
+    assert mesh._memo.get(ids.tobytes()) is not None
+    monkeypatch.setattr(selection, "_MEMO_BUDGET", 0)
+    rows = select(mesh, ids, radius, b=1.5, strategy=strategy, seed=1)
+    assert (memo.order, memo.trace) == (rows.order, rows.trace)
+
+
+def test_memo_repeats_fresh_mesh_walks(study_wing):
+    mesh = study_wing.with_nodes(study_wing.nodes)
+    for j, strategy in enumerate(STRATEGIES * 3):
+        regions, seed = wing_regions(0.02 + 0.011 * j), 40 + j
+        fresh = study_wing.with_nodes(study_wing.nodes)
+        assert (walk(mesh, regions, seed, strategy)
+                == walk(fresh, regions, seed, strategy))
+
+
+def test_moved_mesh_gets_its_own_distances(lattice11, monkeypatch):
+    ids = lattice11.boundary_ids
+    before = select(lattice11, ids, 2.1, seed=4)
+    rng = np.random.default_rng(4)
+    moved = lattice11.with_nodes(
+        lattice11.nodes + rng.uniform(-0.4, 0.4, lattice11.nodes.shape))
+    res = select(moved, ids, 2.1, seed=4)
+    coords, dist = moved._memo.get(ids.tobytes())
+    np.testing.assert_array_equal(coords, moved.nodes[ids])
+    np.testing.assert_array_equal(dist[7],
+                                  selection._distances(coords, coords[7]))
+    assert res.order != before.order
+    monkeypatch.setattr(selection, "_MEMO_BUDGET", 0)
+    again = select(moved, ids, 2.1, seed=4)
+    assert (again.order, again.trace) == (res.order, res.trace)
+
+
+def test_one_way_random_pick_draws_nothing():
+    # a pool of one is taken without a draw; the random stream stays that
+    # of rng.integers(size) only because integers(1) consumes no bits
+    rng = np.random.default_rng(5)
+    rng.integers(7)
+    state = rng.bit_generator.state
+    assert rng.integers(1) == 0
+    assert rng.bit_generator.state == state
+
+
+def test_results_hold_python_ints(wing):
+    res = select_multi(wing, SelectionParams([("left", 0.1), ("top", 0.3)]))
+    for r in (res, *res.per_region.values()):
+        assert type(r.order) is tuple and type(r.trace) is tuple
+        assert all(type(i) is int for i in r.order)
+        assert all(type(i) is int and type(n) is int for i, n in r.trace)
+        assert r.selected.dtype == np.int64 and not r.selected.flags.writeable
+        np.testing.assert_array_equal(r.selected, sorted(r.order))
 
 
 def test_radius_below_spacing_selects_everything(lattice11):
