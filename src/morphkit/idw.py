@@ -39,11 +39,6 @@ __all__ = [
     "read_operator",
 ]
 
-# weight entries per row block of a streamed morph (~2 MB of float64,
-# so a block stays in a per-core L2 cache between the kernel's passes)
-_STREAM_BUDGET = 250_000
-
-
 @dataclass(frozen=True)
 class IdwConfig:
     """Assembly parameters.
@@ -183,19 +178,14 @@ def interpolate(mesh, displacement, target_ids, config=IdwConfig()):
 
     Equals ``deform(assemble(mesh, displacement.indices, target_ids,
     config), displacement)`` to rounding, with the same validation, but
-    never builds the dense operator: the weights of one block of target
-    rows at a time go through the kernel layer and straight into the
-    product, so memory stays at one block of ``_STREAM_BUDGET`` entries.
+    never builds the dense operator: the weights of one kernel chunk of
+    target rows at a time go straight into the product, and each row is
+    normalized once, after it.
     """
     control_ids, target_ids, controls, tol = _validated(
         mesh, displacement.indices, target_ids, config)
-    targets = mesh.nodes[target_ids]
-    out = np.empty((target_ids.size, displacement.dim))
-    rows = max(1, _STREAM_BUDGET // control_ids.size)
-    for lo in range(0, target_ids.size, rows):
-        weights = _kernels.assemble_weight_matrix(targets[lo:lo + rows],
-                                                  controls, config.p, tol)
-        np.matmul(weights, displacement.vectors, out=out[lo:lo + rows])
+    out = _kernels.apply_weights(mesh.nodes[target_ids], controls,
+                                 displacement.vectors, config.p, tol)
     out.setflags(write=False)  # frozen, so the field keeps it uncopied
     return DisplacementField(target_ids, out)
 

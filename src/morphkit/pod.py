@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSnapshotsError, IllPosedOnlineError
-from .idw import deform
+from .idw import deform  # noqa: F401 -- perfbench/tracing.py wraps pod.deform
 from .laws import evaluate
-from .mesh import DisplacementField, has_duplicates
+from .mesh import DisplacementField, _own, has_duplicates
 
 __all__ = [
     "SnapshotSet",
@@ -64,8 +64,7 @@ class SnapshotSet:
     dim: int
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.float64, copy=True)
-        mat.setflags(write=False)
+        mat = _own(self.matrix, np.float64)
         ids = np.array(np.atleast_1d(self.target_ids), dtype=np.int64, copy=True)
         ids.setflags(write=False)
         if mat.ndim != 2 or mat.shape[0] != ids.size * self.dim:
@@ -120,15 +119,25 @@ class PodModel:
 
 
 def build_snapshots(op, law, mesh, train_params):
-    """Morph once per training parameter and stack the results as columns."""
+    """Morph every training parameter and stack the results as columns.
+
+    The control fields sit side by side in one (n_controls, dim * n_train)
+    matrix, component-major, so that one product with the operator morphs
+    them all straight into the snapshot layout: column j is
+    ``deform(op, field_j).as_vector()``.
+    """
     train_params = tuple(float(m) for m in train_params)
     if not train_params:
         raise ValueError("need at least one training parameter")
-    dim = mesh.dim
-    cols = np.empty((op.n_targets * dim, len(train_params)))
+    dim, n_train = mesh.dim, len(train_params)
+    fields = np.empty((op.n_controls, dim, n_train))
     for j, mu in enumerate(train_params):
-        d_c = evaluate(law, mesh, mu).restrict(op.control_ids)
-        cols[:, j] = deform(op, d_c).as_vector()
+        fields[:, :, j] = evaluate(law, mesh, mu).restrict(
+            op.control_ids).vectors
+    cols = np.empty((op.n_targets * dim, n_train))
+    np.matmul(op.matrix, fields.reshape(op.n_controls, dim * n_train),
+              out=cols.reshape(op.n_targets, dim * n_train))
+    cols.setflags(write=False)  # frozen, so the set keeps it uncopied
     return SnapshotSet(cols, train_params, op.target_ids, dim)
 
 
@@ -226,8 +235,10 @@ def online_solve(model, d_controls):
 def build_pod_model(op, law, mesh, train_params, epsilon, mode="weighted",
                     selection_params=None, rank_tol=RANK_TOL):
     """Full offline stage: snapshots, basis, online map."""
-    snaps = build_snapshots(op, law, mesh, train_params)
-    Z, sigma, _ = compute_pod(snaps, epsilon, rank_tol)
+    # no reference to the snapshots outlives the SVD, so they are freed
+    # before the online solve, where the offline stage peaks in memory
+    Z, sigma, _ = compute_pod(build_snapshots(op, law, mesh, train_params),
+                              epsilon, rank_tol)
     return build_online(Z, sigma, op, mode=mode, epsilon=epsilon,
                         train_params=train_params,
                         selection_params=selection_params, rank_tol=rank_tol)

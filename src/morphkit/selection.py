@@ -268,7 +268,8 @@ def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
 
         def rows(i):
             return dist[i], far[i], near[i]
-    rng = np.random.default_rng(seed)
+    # only the random strategy draws
+    rng = np.random.default_rng(seed) if strategy == "random" else None
 
     first = _pick_first(coords, strategy, rng, candidates, seed_point)
     order = [int(candidates[first])]

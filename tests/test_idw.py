@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import morphkit as mk
-from morphkit import (DisplacementField, IdwConfig, IdwOperator, assemble,
-                      deform, idw, interpolate, read_operator, weights_at,
-                      write_operator)
+from morphkit import (DisplacementField, IdwConfig, IdwOperator, _kernels,
+                      assemble, deform, idw, interpolate, read_operator,
+                      weights_at, write_operator)
 
 
 def brute_weights(x, controls, p):
@@ -221,16 +221,42 @@ def test_interpolate_matches_dense_deform(wing, p):
                                atol=1e-14)
 
 
+@pytest.mark.parametrize("p", range(1, 8))
+def test_interpolate_wide_form_matches_dense_deform(wing, monkeypatch, p):
+    # the wing's rows are narrow; force the broadcast distance form that
+    # the kernel takes on rows of at least _WIDE_ROW controls
+    monkeypatch.setattr(_kernels, "_WIDE_ROW", 1)
+    config = IdwConfig(p=p)
+    d = random_field(wing.boundary_ids, 20 + p)
+    on_control = wing.boundary_ids[7]
+    targets = np.append(wing.interior_ids, on_control)
+    dense = deform(assemble(wing, wing.boundary_ids, targets, config), d)
+    streamed = interpolate(wing, d, targets, config)
+    np.testing.assert_allclose(streamed.vectors, dense.vectors, rtol=0,
+                               atol=1e-14)
+    np.testing.assert_array_equal(streamed.vectors[-1],
+                                  d.restrict([on_control]).vectors[0])
+
+
 @pytest.mark.parametrize("offset", [None, -1, 0, 1])
 def test_interpolate_block_edges(wing, monkeypatch, offset):
-    # blocks of 7 rows; None is a single target row
+    # kernel chunks of 7 rows; None is a single target row
     controls = wing.boundary_ids[::3]
-    monkeypatch.setattr(idw, "_STREAM_BUDGET", 7 * controls.size)
     n = 1 if offset is None else 7 + offset
     targets = wing.interior_ids[:n]
     d = random_field(controls, 11)
     dense = deform(assemble(wing, controls, targets), d)
+    monkeypatch.setattr(_kernels, "_CHUNK_BUDGET", 7 * controls.size)
+    chunks = []
+    chunk_routine = _kernels._ratio_weights
+
+    def counted(chunk_targets, *args):
+        chunks.append(chunk_targets.shape[0])
+        chunk_routine(chunk_targets, *args)
+
+    monkeypatch.setattr(_kernels, "_ratio_weights", counted)
     streamed = interpolate(wing, d, targets)
+    assert chunks == [7] * (n // 7) + [n % 7] * (n % 7 > 0)
     assert streamed.vectors.shape == (n, 3)
     np.testing.assert_allclose(streamed.vectors, dense.vectors, rtol=0,
                                atol=1e-14)

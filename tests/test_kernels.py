@@ -77,15 +77,20 @@ def test_unknown_backend_rejected():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_squared_distances_are_bitwise_cdist(dim):
-    # the kernel's coordinate-at-a-time sum rounds like a per-pair loop
-    targets, controls = random_cloud(9, 70, 23, dim)
-    targets *= 1e3
-    block = np.empty((70, 23))
-    _kernels._squared_distances(targets, np.ascontiguousarray(controls.T),
-                                block, np.empty_like(block))
-    np.testing.assert_array_equal(block,
-                                  cdist(targets, controls, "sqeuclidean"))
+def test_squared_distances_are_bitwise_cdist(dim, monkeypatch):
+    # the kernel's coordinate-at-a-time sum rounds like a per-pair loop, in
+    # the broadcast form (_WIDE_ROW 1) and the copy-then-subtract one
+    for n_controls in (23, 3676):
+        targets, controls = random_cloud(9, 70, n_controls, dim)
+        targets *= 1e3
+        ref = cdist(targets, controls, "sqeuclidean")
+        for wide_row in (1, 10**9):
+            monkeypatch.setattr(_kernels, "_WIDE_ROW", wide_row)
+            block = np.empty((70, n_controls))
+            _kernels._squared_distances(
+                targets, np.ascontiguousarray(controls.T), block,
+                np.empty_like(block))
+            np.testing.assert_array_equal(block, ref)
 
 
 def test_mismatched_dims_rejected():

@@ -126,6 +126,27 @@ def test_build_snapshots_layout():
     assert snaps.params == (0.5, 1.0)
 
 
+@pytest.mark.parametrize("n_train", [1, 3, 8])
+def test_build_snapshots_matches_the_deform_loop(wing, n_train):
+    # one product over the stacked control fields against one deform per
+    # training parameter: BLAS may sum a small product with a few columns
+    # in another order than one with many, so the last bit may move
+    tunnel = mk.generate_tunnel((5.0, 5.0, 5.0), (1.0, 1.0, 1.0), 8)
+    outer = ("left", "right", "top", "bottom", "front", "rear")
+    cases = [(wing, bend_law(wing.boundary_ids, (0.0, 0.02), ("left",))),
+             (tunnel, rotation_law(tunnel.boundary_ids, (-36.0, 0.0),
+                                   pivot=(2.5, 2.5, 2.5),
+                                   clamp_groups=outer))]
+    for mesh, law in cases:
+        op = assemble(mesh, mesh.boundary_ids[::2], mesh.interior_ids)
+        train = sample_domain(law.domain, n_train, seed=5)
+        snaps = build_snapshots(op, law, mesh, train)
+        loop = np.column_stack([
+            deform(op, evaluate(law, mesh, mu).restrict(op.control_ids))
+            .as_vector() for mu in train])
+        np.testing.assert_allclose(snaps.matrix, loop, rtol=0, atol=1e-14)
+
+
 def test_build_snapshots_needs_params(wing):
     op = assemble(wing, wing.boundary_ids, wing.interior_ids)
     law = bend_law(wing.boundary_ids, (0.0, 1.0))

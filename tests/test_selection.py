@@ -275,6 +275,22 @@ def test_first_pick_strategies(lattice11):
     assert f.order[0] == 0
 
 
+def test_deterministic_strategies_build_no_generator(lattice11, monkeypatch):
+    expected = {s: select(lattice11, lattice11.boundary_ids, 2.1,
+                          strategy=s).order
+                for s in ("centroid_nearest", "farthest_point")}
+
+    def no_generator(seed=None):
+        raise AssertionError("a deterministic strategy built a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    for strategy, order in expected.items():
+        assert select(lattice11, lattice11.boundary_ids, 2.1,
+                      strategy=strategy).order == order
+    with pytest.raises(AssertionError):
+        select(lattice11, lattice11.boundary_ids, 2.1, strategy="random")
+
+
 def test_seed_point_must_be_candidate(lattice11):
     with pytest.raises(ValueError, match="candidate"):
         select(lattice11, lattice11.boundary_ids[:50], 2.0, seed_point=120)
