@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,12 +83,11 @@ def _resolve_seed(cfg_value, args):
     return cfg_value
 
 
-def selection_params(cfg, args, radius_scale=None, a=None, b=None):
-    """SelectionParams from the config's 'selection' section.
+def selection_params(cfg, args):
+    """SelectionParams from the config's 'selection' section, or None.
 
     Region entries carry an absolute "radius" or a "radius_factor"
-    applied to the section-level "radius". ``radius_scale`` (sweeps)
-    multiplies every resolved radius.
+    applied to the section-level "radius".
     """
     sel = cfg.get("selection")
     if not sel:
@@ -103,25 +103,24 @@ def selection_params(cfg, args, radius_scale=None, a=None, b=None):
             raise ValueError(
                 f"region {entry.get('group')!r} has no radius and the "
                 "selection section sets no base 'radius'")
-        if radius_scale is not None:
-            radius *= radius_scale
         regions.append(selection.RegionParams(entry["group"], radius))
     if not regions:
         raise ValueError("selection section lists no regions")
     return selection.SelectionParams(
         regions=tuple(regions),
-        a=float(sel.get("a", 0.8)) if a is None else a,
-        b=float(sel.get("b", 1.3)) if b is None else b,
+        a=float(sel.get("a", 0.8)),
+        b=float(sel.get("b", 1.3)),
         strategy=sel.get("strategy", "random"),
         seed=int(_resolve_seed(sel.get("seed", 0), args)),
         seed_points=sel.get("seed_points", {}),
     )
 
 
-def run_selection(mesh, cfg, args, radius_scale=None, a=None, b=None):
-    """(control ids, method name, params or None); no selection section
-    means every boundary node is a control point."""
-    params = selection_params(cfg, args, radius_scale, a, b)
+def run_selection(mesh, cfg, args, params=None):
+    """(control ids, method name, params or None); ``params`` default to
+    the config's, and none means every boundary node is a control point."""
+    if params is None:
+        params = selection_params(cfg, args)
     if params is None:
         return mesh.boundary_ids, "idw", None
     result = selection.select_multi(mesh, params)
@@ -131,10 +130,16 @@ def run_selection(mesh, cfg, args, radius_scale=None, a=None, b=None):
     return result.selected, "sidw", params
 
 
-def _outdir(cfg, args):
+def _setup(args):
+    """(config, output directory, made if missing, mesh) of a subcommand."""
+    cfg = load_config(args.config)
     out = Path(getattr(args, "out", None) or cfg.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return cfg, out, build_mesh(cfg)
+
+
+def _idw_config(cfg):
+    return idw.IdwConfig(p=int(cfg.get("idw", {}).get("p", 4)))
 
 
 def _repeat(cfg, args):
@@ -151,26 +156,44 @@ def _mu(cfg, args):
     raise ValueError("no parameter value: pass --mu or set 'mu' in the config")
 
 
-def _mean_radius(params):
+def _selection_fields(params):
+    """The report fields R (mean region radius), a and b of ``params``."""
     if params is None:
-        return None
-    return float(np.mean([r.radius for r in params.regions]))
+        return {}
+    return {"R": float(np.mean([r.radius for r in params.regions])),
+            "a": params.a, "b": params.b}
 
 
-def morph_once(mesh, cfg, args, mu, reference="idw", radius_scale=None,
-               a=None, b=None):
+def _quality(mesh, d_boundary, d_interior):
+    """The deformed mesh and its report fields max_Q, mean_Q and
+    normalized_quality (mean_Q over the largest boundary displacement)."""
+    deformed = apply_deformation(mesh, merge_fields(d_boundary, d_interior))
+    max_q, mean_q = mesh_quality(deformed)
+    tip = d_boundary.max_magnitude()
+    return deformed, {"max_Q": max_q, "mean_Q": mean_q,
+                      "normalized_quality": (mean_q / tip) if tip > 0 else None}
+
+
+def _reference(mesh, d_boundary, config):
+    """(interior field, seconds) of the full IDW morph, streamed."""
+    start = time.perf_counter()
+    d_ref = idw.interpolate(mesh, d_boundary, mesh.interior_ids, config)
+    return d_ref, time.perf_counter() - start
+
+
+def morph_once(mesh, cfg, args, mu, reference="idw", params=None):
     """Select, assemble, morph at ``mu``; returns (deformed mesh, reports).
 
-    The first report row describes the thinned morph, the second (when
-    ``reference`` is "idw") the full IDW morph it is compared with. That
-    reference is one streamed :func:`idw.interpolate` pass: it builds no
-    operator, so its row has no assembly time and ``repeat`` does not
+    ``params`` replaces the config's selection (sweeps). The first report
+    row describes the thinned morph, the second (when ``reference`` is
+    "idw") the full IDW morph it is compared with. That reference builds
+    no operator, so its row has no assembly time and ``repeat`` does not
     apply to it.
     """
     repeat = _repeat(cfg, args)
-    config = idw.IdwConfig(p=int(cfg.get("idw", {}).get("p", 4)))
+    config = _idw_config(cfg)
     law = build_law(cfg, mesh)
-    control_ids, method, params = run_selection(mesh, cfg, args, radius_scale, a, b)
+    control_ids, method, params = run_selection(mesh, cfg, args, params)
 
     start = time.perf_counter()
     op = idw.assemble(mesh, control_ids, mesh.interior_ids, config)
@@ -181,33 +204,22 @@ def morph_once(mesh, cfg, args, mu, reference="idw", radius_scale=None,
     d_interior = idw.deform(op, d_hat)
     t_deform = metrics.time_mean(lambda: idw.deform(op, d_hat), repeat=repeat)
 
-    deformed = apply_deformation(mesh, merge_fields(d_boundary, d_interior))
-    max_q, mean_q = mesh_quality(deformed)
-    tip = d_boundary.max_magnitude()
+    deformed, quality = _quality(mesh, d_boundary, d_interior)
     row = ComparisonReport(
-        method=method, R=_mean_radius(params),
-        a=None if params is None else params.a,
-        b=None if params is None else params.b,
-        card_C_hat=int(control_ids.size), rel_error=None,
-        max_Q=max_q, mean_Q=mean_q,
-        normalized_quality=(mean_q / tip) if tip > 0 else None,
+        method=method, **_selection_fields(params),
+        card_C_hat=int(control_ids.size), **quality,
         t_assembly_s=t_assembly, t_deform_s=t_deform)
     reports = [row]
 
     if reference == "idw":
-        start = time.perf_counter()
-        d_ref = idw.interpolate(mesh, d_boundary, mesh.interior_ids, config)
-        t_deform_full = time.perf_counter() - start
+        d_ref, t_deform_full = _reference(mesh, d_boundary, config)
         if np.array_equal(control_ids, mesh.boundary_ids):
             row.rel_error = 0.0
         else:
             row.rel_error = metrics.relative_error(d_interior, d_ref)
-        ref_deformed = apply_deformation(mesh, merge_fields(d_boundary, d_ref))
-        ref_max_q, ref_mean_q = mesh_quality(ref_deformed)
         reports.append(ComparisonReport(
             method="idw", card_C_hat=int(mesh.boundary_ids.size),
-            rel_error=0.0, max_Q=ref_max_q, mean_Q=ref_mean_q,
-            normalized_quality=(ref_mean_q / tip) if tip > 0 else None,
+            rel_error=0.0, **_quality(mesh, d_boundary, d_ref)[1],
             t_deform_s=t_deform_full))
     return deformed, reports
 
@@ -216,9 +228,7 @@ def morph_once(mesh, cfg, args, mu, reference="idw", radius_scale=None,
 # subcommands
 
 def cmd_mesh_gen(args):
-    cfg = load_config(args.config)
-    out = _outdir(cfg, args)
-    mesh = build_mesh(cfg)
+    _, out, mesh = _setup(args)
     write_mesh(mesh, out / "mesh.json")
     if args.vtk:
         write_mesh(mesh, out / "mesh.vtk", format="vtk-legacy-ascii")
@@ -228,9 +238,7 @@ def cmd_mesh_gen(args):
 
 
 def cmd_select(args):
-    cfg = load_config(args.config)
-    out = _outdir(cfg, args)
-    mesh = build_mesh(cfg)
+    cfg, out, mesh = _setup(args)
     params = selection_params(cfg, args)
     if params is None:
         raise ValueError("config has no 'selection' section")
@@ -248,9 +256,7 @@ def cmd_select(args):
 
 
 def cmd_morph(args):
-    cfg = load_config(args.config)
-    out = _outdir(cfg, args)
-    mesh = build_mesh(cfg)
+    cfg, out, mesh = _setup(args)
     mu = _mu(cfg, args)
     deformed, reports = morph_once(mesh, cfg, args, mu, reference=args.reference)
     write_mesh(deformed, out / "deformed.json")
@@ -266,15 +272,12 @@ def cmd_morph(args):
 
 
 def cmd_pod_offline(args):
-    cfg = load_config(args.config)
-    out = _outdir(cfg, args)
-    mesh = build_mesh(cfg)
+    cfg, out, mesh = _setup(args)
     pod_cfg = cfg.get("pod", {})
     law = build_law(cfg, mesh)
-    config = idw.IdwConfig(p=int(cfg.get("idw", {}).get("p", 4)))
     control_ids, method, params = run_selection(mesh, cfg, args)
     start = time.perf_counter()
-    op = idw.assemble(mesh, control_ids, mesh.interior_ids, config)
+    op = idw.assemble(mesh, control_ids, mesh.interior_ids, _idw_config(cfg))
     t_assembly = time.perf_counter() - start
 
     n_train = int(pod_cfg.get("n_train", 50))
@@ -290,9 +293,7 @@ def cmd_pod_offline(args):
 
     pod.write_model(model, out / "pod_model.bin")
     report = ComparisonReport(
-        method=f"pod-{method}", R=_mean_radius(params),
-        a=None if params is None else params.a,
-        b=None if params is None else params.b,
+        method=f"pod-{method}", **_selection_fields(params),
         card_C_hat=int(control_ids.size), N_modes=model.n_modes,
         t_assembly_s=t_assembly, t_offline_s=t_offline)
     metrics.write_reports_csv([report], out / "offline_report.csv")
@@ -303,13 +304,10 @@ def cmd_pod_offline(args):
 
 
 def cmd_pod_online(args):
-    cfg = load_config(args.config)
-    out = _outdir(cfg, args)
-    mesh = build_mesh(cfg)
+    cfg, out, mesh = _setup(args)
     mu = _mu(cfg, args)
     repeat = _repeat(cfg, args)
-    model_path = args.model or (out / "pod_model.bin")
-    model = pod.read_model(model_path)
+    model = pod.read_model(args.model or (out / "pod_model.bin"))
     law = build_law(cfg, mesh)
 
     d_boundary = laws.evaluate(law, mesh, mu)
@@ -318,25 +316,18 @@ def cmd_pod_online(args):
     t_online = metrics.time_mean(lambda: pod.online_solve(model, d_hat),
                                  repeat=repeat)
 
-    deformed = apply_deformation(mesh, merge_fields(d_boundary, d_interior))
+    deformed, quality = _quality(mesh, d_boundary, d_interior)
     write_mesh(deformed, out / "deformed.json")
-    max_q, mean_q = mesh_quality(deformed)
-    tip = d_boundary.max_magnitude()
     method = "pod"
     if model.selection_params and "method" in model.selection_params:
         method = f"pod-{model.selection_params['method']}"
     row = ComparisonReport(
         method=method, card_C_hat=int(model.control_ids.size),
-        N_modes=model.n_modes, max_Q=max_q, mean_Q=mean_q,
-        normalized_quality=(mean_q / tip) if tip > 0 else None,
-        t_online_s=t_online)
+        N_modes=model.n_modes, **quality, t_online_s=t_online)
     reports = [row]
 
     if args.reference == "idw":
-        config = idw.IdwConfig(p=int(cfg.get("idw", {}).get("p", 4)))
-        start = time.perf_counter()
-        d_ref = idw.interpolate(mesh, d_boundary, mesh.interior_ids, config)
-        t_deform_full = time.perf_counter() - start
+        d_ref, t_deform_full = _reference(mesh, d_boundary, _idw_config(cfg))
         row.rel_error = metrics.relative_error(d_interior, d_ref)
         reports.append(ComparisonReport(
             method="idw", card_C_hat=int(mesh.boundary_ids.size), rel_error=0.0,
@@ -349,31 +340,36 @@ def cmd_pod_online(args):
 
 
 def cmd_sweep(args):
-    cfg = load_config(args.config)
-    out = _outdir(cfg, args)
-    mesh = build_mesh(cfg)
+    cfg, out, mesh = _setup(args)
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("--values is empty")
-    if args.axis == "R" and not cfg.get("selection", {}).get("radius"):
+    if args.couple_b and args.axis != "a":
+        raise ValueError("--couple-b goes only with --axis a")
+    base = selection_params(cfg, args)
+    if args.axis != "mu" and base is None:
+        raise ValueError(f"{args.axis} sweep needs a 'selection' section")
+    radius = cfg.get("selection", {}).get("radius")
+    if args.axis == "R" and not radius:
         raise ValueError("R sweep needs a base 'radius' in the selection section")
     reports = []
     for value in values:
-        if args.axis == "mu":
-            _, rows = morph_once(mesh, cfg, args, value,
-                                 reference=args.reference)
-        elif args.axis == "R":
-            scale = value / float(cfg["selection"]["radius"])
-            _, rows = morph_once(mesh, cfg, args, _mu(cfg, args),
-                                 reference=args.reference, radius_scale=scale)
-            rows[0].R = value
+        params = base
+        if args.axis == "R":
+            scale = value / float(radius)
+            params = replace(base, regions=tuple(
+                selection.RegionParams(r.group, r.radius * scale)
+                for r in base.regions))
         elif args.axis == "a":
-            b = (1.0 / value) if args.couple_b else None
-            _, rows = morph_once(mesh, cfg, args, _mu(cfg, args),
-                                 reference=args.reference, a=value, b=b)
-        else:  # axis == "b"
-            _, rows = morph_once(mesh, cfg, args, _mu(cfg, args),
-                                 reference=args.reference, b=value)
+            params = replace(base, a=value,
+                             b=(1.0 / value) if args.couple_b else base.b)
+        elif args.axis == "b":
+            params = replace(base, b=value)
+        mu = value if args.axis == "mu" else _mu(cfg, args)
+        _, rows = morph_once(mesh, cfg, args, mu, reference=args.reference,
+                             params=params)
+        if args.axis == "R":
+            rows[0].R = value
         reports.append(rows[0])
     metrics.write_reports_csv(reports, out / "sweep.csv")
     metrics.write_reports_json(reports, out / "sweep.json")
@@ -382,11 +378,9 @@ def cmd_sweep(args):
 
 
 def cmd_random_baseline(args):
-    cfg = load_config(args.config)
-    out = _outdir(cfg, args)
-    mesh = build_mesh(cfg)
+    cfg, out, mesh = _setup(args)
     mu = _mu(cfg, args)
-    config = idw.IdwConfig(p=int(cfg.get("idw", {}).get("p", 4)))
+    config = _idw_config(cfg)
     law = build_law(cfg, mesh)
 
     control_ids, method, params = run_selection(mesh, cfg, args)
@@ -396,7 +390,7 @@ def cmd_random_baseline(args):
     k = int(control_ids.size)
 
     d_boundary = laws.evaluate(law, mesh, mu)
-    d_ref = idw.interpolate(mesh, d_boundary, mesh.interior_ids, config)
+    d_ref = _reference(mesh, d_boundary, config)[0]
 
     def morph_error(ids):
         op = idw.assemble(mesh, ids, mesh.interior_ids, config)
@@ -405,9 +399,8 @@ def cmd_random_baseline(args):
 
     err_selected = morph_error(control_ids)
     master = int(_resolve_seed(cfg.get("baseline_seed", 0), args))
-    reports = [ComparisonReport(method=method, R=_mean_radius(params),
-                                a=params.a, b=params.b, card_C_hat=k,
-                                rel_error=err_selected)]
+    reports = [ComparisonReport(method=method, **_selection_fields(params),
+                                card_C_hat=k, rel_error=err_selected)]
     errors = []
     for i in range(args.draws):
         ids = selection.select_random(mesh.boundary_ids, k, master + i)

@@ -233,36 +233,6 @@ def merge_fields(*fields):
     return DisplacementField._built(idx, np.vstack([f.vectors for f in fields]))
 
 
-class _Memo:
-    """Arrays derived from a mesh's read-only nodes, keyed by their user.
-
-    No entry goes stale, so none is ever dropped; instead the entries
-    together hold at most ``cap`` bytes, and what would not fit is not
-    kept.
-    """
-
-    def __init__(self, cap):
-        self.cap = cap
-        self.nbytes = 0
-        self._entries = {}
-
-    def get(self, key):
-        return self._entries.get(key)
-
-    def fits(self, nbytes):
-        return self.nbytes + nbytes <= self.cap
-
-    def put(self, key, arrays):
-        """Keep the tuple ``arrays`` under ``key``; the caller has checked
-        that they fit."""
-        self._entries[key] = arrays
-        self.nbytes += sum(a.nbytes for a in arrays)
-
-
-# bytes one mesh's memo may hold: four 256 x 256 distance matrices
-_MEMO_BYTES = 2 * 2**20
-
-
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Immutable simplicial mesh.
@@ -321,8 +291,9 @@ class Mesh:
 
     @functools.cached_property
     def _memo(self):
-        # selection keeps each small candidate set's distances here
-        return _Memo(_MEMO_BYTES)
+        # selection.py keeps small candidate sets' distances here, within
+        # its own budgets
+        return {}
 
     def group(self, name):
         try:
@@ -679,10 +650,8 @@ def _write_vtk(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_mesh(path, format="native-json"):
-    """Read a mesh written by :func:`write_mesh` (native-json only)."""
-    if format != "native-json":
-        raise ValueError(f"reading format {format!r} is not supported")
+def read_mesh(path):
+    """Read a mesh written by :func:`write_mesh` as 'native-json'."""
     with open(path) as fh:
         try:
             doc = json.load(fh)

@@ -150,10 +150,10 @@ def pod_energy(sigma, n):
     return float(sq[n:].sum() / total)
 
 
-def compute_pod(snapshots, epsilon, rank_tol=RANK_TOL):
+def compute_pod(snapshots, epsilon):
     """Orthonormal basis from snapshots: returns (Z, sigma, N).
 
-    sigma holds every singular value above rank_tol * sigma_1; Z keeps
+    sigma holds every singular value above RANK_TOL * sigma_1; Z keeps
     the first N columns, N being the smallest count with E(N) <= epsilon.
     """
     if not epsilon >= 0:
@@ -162,7 +162,7 @@ def compute_pod(snapshots, epsilon, rank_tol=RANK_TOL):
     if not U.any():
         raise DegenerateSnapshotsError("all snapshot columns are zero")
     Z, sigma, _ = np.linalg.svd(U, full_matrices=False)
-    keep = sigma >= rank_tol * sigma[0]
+    keep = sigma >= RANK_TOL * sigma[0]
     sigma = sigma[keep]
     r = sigma.size
     n_modes = r
@@ -173,18 +173,18 @@ def compute_pod(snapshots, epsilon, rank_tol=RANK_TOL):
     return Z[:, :n_modes], sigma, n_modes
 
 
-def pseudo_inverse(matrix, rank_tol=RANK_TOL):
-    """Moore-Penrose inverse; singular values below rank_tol * max are zeroed."""
+def pseudo_inverse(matrix):
+    """Moore-Penrose inverse; singular values below RANK_TOL * max are zeroed."""
     matrix = np.asarray(matrix, dtype=np.float64)
     U, s, Vt = np.linalg.svd(matrix, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((matrix.shape[1], matrix.shape[0]))
-    inv = np.where(s >= rank_tol * s[0], s, np.inf)
+    inv = np.where(s >= RANK_TOL * s[0], s, np.inf)
     return (Vt.T / inv) @ U.T
 
 
 def build_online(Z, sigma, op, mode="weighted", epsilon=0.0,
-                 train_params=(), selection_params=None, rank_tol=RANK_TOL):
+                 train_params=(), selection_params=None):
     """Precompute the online map for basis ``Z`` over operator ``op``."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -196,10 +196,10 @@ def build_online(Z, sigma, op, mode="weighted", epsilon=0.0,
         # K Z = (pinv(W) ⊗ I_dim) Z: a minimum-norm least-squares solve
         # against Z laid out (targets) x (components, modes)
         rhs = Z.reshape(op.n_targets, dim * n_modes)
-        KZ = np.linalg.lstsq(op.matrix, rhs, rcond=rank_tol)[0]
+        KZ = np.linalg.lstsq(op.matrix, rhs, rcond=RANK_TOL)[0]
         KZ = KZ.reshape(op.n_controls * dim, n_modes)
         U, s, Vt = np.linalg.svd(KZ, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0 or s[-1] < rank_tol * s[0]:
+        if s.size == 0 or s[0] == 0.0 or s[-1] < RANK_TOL * s[0]:
             raise IllPosedOnlineError(
                 "pinv(W) @ Z is rank deficient; the weighted online system "
                 "is not solvable", float(s[-1]) if s.size else 0.0)
@@ -233,15 +233,15 @@ def online_solve(model, d_controls):
 
 
 def build_pod_model(op, law, mesh, train_params, epsilon, mode="weighted",
-                    selection_params=None, rank_tol=RANK_TOL):
+                    selection_params=None):
     """Full offline stage: snapshots, basis, online map."""
     # no reference to the snapshots outlives the SVD, so they are freed
     # before the online solve, where the offline stage peaks in memory
     Z, sigma, _ = compute_pod(build_snapshots(op, law, mesh, train_params),
-                              epsilon, rank_tol)
+                              epsilon)
     return build_online(Z, sigma, op, mode=mode, epsilon=epsilon,
                         train_params=train_params,
-                        selection_params=selection_params, rank_tol=rank_tol)
+                        selection_params=selection_params)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .errors import DegenerateSampleError
 from .mesh import sorted_unique
 
@@ -46,6 +47,9 @@ STRATEGIES = ("random", "centroid_nearest", "farthest_point")
 # weight kernel): the wing's faces and the tunnel's obstacle do, the
 # tunnel's outer faces do not
 _MEMO_BUDGET = 65_536
+# bytes one mesh's memo may hold: three 3-D sets of 256 points with their
+# coordinates (530,432 B each); a fourth would take it to 2,121,728 B
+_MEMO_BYTES = 2 * 2**20
 # row blocks that build such a matrix stay within this many entries
 _BUILD_BLOCK = 16_384
 
@@ -155,28 +159,24 @@ def _pairwise(coords):
     ``_distances(coords, coords[i])``: the squares are summed one
     coordinate at a time, in the order ``add.reduce`` sums them. Built in
     row blocks, so the only n x n array is the result."""
-    n, dim = coords.shape
+    n = coords.shape[0]
     cols = np.ascontiguousarray(coords.T)
     dist = np.empty((n, n))
     step = max(1, _BUILD_BLOCK // n)
     scratch = np.empty((step, n))
     for lo in range(0, n, step):
         block = dist[lo:lo + step]
-        rows = coords[lo:lo + step]
-        np.subtract(cols[0], rows[:, :1], out=block)
-        block *= block
-        sq = scratch[:block.shape[0]]
-        for c in range(1, dim):
-            np.subtract(cols[c], rows[:, c:c + 1], out=sq)
-            sq *= sq
-            block += sq
+        _kernels._squared_distances(coords[lo:lo + step], cols, block,
+                                    scratch[:block.shape[0]])
         np.sqrt(block, out=block)
     return dist
 
 
 def _memoized(mesh, candidates):
     """(coords, distances) of the sorted ``candidates``, memoized on the
-    mesh, or None when n * n exceeds the budget or the memo is full."""
+    mesh, or None when n * n exceeds ``_MEMO_BUDGET`` or the entry would
+    take the memo past ``_MEMO_BYTES``; nodes are read-only, so entries
+    never go stale and none is dropped."""
     n = candidates.size
     if n * n > _MEMO_BUDGET:
         return None
@@ -184,13 +184,14 @@ def _memoized(mesh, candidates):
     key = candidates.tobytes()
     entry = memo.get(key)
     if entry is None:
-        if not memo.fits(8 * n * (n + mesh.nodes.shape[1])):
+        held = sum(arr.nbytes for kept in memo.values() for arr in kept)
+        if held + 8 * n * (n + mesh.nodes.shape[1]) > _MEMO_BYTES:
             return None
         coords = mesh.nodes[candidates]
         entry = (coords, _pairwise(coords))
         for arr in entry:
             arr.setflags(write=False)
-        memo.put(key, entry)
+        memo[key] = entry
     return entry
 
 

@@ -217,6 +217,61 @@ def test_sweep_a_couples_b(tmp_path):
     assert float(rows[0]["b"]) == 2.0
 
 
+@pytest.mark.parametrize("axis", ["R", "a", "b"])
+def test_sweep_needs_selection(tmp_path, capsys, axis):
+    # without a selection section there is nothing for the value to set
+    cfg = write_cfg(tmp_path, selection=None)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--axis", axis, "--values", "0.5,0.6"]) == 1
+    assert f"{axis} sweep needs a 'selection' section" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_couple_b_needs_axis_a(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--axis", "b", "--values", "1.5", "--couple-b"]) == 1
+    assert "--couple-b goes only with --axis a" in capsys.readouterr().err
+
+
+def sweep_selection(radius, right_radius):
+    # radius factors 0.5 and 1 and an absolute 1.5 * base, so the mean
+    # region radius is the base radius; with a base of 0.5 and swept
+    # radii 0.25 and 1.0 every product is exact
+    regions = [{"group": g} for g in FACES]
+    regions[0]["radius_factor"] = 0.5
+    regions[1] = {"group": FACES[1], "radius": right_radius}
+    return {"radius": radius, "a": 0.8, "b": 1.3, "seed": 1,
+            "regions": regions}
+
+
+@pytest.mark.parametrize("axis, values, hand", [
+    ("R", (0.25, 1.0),
+     lambda v: {"selection": sweep_selection(v, 0.75 * (v / 0.5))}),
+    ("a", (0.5, 0.6),
+     lambda v: {"selection": dict(sweep_selection(0.5, 0.75), a=v, b=1.0 / v)}),
+    ("b", (1.5, 2.0),
+     lambda v: {"selection": dict(sweep_selection(0.5, 0.75), b=v)}),
+])
+def test_sweep_rows_equal_single_morphs(tmp_path, axis, values, hand):
+    cfg = write_cfg(tmp_path, selection=sweep_selection(0.5, 0.75))
+    extra = ["--couple-b"] if axis == "a" else []
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                 "--axis", axis, "--values", ",".join(map(str, values)),
+                 *extra]) == 0
+    rows = json.loads((tmp_path / "s" / "sweep.json").read_text())
+    assert len(rows) == len(values)
+    for j, (value, row) in enumerate(zip(values, rows)):
+        edited = write_cfg(tmp_path, name=f"hand{j}.json", **hand(value))
+        out = tmp_path / f"m{j}"
+        assert main(["morph", "--config", str(edited), "--out", str(out)]) == 0
+        single = json.loads((out / "report.json").read_text())[0]
+        untimed = {k: v for k, v in row.items() if not k.startswith("t_")}
+        assert untimed == {k: v for k, v in single.items()
+                           if not k.startswith("t_")}
+        assert untimed[axis] == value
+
+
 def test_random_baseline(tmp_path, capsys):
     cfg = write_cfg(tmp_path, baseline_seed=42)
     out = tmp_path / "out"

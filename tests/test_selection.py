@@ -13,7 +13,7 @@ from morphkit import (BaselineStats, DegenerateSampleError, RegionParams,
                       SelectionParams, enrich, random_baseline_stats,
                       read_selection, select, select_multi, select_random,
                       write_selection)
-from morphkit import mesh as mesh_mod, selection
+from morphkit import selection
 from morphkit.selection import STRATEGIES
 from conftest import make_lattice2d
 
@@ -166,6 +166,10 @@ def test_pairwise_rows_are_bitwise_distances(dim, block, monkeypatch):
                                       selection._distances(coords, coords[i]))
 
 
+def memo_bytes(mesh):
+    return sum(arr.nbytes for entry in mesh._memo.values() for arr in entry)
+
+
 def test_memo_keeps_small_sets_only():
     mesh = mk.generate_tunnel((5.0, 5.0, 5.0), (1.0, 1.0, 1.0), 16)
     face, obstacle = mesh.group("left"), mesh.group("obstacle")
@@ -175,17 +179,16 @@ def test_memo_keeps_small_sets_only():
     assert mesh._memo.get(face.tobytes()) is None
     coords, dist = mesh._memo.get(obstacle.tobytes())
     assert not coords.flags.writeable and not dist.flags.writeable
-    assert mesh._memo.nbytes == coords.nbytes + dist.nbytes
+    assert memo_bytes(mesh) == coords.nbytes + dist.nbytes
 
 
 def test_memo_stays_under_its_cap(lattice11, monkeypatch):
     mesh = lattice11.with_nodes(lattice11.nodes)
     subsets = [lattice11.boundary_ids[j:] for j in range(30)]
     walks = [select(mesh, ids, 2.1, seed=j) for j, ids in enumerate(subsets)]
-    memo = mesh._memo
-    assert mesh_mod._MEMO_BYTES - 8 * 121 * 123 < memo.nbytes
-    assert memo.nbytes <= mesh_mod._MEMO_BYTES
-    assert memo.get(subsets[-1].tobytes()) is None   # it did not fit
+    assert selection._MEMO_BYTES - 8 * 121 * 123 < memo_bytes(mesh)
+    assert memo_bytes(mesh) <= selection._MEMO_BYTES
+    assert mesh._memo.get(subsets[-1].tobytes()) is None   # it did not fit
     monkeypatch.setattr(selection, "_MEMO_BUDGET", 0)
     for j, (ids, res) in enumerate(zip(subsets, walks)):
         again = select(mesh, ids, 2.1, seed=j)
