@@ -368,8 +368,6 @@ def cmd_sweep(args):
         mu = value if args.axis == "mu" else _mu(cfg, args)
         _, rows = morph_once(mesh, cfg, args, mu, reference=args.reference,
                              params=params)
-        if args.axis == "R":
-            rows[0].R = value
         reports.append(rows[0])
     metrics.write_reports_csv(reports, out / "sweep.csv")
     metrics.write_reports_json(reports, out / "sweep.json")

@@ -255,10 +255,11 @@ class Mesh:
 
     def __post_init__(self):
         nodes = _own(np.atleast_2d(self.nodes), np.float64)
-        elements = np.array(self.elements, dtype=np.int64, copy=True)
+        # a frozen owned array, as every Mesh holds, is shared: deformed
+        # meshes keep their parent's connectivity
+        elements = _own(self.elements, np.int64)
         if elements.size == 0:
-            elements = elements.reshape(0, self.dim + 1)
-        elements.setflags(write=False)
+            elements = _own(elements.reshape(0, self.dim + 1), np.int64)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "boundary_ids",
@@ -552,6 +553,11 @@ def generate_tunnel(outer, inner, resolution):
 # ---------------------------------------------------------------------------
 # quality
 
+# elements per block of mesh_quality: a tetrahedron block's squared edges
+# and gathered coordinates stay within a few hundred KB
+QUALITY_BLOCK = 8192
+
+
 def _squared_edges(mesh, element_rows):
     """Squared edge lengths, shape (e, n_edges), of the elements
     ``element_rows``, summed one coordinate at a time in the order
@@ -581,15 +587,25 @@ def element_quality(mesh, e):
 
 
 def mesh_quality(mesh):
-    """(max, mean) of the edge-length ratio over all elements."""
-    if mesh.element_count == 0:
+    """(max, mean) of the edge-length ratio over all elements.
+
+    The squared edges are formed ``QUALITY_BLOCK`` elements at a time; the
+    ratios land in one array, reduced whole, so the results do not depend
+    on the block size.
+    """
+    count = mesh.element_count
+    if count == 0:
         raise ValueError("mesh has no elements")
-    sq = _squared_edges(mesh, mesh.elements)
-    shortest = np.sqrt(sq.min(axis=1))
-    bad = np.nonzero(shortest == 0.0)[0]
-    if bad.size:
-        raise DegenerateElementError(f"element {bad[0]} has a zero-length edge")
-    q = np.sqrt(sq.max(axis=1)) / shortest
+    q = np.empty(count)
+    for start in range(0, count, QUALITY_BLOCK):
+        sq = _squared_edges(mesh, mesh.elements[start:start + QUALITY_BLOCK])
+        shortest = np.sqrt(sq.min(axis=1))
+        bad = np.flatnonzero(shortest == 0.0)
+        if bad.size:
+            raise DegenerateElementError(
+                f"element {start + bad[0]} has a zero-length edge")
+        np.divide(np.sqrt(sq.max(axis=1)), shortest,
+                  out=q[start:start + shortest.size])
     return float(q.max()), float(q.mean())
 
 
@@ -602,6 +618,7 @@ def apply_deformation(mesh, displacement):
         raise ValueError("displacement refers to a node id out of range")
     coords = mesh.nodes.copy()
     coords[idx] += displacement.vectors
+    coords.setflags(write=False)  # fresh, so the new mesh keeps it uncopied
     return mesh.with_nodes(coords)
 
 
@@ -612,25 +629,85 @@ _VTK_CELL_TYPE = {2: 5, 3: 10}  # triangle, tetrahedron
 
 
 def write_mesh(mesh, path, format="native-json"):
-    """Write ``mesh`` to ``path`` as 'native-json' or 'vtk-legacy-ascii'."""
+    """Write ``mesh`` to ``path`` as 'native-json' or 'vtk-legacy-ascii'.
+
+    The native JSON file holds exactly the bytes of ``json.dumps`` of the
+    document {"dim", "nodes", "elements", "boundary", "interior",
+    "groups"} (arrays as lists) plus a newline. Non-finite coordinates
+    and element ids outside [0, node_count) raise ValueError, since
+    :func:`read_mesh` would reject the file.
+    """
     if format == "native-json":
-        doc = {
-            "dim": mesh.dim,
-            "nodes": mesh.nodes.tolist(),
-            "elements": mesh.elements.tolist(),
-            "boundary": mesh.boundary_ids.tolist(),
-            "interior": mesh.interior_ids.tolist(),
-            "groups": {k: v.tolist() for k, v in mesh.groups.items()},
-        }
-        with open(path, "w") as fh:
-            # dumps runs the C encoder; dump would go through the
-            # pure-Python iterencode for the same bytes
-            fh.write(json.dumps(doc))
-            fh.write("\n")
+        _write_json(mesh, path)
     elif format == "vtk-legacy-ascii":
         _write_vtk(mesh, path)
     else:
         raise ValueError(f"unknown mesh format {format!r}")
+
+
+def _write_json(mesh, path):
+    if not np.isfinite(mesh.nodes).all():
+        raise ValueError("node coordinates contain non-finite values")
+    elements = mesh.elements
+    n = mesh.node_count
+    if elements.size and (elements.min() < 0 or elements.max() >= n):
+        raise ValueError("element refers to a node id out of range")
+    # dim, ids and groups are small and go through json.dumps; the two
+    # large arrays are composed here in the same text, which is ASCII
+    # throughout (json.dumps escapes any other character)
+    head = ('{"dim": ' + json.dumps(mesh.dim) + ', "nodes": '
+            + _nodes_json(mesh.nodes) + ', "elements": ')
+    body = _elements_json(elements, n)
+    groups = {k: v.tolist() for k, v in mesh.groups.items()}
+    tail = (', "boundary": ' + json.dumps(mesh.boundary_ids.tolist())
+            + ', "interior": ' + json.dumps(mesh.interior_ids.tolist())
+            + ', "groups": ' + json.dumps(groups) + "}\n")
+    with open(path, "wb") as fh:
+        fh.write(head.encode("ascii"))
+        fh.write(body)
+        fh.write(tail.encode("ascii"))
+
+
+def _nodes_json(nodes):
+    """``json.dumps(nodes.tolist())`` for finite (n, d) coordinates: JSON
+    writes a float as its ``repr``."""
+    if nodes.size == 0:
+        return json.dumps(nodes.tolist())
+    reprs = iter(map(float.__repr__, nodes.ravel().tolist()))
+    rows = zip(*[reprs] * nodes.shape[1])
+    return "[[" + "], [".join(map(", ".join, rows)) + "]]"
+
+
+def _elements_json(elements, node_count):
+    """``json.dumps(elements.tolist())`` as bytes, for ids in
+    [0, node_count), composed in one byte buffer.
+
+    A table holds each id's decimal digits right-aligned in ``width``
+    bytes, the unused ones 0. Each element gets a row of fixed-width
+    slots with the brackets and separators already in place, its ids'
+    digits are gathered in from the table, and the 0 bytes are masked
+    out.
+    """
+    if elements.ndim != 2 or elements.size == 0:
+        return json.dumps(elements.tolist()).encode("ascii")
+    ids = np.arange(node_count)
+    width = len(str(node_count - 1))
+    table = np.zeros((node_count, width), dtype=np.uint8)
+    for j in range(width):  # digit j counted from the right
+        first = 10 ** j if j else 0  # ids below 10**j have no digit j
+        table[first:, width - 1 - j] = ord("0") + ids[first:] // 10 ** j % 10
+    # a row is one slot " [" then per id its digits and ", ", with "],"
+    # after the last id: " [0, 1, 2, 3], [4, 5, 6, 7],"
+    count, k = elements.shape
+    buf = np.zeros((count, k + 1, width + 2), dtype=np.uint8)
+    buf[:, 0, :2] = np.frombuffer(b" [", dtype=np.uint8)
+    buf[:, 1:, width:] = np.frombuffer(b", ", dtype=np.uint8)
+    buf[:, -1, width:] = np.frombuffer(b"],", dtype=np.uint8)
+    digits = table.view(f"V{width}").ravel()  # one id's digits per item
+    buf[:, 1:, :width] = digits.take(elements).view(np.uint8).reshape(
+        count, k, width)
+    text = buf[buf != 0]
+    return b"[" + text[1:-1].tobytes() + b"]"
 
 
 def _write_vtk(mesh, path):

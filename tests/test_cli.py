@@ -235,12 +235,14 @@ def test_couple_b_needs_axis_a(tmp_path, capsys):
 
 
 def sweep_selection(radius, right_radius):
-    # radius factors 0.5 and 1 and an absolute 1.5 * base, so the mean
-    # region radius is the base radius; with a base of 0.5 and swept
-    # radii 0.25 and 1.0 every product is exact
+    # radius factors 0.5, 0.75 and 1 and an absolute 1.5 * base, so the
+    # mean region radius, the R a row reports, is 5.75/6 of the base
+    # radius; with a base of 0.5 and swept radii 0.25 and 1.0 every
+    # product and sum is exact
     regions = [{"group": g} for g in FACES]
     regions[0]["radius_factor"] = 0.5
     regions[1] = {"group": FACES[1], "radius": right_radius}
+    regions[2]["radius_factor"] = 0.75
     return {"radius": radius, "a": 0.8, "b": 1.3, "seed": 1,
             "regions": regions}
 
@@ -269,7 +271,10 @@ def test_sweep_rows_equal_single_morphs(tmp_path, axis, values, hand):
         untimed = {k: v for k, v in row.items() if not k.startswith("t_")}
         assert untimed == {k: v for k, v in single.items()
                            if not k.startswith("t_")}
-        assert untimed[axis] == value
+        if axis == "R":  # the mean radius of the regions used
+            assert untimed["R"] == value * 5.75 / 6
+        else:
+            assert untimed[axis] == value
 
 
 def test_random_baseline(tmp_path, capsys):

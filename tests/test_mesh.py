@@ -14,7 +14,8 @@ from morphkit import (DisplacementField, Mesh, MeshFormatError,
                       coincident_pair, element_quality, generate_box_wing,
                       generate_tunnel, merge_fields, mesh_quality, read_mesh,
                       write_mesh)
-from morphkit.mesh import has_duplicates, sorted_unique
+from morphkit import mesh as mesh_module
+from morphkit.mesh import _squared_edges, has_duplicates, sorted_unique
 from conftest import make_lattice2d
 
 
@@ -306,6 +307,39 @@ def test_mesh_equality(tiny_wing):
     assert tiny_wing != again.with_nodes(again.nodes + 0.5)
 
 
+def test_deformed_meshes_share_the_topology(wing):
+    moved = wing.with_nodes(wing.nodes + 0.5)
+    assert moved.elements is wing.elements
+    d = DisplacementField(wing.interior_ids[:3], np.ones((3, 3)))
+    deformed = apply_deformation(wing, d)
+    assert deformed.elements is wing.elements
+
+
+def test_mesh_copies_a_writeable_element_array():
+    nodes = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    elements = np.array([[0, 1, 2], [1, 3, 2]])
+    mesh = Mesh(2, nodes, elements, [0, 1, 2, 3], [])
+    assert not np.shares_memory(mesh.elements, elements)
+    assert not mesh.elements.flags.writeable
+    elements[0, 0] = 3
+    np.testing.assert_array_equal(mesh.elements, [[0, 1, 2], [1, 3, 2]])
+    # a frozen view is copied too: its base may still be written
+    view = np.array([[0, 1, 2], [1, 3, 2], [0, 0, 0]])[:2]
+    view.setflags(write=False)
+    assert not np.shares_memory(Mesh(2, nodes, view, [0, 1, 2, 3], []).elements,
+                                view)
+
+
+@pytest.mark.parametrize("elements", [[], np.empty((0, 3), dtype=np.int64),
+                                      np.empty(0)])
+def test_mesh_without_elements(elements):
+    mesh = Mesh(2, [[0.0, 0.0], [1.0, 0.0]], elements, [0, 1], [])
+    assert mesh.elements.shape == (0, 3)
+    assert mesh.elements.dtype == np.int64
+    assert not mesh.elements.flags.writeable
+    assert mesh.with_nodes(mesh.nodes).elements.shape == (0, 3)
+
+
 def test_validate_names_the_lowest_coincident_pair():
     nodes = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
              [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
@@ -495,6 +529,52 @@ def test_mesh_quality_names_the_degenerate_element(tiny_wing):
         mesh_quality(tiny_wing.with_nodes(nodes))
 
 
+def quality_one_shot(mesh):
+    """(max, mean) from the squared edges of all elements at once: the
+    form mesh_quality had before it went block by block."""
+    sq = _squared_edges(mesh, mesh.elements)
+    q = np.sqrt(sq.max(axis=1)) / np.sqrt(sq.min(axis=1))
+    return float(q.max()), float(q.mean())
+
+
+@pytest.mark.parametrize("block", [1, 7, "all"])
+@pytest.mark.parametrize("kind", ["lattice", "wing", "tunnel"])
+def test_blocked_quality_is_bitwise_the_one_shot_form(kind, block, wing,
+                                                      small_tunnel,
+                                                      monkeypatch):
+    mesh = {"lattice": make_lattice2d(7, 5, (1.0, 0.6)), "wing": wing,
+            "tunnel": small_tunnel}[kind]
+    jitter = np.random.default_rng(3).uniform(-1e-3, 1e-3, mesh.nodes.shape)
+    mesh = mesh.with_nodes(mesh.nodes + jitter * mesh.bbox_diagonal)
+    size = mesh.element_count + 5 if block == "all" else block
+    monkeypatch.setattr(mesh_module, "QUALITY_BLOCK", size)
+    assert mesh_quality(mesh) == quality_one_shot(mesh)
+
+
+def lattice_with_degenerate(bad):
+    """7x5 lattice whose elements ``bad`` each get a zero-length edge: a
+    new node, used by that element only, put on one of its vertices."""
+    mesh = make_lattice2d(7, 5, (1.0, 0.6))
+    nodes, elements = mesh.nodes, mesh.elements.copy()
+    for e in bad:
+        elements[e, 0] = nodes.shape[0]
+        nodes = np.vstack([nodes, nodes[elements[e, 1]]])
+    ids = np.arange(nodes.shape[0])
+    return Mesh(2, nodes, elements, ids, [])
+
+
+@pytest.mark.parametrize("bad, named", [((6,), 6), ((7,), 7), ((8,), 8),
+                                        ((20, 7), 7), ((15, 30), 15)])
+def test_blocked_quality_names_the_global_element(bad, named, monkeypatch):
+    monkeypatch.setattr(mesh_module, "QUALITY_BLOCK", 7)
+    mesh = lattice_with_degenerate(bad)
+    with pytest.raises(DegenerateElementError, match=f"element {named} "):
+        mesh_quality(mesh)
+    for e in bad:
+        with pytest.raises(DegenerateElementError):
+            element_quality(mesh, e)
+
+
 def test_apply_deformation_moves_only_listed_nodes(tiny_wing):
     d = DisplacementField([13], [[0.1, 0.0, 0.0]])
     moved = apply_deformation(tiny_wing, d)
@@ -514,19 +594,95 @@ def test_json_roundtrip_exact(wing, tmp_path):
     assert set(back.groups) == set(wing.groups)
 
 
-def test_json_bytes_match_json_dump(tiny_wing, tmp_path):
-    path = tmp_path / "wing.json"
-    write_mesh(tiny_wing, path)
-    doc = {"dim": tiny_wing.dim, "nodes": tiny_wing.nodes.tolist(),
-           "elements": tiny_wing.elements.tolist(),
-           "boundary": tiny_wing.boundary_ids.tolist(),
-           "interior": tiny_wing.interior_ids.tolist(),
-           "groups": {k: v.tolist() for k, v in tiny_wing.groups.items()}}
+def dumped(mesh, tmp_path):
+    """The bytes ``json.dump`` writes for ``mesh``'s document, newline
+    included."""
+    doc = {"dim": mesh.dim, "nodes": mesh.nodes.tolist(),
+           "elements": mesh.elements.tolist(),
+           "boundary": mesh.boundary_ids.tolist(),
+           "interior": mesh.interior_ids.tolist(),
+           "groups": {k: v.tolist() for k, v in mesh.groups.items()}}
     expected = tmp_path / "dump.json"
     with open(expected, "w") as fh:
         json.dump(doc, fh)
         fh.write("\n")
-    assert path.read_bytes() == expected.read_bytes()
+    return expected.read_bytes()
+
+
+def written(mesh, tmp_path):
+    path = tmp_path / "mesh.json"
+    write_mesh(mesh, path)
+    return path.read_bytes()
+
+
+def test_json_bytes_match_json_dump(tiny_wing, tmp_path):
+    assert written(tiny_wing, tmp_path) == dumped(tiny_wing, tmp_path)
+
+
+def test_json_bytes_match_json_dump_2d(lattice11, tmp_path):
+    mesh = make_lattice2d(9, 4, (1.0, 0.4))
+    for m in (lattice11, mesh):
+        assert written(m, tmp_path) == dumped(m, tmp_path)
+
+
+@pytest.mark.parametrize("node_count", [1, 2, 10, 11, 100, 101, 1000, 1001,
+                                        10000, 10001, 10002])
+def test_json_bytes_at_every_digit_count(node_count, tmp_path):
+    # element ids run across 9/10, 99/100, 999/1000 and 9999/10000 up to
+    # the last node, in rows that mix short and long ids
+    ids = np.arange(node_count)
+    rows = np.concatenate([ids, ids[::-1], ids[::7]])
+    rows = rows[:rows.size // 3 * 3].reshape(-1, 3)
+    nodes = np.random.default_rng(node_count).uniform(size=(node_count, 2))
+    mesh = Mesh(2, nodes, rows, ids, [], {"all": ids})
+    assert written(mesh, tmp_path) == dumped(mesh, tmp_path)
+
+
+def test_json_bytes_of_awkward_coordinates(tmp_path):
+    specials = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e16, -1e16,
+                0.1, -0.1, 1.0, 123456789.125, 2.0 ** 60, 1e-7]
+    jitter = np.random.default_rng(5).uniform(-1.0, 1.0, 30) * 10.0 ** (
+        np.arange(30) % 21 - 10)
+    coords = np.concatenate([specials, jitter])
+    coords = coords[:coords.size // 3 * 3].reshape(-1, 3)
+    ids = np.arange(coords.shape[0])
+    mesh = Mesh(3, coords, [[0, 1, 2, 3], [4, 5, 6, 7]], ids, [])
+    text = written(mesh, tmp_path)
+    assert text == dumped(mesh, tmp_path)
+    assert np.array_equal(json.loads(text)["nodes"], coords)
+    assert b"-0.0, 0.0, 1e-300" in text and b"5e-324" in text
+
+
+def test_json_bytes_without_elements_or_group_members(tmp_path):
+    nodes = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    for mesh in (Mesh(2, nodes, [], [0, 1, 2], [], {"empty": [], "all": [0, 1, 2]}),
+                 Mesh(2, nodes, [], [0, 1, 2], []),
+                 Mesh(3, np.empty((0, 3)), [], [], [], {"g": []})):
+        text = written(mesh, tmp_path)
+        assert text == dumped(mesh, tmp_path)
+        assert b'"elements": []' in text
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_mesh_refuses_nonfinite_coordinates(tiny_wing, tmp_path, bad):
+    nodes = tiny_wing.nodes.copy()
+    nodes[13, 1] = bad
+    path = tmp_path / "mesh.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_mesh(tiny_wing.with_nodes(nodes), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [-1, 27, 10 ** 6])
+def test_write_mesh_refuses_element_ids_out_of_range(tiny_wing, tmp_path, bad):
+    elements = tiny_wing.elements.copy()
+    elements[5, 2] = bad
+    mesh = Mesh(3, tiny_wing.nodes, elements, tiny_wing.boundary_ids,
+                tiny_wing.interior_ids)
+    path = tmp_path / "mesh.json"
+    with pytest.raises(ValueError, match="out of range"):
+        write_mesh(mesh, path)
+    assert not path.exists()
 
 
 def test_json_roundtrip_2d(lattice11, tmp_path):
