@@ -12,16 +12,15 @@ from .errors import (DegenerateElementError, DegenerateSampleError,
                      IllPosedOnlineError, MeshFormatError,
                      ZeroReferenceError)
 from .idw import (IdwConfig, IdwOperator, assemble, deform, interpolate,
-                  read_operator, weights_at, write_operator)
+                  weights_at)
 from .laws import (DisplacementLaw, bend_law, evaluate, read_tabulated,
                    rotation_law, sample_domain, tabulated_law)
 from .mesh import (DisplacementField, Mesh, apply_deformation,
                    coincident_pair, element_quality, generate_box_wing,
                    generate_tunnel, merge_fields, mesh_quality, read_mesh,
                    write_mesh)
-from .metrics import (CSV_COLUMNS, ComparisonReport,
-                      normalized_quality_index, relative_error, time_mean,
-                      write_reports_csv, write_reports_json)
+from .metrics import (CSV_COLUMNS, ComparisonReport, relative_error,
+                      time_mean, write_reports_csv, write_reports_json)
 from .pod import (PodModel, SnapshotSet, build_online, build_pod_model,
                   build_snapshots, compute_pod, online_solve, pod_energy,
                   pseudo_inverse, read_model, write_model)

@@ -19,7 +19,6 @@ path.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +34,6 @@ __all__ = [
     "assemble",
     "deform",
     "interpolate",
-    "write_operator",
-    "read_operator",
 ]
 
 @dataclass(frozen=True)
@@ -200,50 +197,3 @@ def deform(op, displacement):
     out = op.matrix @ displacement.vectors
     out.setflags(write=False)  # frozen, so the field keeps it uncopied
     return DisplacementField(op.target_ids, out)
-
-
-# ---------------------------------------------------------------------------
-# binary persistence
-#
-# layout, all little-endian:
-#   4s    magic "IDW1"
-#   u32   n_targets
-#   u32   n_controls
-#   u32   p
-#   f64   coincidence_tol
-#   i64[] target_ids
-#   i64[] control_ids
-#   f64[] matrix, row-major
-
-_MAGIC = b"IDW1"
-_HEADER = struct.Struct("<4sIIId")
-
-
-def write_operator(op, path):
-    """Dump an operator to ``path`` in the IDW1 binary layout."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, op.n_targets, op.n_controls,
-                              op.config.p, op.config.coincidence_tol))
-        fh.write(op.target_ids.astype("<i8").tobytes())
-        fh.write(op.control_ids.astype("<i8").tobytes())
-        fh.write(np.ascontiguousarray(op.matrix, dtype="<f8").tobytes())
-
-
-def read_operator(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not an IDW1 operator dump")
-    magic, n_t, n_c, p, tol = _HEADER.unpack_from(raw)
-    offset = _HEADER.size
-    expected = offset + 8 * (n_t + n_c + n_t * n_c)
-    if len(raw) != expected:
-        raise ValueError(f"{path}: truncated operator dump "
-                         f"({len(raw)} bytes, expected {expected})")
-    tgt = np.frombuffer(raw, dtype="<i8", count=n_t, offset=offset)
-    offset += 8 * n_t
-    ctl = np.frombuffer(raw, dtype="<i8", count=n_c, offset=offset)
-    offset += 8 * n_c
-    mat = np.frombuffer(raw, dtype="<f8", count=n_t * n_c,
-                        offset=offset).reshape(n_t, n_c)
-    return IdwOperator(mat, tgt, ctl, IdwConfig(p, tol))

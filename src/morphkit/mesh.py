@@ -123,6 +123,20 @@ def _own(a, dtype):
     return arr
 
 
+def _own_sorted_ids(ids):
+    """``ids`` as a sorted, read-only int64 array no other reference can
+    write: one that already is all of that is kept as is, anything else
+    is copied once, sorted in place and frozen."""
+    if (type(ids) is np.ndarray and ids.dtype == np.int64 and ids.ndim == 1
+            and ids.flags.owndata and not ids.flags.writeable
+            and not (ids[1:] < ids[:-1]).any()):
+        return ids
+    arr = np.array(ids, dtype=np.int64, ndmin=1)
+    arr.sort()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class DisplacementField:
     """Per-node displacement vectors on a subset of mesh nodes.
@@ -262,12 +276,13 @@ class Mesh:
             elements = _own(elements.reshape(0, self.dim + 1), np.int64)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "elements", elements)
+        # so are sorted id arrays: with_nodes copies no ids
         object.__setattr__(self, "boundary_ids",
-                           _own(np.sort(np.atleast_1d(self.boundary_ids)), np.int64))
+                           _own_sorted_ids(self.boundary_ids))
         object.__setattr__(self, "interior_ids",
-                           _own(np.sort(np.atleast_1d(self.interior_ids)), np.int64))
+                           _own_sorted_ids(self.interior_ids))
         object.__setattr__(self, "groups",
-                           {str(k): _own(np.sort(np.atleast_1d(v)), np.int64)
+                           {str(k): _own_sorted_ids(v)
                             for k, v in dict(self.groups).items()})
 
     @property

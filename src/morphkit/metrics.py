@@ -1,8 +1,8 @@
-"""Error norms, quality indices, timing, and report emission.
+"""Error norms, timing, and report emission.
 
 Comparisons between morphing variants use the nodal Euclidean relative
-error over interior nodes; mesh health is summarized by the edge-ratio
-quality of :mod:`morphkit.mesh` and a displacement-normalized index.
+error over interior nodes; mesh health is the edge-ratio quality of
+:mod:`morphkit.mesh`, which reports carry next to the error.
 Reports collect one row per experiment and serialize to a fixed-schema
 CSV or to JSON.
 """
@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroReferenceError
-from .mesh import mesh_quality
+from .mesh import mesh_quality  # noqa: F401 -- perfbench/tracing.py wraps metrics.mesh_quality
 
 __all__ = [
     "relative_error",
-    "normalized_quality_index",
     "time_mean",
     "ComparisonReport",
     "write_reports_csv",
@@ -47,14 +46,6 @@ def relative_error(test, reference):
     if ref == 0.0:
         raise ZeroReferenceError("reference displacement is identically zero")
     return float(np.linalg.norm(test.as_vector() - reference.as_vector()) / ref)
-
-
-def normalized_quality_index(mesh, max_tip_displacement):
-    """Mean element quality divided by the largest applied displacement."""
-    if not max_tip_displacement > 0:
-        raise ValueError("max_tip_displacement must be positive")
-    _, mean_q = mesh_quality(mesh)
-    return mean_q / float(max_tip_displacement)
 
 
 def time_mean(fn, repeat=100):

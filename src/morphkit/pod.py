@@ -20,6 +20,17 @@ the control displacement d, expanded through Z. Two projections fix R:
   the basis.
 
 Both reproduce any morph whose image already lies in span(Z).
+
+K Z comes one of two ways. The snapshots are S = (W ⊗ I) F, F holding
+the training control fields, so the basis is Z = S V_N Sigma_N^-1
+(the method of snapshots, Sirovich 1987). When W has full column rank,
+pinv(W) W = I and K Z = F V_N Sigma_N^-1: one small product over
+factors the offline stage already holds. V_N is taken from the SVD
+itself; the identity V_N Sigma_N^-1 = S^T Z Sigma_N^-2 would square
+sigma_1 / sigma_N. :func:`build_pod_model` takes that route when W is
+tall and its Gram matrix certifies the rank (:func:`_full_column_rank`).
+Otherwise, and for any basis handed to :func:`build_online` on its own,
+K Z is a minimum-norm least-squares solve against W.
 """
 
 from __future__ import annotations
@@ -51,17 +62,27 @@ __all__ = [
 
 RANK_TOL = 1e-12
 
+# K Z skips the solve against W only if lambda_min(Wt W) exceeds this
+# fraction of lambda_max; see _full_column_rank
+GRAM_TOL = 1e-8
+
 MODES = ("weighted", "plain")
 
 
 @dataclass(frozen=True, eq=False)
 class SnapshotSet:
-    """Training snapshots: one flattened displacement field per column."""
+    """Training snapshots: one flattened displacement field per column.
+
+    ``fields``, when given, holds the training control fields the
+    snapshots were morphed from, one column each, rows laid out
+    (control, component). Hand-built sets may omit it.
+    """
 
     matrix: np.ndarray      # (n_targets * dim, n_train)
     params: tuple           # training mu values, one per column
     target_ids: np.ndarray
     dim: int
+    fields: np.ndarray | None = None  # (n_controls * dim, n_train)
 
     def __post_init__(self):
         mat = _own(self.matrix, np.float64)
@@ -71,6 +92,12 @@ class SnapshotSet:
             raise ValueError("snapshot rows must equal n_targets * dim")
         if mat.shape[1] != len(self.params):
             raise ValueError("one training parameter per column required")
+        if self.fields is not None:
+            fields = _own(self.fields, np.float64)
+            if (fields.ndim != 2 or fields.shape[0] % self.dim
+                    or fields.shape[1] != mat.shape[1]):
+                raise ValueError("fields must be (n_controls * dim) x n_train")
+            object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "target_ids", ids)
         object.__setattr__(self, "params", tuple(float(m) for m in self.params))
@@ -124,21 +151,25 @@ def build_snapshots(op, law, mesh, train_params):
     The control fields sit side by side in one (n_controls, dim * n_train)
     matrix, component-major, so that one product with the operator morphs
     them all straight into the snapshot layout: column j is
-    ``deform(op, field_j).as_vector()``.
+    ``deform(op, field_j).as_vector()``. The set keeps that matrix as its
+    ``fields``, viewed (n_controls * dim, n_train).
     """
     train_params = tuple(float(m) for m in train_params)
     if not train_params:
         raise ValueError("need at least one training parameter")
     dim, n_train = mesh.dim, len(train_params)
-    fields = np.empty((op.n_controls, dim, n_train))
+    fields = np.empty((op.n_controls * dim, n_train))
+    stacked = fields.reshape(op.n_controls, dim, n_train)
     for j, mu in enumerate(train_params):
-        fields[:, :, j] = evaluate(law, mesh, mu).restrict(
+        stacked[:, :, j] = evaluate(law, mesh, mu).restrict(
             op.control_ids).vectors
     cols = np.empty((op.n_targets * dim, n_train))
-    np.matmul(op.matrix, fields.reshape(op.n_controls, dim * n_train),
+    np.matmul(op.matrix, stacked.reshape(op.n_controls, dim * n_train),
               out=cols.reshape(op.n_targets, dim * n_train))
-    cols.setflags(write=False)  # frozen, so the set keeps it uncopied
-    return SnapshotSet(cols, train_params, op.target_ids, dim)
+    # frozen, so the set keeps both uncopied
+    cols.setflags(write=False)
+    fields.setflags(write=False)
+    return SnapshotSet(cols, train_params, op.target_ids, dim, fields)
 
 
 def pod_energy(sigma, n):
@@ -150,18 +181,20 @@ def pod_energy(sigma, n):
     return float(sq[n:].sum() / total)
 
 
-def compute_pod(snapshots, epsilon):
+def compute_pod(snapshots, epsilon, right_vectors=False):
     """Orthonormal basis from snapshots: returns (Z, sigma, N).
 
     sigma holds every singular value above RANK_TOL * sigma_1; Z keeps
     the first N columns, N being the smallest count with E(N) <= epsilon.
+    With ``right_vectors`` the tuple ends with Vt_N, the first N right
+    singular vectors as rows, so that Z = S Vt_N^T / sigma_N.
     """
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     U = snapshots.matrix
     if not U.any():
         raise DegenerateSnapshotsError("all snapshot columns are zero")
-    Z, sigma, _ = np.linalg.svd(U, full_matrices=False)
+    Z, sigma, Vt = np.linalg.svd(U, full_matrices=False)
     keep = sigma >= RANK_TOL * sigma[0]
     sigma = sigma[keep]
     r = sigma.size
@@ -170,6 +203,8 @@ def compute_pod(snapshots, epsilon):
         if pod_energy(sigma, n) <= epsilon:
             n_modes = n
             break
+    if right_vectors:
+        return Z[:, :n_modes], sigma, n_modes, Vt[:n_modes]
     return Z[:, :n_modes], sigma, n_modes
 
 
@@ -183,9 +218,36 @@ def pseudo_inverse(matrix):
     return (Vt.T / inv) @ U.T
 
 
+def _full_column_rank(W):
+    """Whether the weight matrix ``W`` is tall and certified to have full
+    column rank, so that pinv(W) W = I.
+
+    The test is lambda_min > GRAM_TOL * lambda_max on the eigenvalues of
+    the Gram matrix Wt W, i.e. cond(W) < 1e4. Squaring the condition
+    number is harmless here: it only picks the route to K Z and never
+    enters the result. The threshold is conservative. ``eigvalsh`` errs
+    by about n * eps * lambda_max (~5e-14 lambda_max at n = 237
+    controls), and forming Wt W from nonnegative weights by at most
+    n_targets * eps * lambda_max; both stay far below 1e-8 lambda_max.
+    So a pass certifies cond(W) of at most about 1e4, eight orders of
+    magnitude inside the rcond = RANK_TOL truncation of the solve, which
+    then drops nothing. A bare Cholesky success would certify no margin.
+    """
+    n, m = W.shape
+    if m == 0 or n < m:
+        return False
+    lam = np.linalg.eigvalsh(W.T @ W)  # ascending
+    return bool(lam[-1] > 0.0 and lam[0] > GRAM_TOL * lam[-1])
+
+
 def build_online(Z, sigma, op, mode="weighted", epsilon=0.0,
-                 train_params=(), selection_params=None):
-    """Precompute the online map for basis ``Z`` over operator ``op``."""
+                 train_params=(), selection_params=None, kz=None):
+    """Precompute the online map for basis ``Z`` over operator ``op``.
+
+    In weighted mode ``kz`` may carry K Z = (pinv(W) ⊗ I_dim) Z, rows
+    laid out (control, component), already formed; without it K Z is a
+    least-squares solve against W.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if Z.shape[0] % op.n_targets:
@@ -193,12 +255,13 @@ def build_online(Z, sigma, op, mode="weighted", epsilon=0.0,
     dim = Z.shape[0] // op.n_targets
     n_modes = Z.shape[1]
     if mode == "weighted":
-        # K Z = (pinv(W) ⊗ I_dim) Z: a minimum-norm least-squares solve
-        # against Z laid out (targets) x (components, modes)
-        rhs = Z.reshape(op.n_targets, dim * n_modes)
-        KZ = np.linalg.lstsq(op.matrix, rhs, rcond=RANK_TOL)[0]
-        KZ = KZ.reshape(op.n_controls * dim, n_modes)
-        U, s, Vt = np.linalg.svd(KZ, full_matrices=False)
+        if kz is None:
+            # K Z = (pinv(W) ⊗ I_dim) Z: a minimum-norm least-squares
+            # solve against Z laid out (targets) x (components, modes)
+            rhs = Z.reshape(op.n_targets, dim * n_modes)
+            kz = np.linalg.lstsq(op.matrix, rhs, rcond=RANK_TOL)[0]
+            kz = kz.reshape(op.n_controls * dim, n_modes)
+        U, s, Vt = np.linalg.svd(kz, full_matrices=False)
         if s.size == 0 or s[0] == 0.0 or s[-1] < RANK_TOL * s[0]:
             raise IllPosedOnlineError(
                 "pinv(W) @ Z is rank deficient; the weighted online system "
@@ -234,14 +297,21 @@ def online_solve(model, d_controls):
 
 def build_pod_model(op, law, mesh, train_params, epsilon, mode="weighted",
                     selection_params=None):
-    """Full offline stage: snapshots, basis, online map."""
-    # no reference to the snapshots outlives the SVD, so they are freed
-    # before the online solve, where the offline stage peaks in memory
-    Z, sigma, _ = compute_pod(build_snapshots(op, law, mesh, train_params),
-                              epsilon)
+    """Full offline stage: snapshots, basis, online map.
+
+    In weighted mode K Z comes from the snapshot SVD when W passes
+    :func:`_full_column_rank`, else from :func:`build_online`'s solve.
+    """
+    snapshots = build_snapshots(op, law, mesh, train_params)
+    Z, sigma, n_modes, Vt = compute_pod(snapshots, epsilon,
+                                        right_vectors=True)
+    kz = None
+    if mode == "weighted" and _full_column_rank(op.matrix):
+        kz = snapshots.fields @ (Vt.T / sigma[:n_modes])  # F V_N Sigma_N^-1
+    del snapshots  # freed before the online map is built
     return build_online(Z, sigma, op, mode=mode, epsilon=epsilon,
                         train_params=train_params,
-                        selection_params=selection_params)
+                        selection_params=selection_params, kz=kz)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Weight formula, matrix assembly, deformation, and the binary dump."""
+"""Weight formula, matrix assembly and deformation."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import morphkit as mk
 from morphkit import (DisplacementField, IdwConfig, IdwOperator, _kernels,
-                      assemble, deform, idw, interpolate, read_operator,
-                      weights_at, write_operator)
+                      assemble, deform, idw, interpolate, weights_at)
 
 
 def brute_weights(x, controls, p):
@@ -284,32 +283,3 @@ def test_interpolate_validates_like_assemble(tiny_wing):
         assert str(streamed.value) == str(dense.value)
 
 
-# ---------------------------------------------------------------------------
-# binary dump
-
-def test_operator_roundtrip(wing, tmp_path):
-    op = assemble(wing, wing.boundary_ids, wing.interior_ids)
-    path = tmp_path / "op.bin"
-    write_operator(op, path)
-    back = read_operator(path)
-    np.testing.assert_array_equal(back.matrix, op.matrix)  # bitwise
-    np.testing.assert_array_equal(back.target_ids, op.target_ids)
-    np.testing.assert_array_equal(back.control_ids, op.control_ids)
-    assert back.config == op.config
-
-
-def test_read_operator_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 40)
-    with pytest.raises(ValueError, match="IDW1"):
-        read_operator(path)
-
-
-def test_read_operator_rejects_truncation(wing, tmp_path):
-    op = assemble(wing, wing.boundary_ids[:5], wing.interior_ids[:4])
-    path = tmp_path / "op.bin"
-    write_operator(op, path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="truncated"):
-        read_operator(path)

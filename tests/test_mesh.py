@@ -315,6 +315,45 @@ def test_deformed_meshes_share_the_topology(wing):
     assert deformed.elements is wing.elements
 
 
+def test_deformed_meshes_share_their_ids(wing):
+    moved = wing.with_nodes(wing.nodes + 0.5)
+    assert moved.boundary_ids is wing.boundary_ids
+    assert moved.interior_ids is wing.interior_ids
+    assert moved.groups.keys() == wing.groups.keys()
+    assert all(moved.groups[k] is v for k, v in wing.groups.items())
+
+
+def test_mesh_sorts_and_copies_ids_it_cannot_keep():
+    nodes = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.4]]
+    elements = np.array([[0, 1, 4], [1, 3, 4], [3, 2, 4], [2, 0, 4]])
+    boundary = np.array([3, 1, 0, 2])
+    group = np.array([2, 0])
+    frozen = np.array([3, 1])
+    frozen.setflags(write=False)  # owned and read-only, but unsorted
+    mesh = Mesh(2, nodes, elements, boundary, [4],
+                {"g": group, "f": frozen, "list": [1, 0]})
+    np.testing.assert_array_equal(mesh.boundary_ids, [0, 1, 2, 3])
+    np.testing.assert_array_equal(mesh.groups["g"], [0, 2])
+    np.testing.assert_array_equal(mesh.groups["f"], [1, 3])
+    np.testing.assert_array_equal(mesh.groups["list"], [0, 1])
+    for ids, given in ((mesh.boundary_ids, boundary), (mesh.groups["g"], group),
+                       (mesh.groups["f"], frozen)):
+        assert not np.shares_memory(ids, given)
+    for ids in (mesh.boundary_ids, mesh.interior_ids, *mesh.groups.values()):
+        assert ids.dtype == np.int64 and not ids.flags.writeable
+    boundary[0] = 0
+    np.testing.assert_array_equal(mesh.boundary_ids, [0, 1, 2, 3])
+    # sorted, frozen, owned int64 ids are kept; a frozen view is not
+    kept = Mesh(2, nodes, elements, mesh.boundary_ids, mesh.interior_ids)
+    assert kept.boundary_ids is mesh.boundary_ids
+    view = np.array([0, 1, 2, 3, 9])[:4]
+    view.setflags(write=False)
+    assert not np.shares_memory(Mesh(2, nodes, elements, view, [4]).boundary_ids,
+                                view)
+    scalar = Mesh(2, nodes, elements, boundary, 4)
+    np.testing.assert_array_equal(scalar.interior_ids, [4])
+
+
 def test_mesh_copies_a_writeable_element_array():
     nodes = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
     elements = np.array([[0, 1, 2], [1, 3, 2]])

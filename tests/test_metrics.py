@@ -1,4 +1,4 @@
-"""Error norm, quality index, timing helper, and report serialization."""
+"""Error norm, timing helper, and report serialization."""
 
 import csv
 import json
@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from morphkit import (ComparisonReport, CSV_COLUMNS, DisplacementField,
-                      ZeroReferenceError, normalized_quality_index,
-                      relative_error, time_mean, write_reports_csv,
-                      write_reports_json)
+                      ZeroReferenceError, relative_error, time_mean,
+                      write_reports_csv, write_reports_json)
 
 GOLDEN_HEADER = ("method,R,a,b,card_C_hat,N_modes,rel_error,max_Q,mean_Q,"
                  "t_assembly_s,t_deform_s,t_offline_s,t_online_s")
@@ -39,14 +38,6 @@ def test_relative_error_zero_reference():
     test = DisplacementField([0, 1], [[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ZeroReferenceError):
         relative_error(test, zero)
-
-
-def test_normalized_quality_index(tiny_wing):
-    # Kuhn tets of a cube all have quality sqrt(3)
-    idx = normalized_quality_index(tiny_wing, 2.0)
-    assert idx == pytest.approx(np.sqrt(3.0) / 2.0)
-    with pytest.raises(ValueError):
-        normalized_quality_index(tiny_wing, 0.0)
 
 
 def test_time_mean_counts_calls():

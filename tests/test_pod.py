@@ -278,6 +278,174 @@ def test_build_online_validation(wing):
 
 
 # ---------------------------------------------------------------------------
+# the two routes to K Z in build_pod_model
+
+def _tunnel_case():
+    tunnel = mk.generate_tunnel((4.0, 4.0, 4.0), (1.2, 1.2, 1.2), 6)
+    outer = ("left", "right", "top", "bottom", "front", "rear")
+    law = rotation_law(tunnel.boundary_ids, (-36.0, 0.0), pivot=(2.0, 2.0, 2.0),
+                       clamp_groups=outer)
+    return tunnel, law
+
+
+def _spy_kz(monkeypatch):
+    """Record the K Z that build_pod_model hands to build_online."""
+    seen = []
+    original = mk.pod.build_online
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("kz"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mk.pod, "build_online", spy)
+    return seen
+
+
+def _lstsq_model(op, law, mesh, train, epsilon):
+    """The fallback route by hand: build_online's solve on the same basis."""
+    Z, sigma, _ = compute_pod(build_snapshots(op, law, mesh, train), epsilon)
+    return build_online(Z, sigma, op, epsilon=epsilon, train_params=train)
+
+
+def _conditioned_operator(mesh, cond, seed=0):
+    """Tall hand-built operator on the wing's interior with cond(W) = cond."""
+    rng = np.random.default_rng(seed)
+    controls = mesh.boundary_ids[::9]
+    n, m = mesh.interior_ids.size, controls.size
+    U = np.linalg.qr(rng.standard_normal((n, m)))[0]
+    V = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    W = (U * np.geomspace(1.0, 1.0 / cond, m)) @ V.T
+    return mk.IdwOperator(W, mesh.interior_ids, controls, mk.IdwConfig())
+
+
+@pytest.mark.parametrize("case", ["wing", "tunnel"])
+def test_snapshot_route_matches_the_solve(wing, monkeypatch, case):
+    if case == "wing":
+        mesh = wing
+        law = rotation_law(wing.boundary_ids, (-36.0, 0.0),
+                           pivot=(0.5, 0.125, 0.0))
+        radius = 0.5
+    else:
+        mesh, law = _tunnel_case()
+        radius = 1.0
+    sel = mk.select(mesh, mesh.boundary_ids, radius, seed=2).selected
+    op = assemble(mesh, sel, mesh.interior_ids)
+    assert op.n_targets >= op.n_controls
+    train = sample_domain(law.domain, 8, seed=3)
+    seen = _spy_kz(monkeypatch)
+    model = build_pod_model(op, law, mesh, train, epsilon=1e-5)
+    assert seen[0] is not None  # the snapshot route was taken
+    ref = _lstsq_model(op, law, mesh, train, 1e-5)
+    np.testing.assert_array_equal(model.basis, ref.basis)
+    scale = np.abs(ref.online_map).max()
+    assert np.abs(model.online_map - ref.online_map).max() <= 1e-12 * scale
+    for mu in (-31.0, -12.5, -2.0):
+        d_hat = evaluate(law, mesh, mu).restrict(sel)
+        assert relative_error(online_solve(model, d_hat),
+                              deform(op, d_hat)) < 1e-12
+
+
+def _wide_wing(wing, tiny_wing):
+    return wing, assemble(wing, wing.boundary_ids, wing.interior_ids)
+
+
+def _criterion_10_wing(wing, tiny_wing):
+    # acceptance criterion 10's wing, one interior node and 26 controls:
+    # here the snapshot route's map differs from the solve's by as much
+    # as the map itself, while criterion 10's absolute check on the
+    # online answers does not notice
+    return tiny_wing, assemble(tiny_wing, tiny_wing.boundary_ids,
+                               tiny_wing.interior_ids)
+
+
+def _equal_columns(wing, tiny_wing):
+    sel = mk.select(wing, wing.boundary_ids, 0.5, seed=2).selected
+    W = np.array(assemble(wing, sel, wing.interior_ids).matrix)
+    W[:, 1] = W[:, 0]
+    return wing, mk.IdwOperator(W, wing.interior_ids, sel, mk.IdwConfig())
+
+
+def _just_ill_conditioned(wing, tiny_wing):
+    return wing, _conditioned_operator(wing, 1.05e4)
+
+
+@pytest.mark.parametrize("make_case", [_wide_wing, _criterion_10_wing,
+                                       _equal_columns, _just_ill_conditioned])
+def test_fallback_is_the_solve_bit_for_bit(wing, tiny_wing, monkeypatch,
+                                           make_case):
+    mesh, op = make_case(wing, tiny_wing)
+    law = rotation_law(mesh.boundary_ids, (-36.0, 0.0),
+                       pivot=tuple(mesh.nodes.mean(axis=0)))
+    train = sample_domain(law.domain, 8, seed=3)
+    seen = _spy_kz(monkeypatch)
+    model = build_pod_model(op, law, mesh, train, epsilon=1e-5)
+    assert seen == [None]
+    ref = _lstsq_model(op, law, mesh, train, 1e-5)
+    np.testing.assert_array_equal(model.basis, ref.basis)
+    np.testing.assert_array_equal(model.online_map, ref.online_map)
+
+
+def test_rank_guard_threshold(wing):
+    # cond(W) < 1e4 <=> lambda_min(Wt W) > 1e-8 lambda_max
+    guard = mk.pod._full_column_rank
+    assert guard(_conditioned_operator(wing, 0.95e4).matrix)
+    assert not guard(_conditioned_operator(wing, 1.05e4).matrix)
+    assert not guard(_equal_columns(wing, None)[1].matrix)
+    assert not guard(_wide_wing(wing, None)[1].matrix)
+    assert not guard(np.zeros((5, 3)))
+    assert not guard(np.zeros((5, 0)))
+
+
+def test_plain_mode_skips_the_guard(wing, monkeypatch):
+    sel = mk.select(wing, wing.boundary_ids, 0.5, seed=2).selected
+    op = assemble(wing, sel, wing.interior_ids)
+    law = bend_law(wing.boundary_ids, (0.0, 0.02))
+    seen = _spy_kz(monkeypatch)
+    build_pod_model(op, law, wing, (0.01, 0.02), epsilon=1e-5, mode="plain")
+    assert seen == [None]
+
+
+@pytest.mark.parametrize("mode", ["weighted", "plain"])
+def test_pod_model_is_deterministic(mode):
+    mesh, law = _tunnel_case()
+    sel = mk.select(mesh, mesh.boundary_ids, 1.0, seed=2).selected
+    op = assemble(mesh, sel, mesh.interior_ids)
+    train = sample_domain(law.domain, 8, seed=3)
+    a, b = (build_pod_model(op, law, mesh, train, 1e-5, mode=mode)
+            for _ in range(2))
+    for name in ("basis", "singular_values", "online_map"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.n_modes == b.n_modes
+
+
+def test_snapshots_keep_their_control_fields(wing):
+    sel = mk.select(wing, wing.boundary_ids, 0.5, seed=2).selected
+    op = assemble(wing, sel, wing.interior_ids)
+    law = bend_law(wing.boundary_ids, (0.0, 0.02))
+    train = (0.005, 0.01, 0.02)
+    snaps = build_snapshots(op, law, wing, train)
+    expected = np.column_stack([evaluate(law, wing, mu).restrict(sel)
+                                .as_vector() for mu in train])
+    np.testing.assert_array_equal(snaps.fields, expected)
+    assert not snaps.fields.flags.writeable
+    assert synthetic_snapshots([1.0, 0.5]).fields is None
+    with pytest.raises(ValueError, match="fields"):
+        SnapshotSet(np.zeros((6, 2)), (0.0, 1.0), [0, 1, 2], 2,
+                    np.zeros((5, 2)))
+
+
+def test_right_vectors_rebuild_the_basis():
+    snaps = synthetic_snapshots([5.0, 3.0, 0.5], seed=2)
+    Z, sigma, n = compute_pod(snaps, 0.01)
+    Z2, sigma2, n2, Vt = compute_pod(snaps, 0.01, right_vectors=True)
+    np.testing.assert_array_equal(Z2, Z)
+    np.testing.assert_array_equal(sigma2, sigma)
+    assert n2 == n and Vt.shape == (n, 3)
+    np.testing.assert_allclose(snaps.matrix @ Vt.T / sigma[:n], Z,
+                               rtol=0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # persistence
 
 def _small_model(wing):
