@@ -49,7 +49,7 @@ class DisplacementLaw:
     axis: str = "z"                 # rotation only
     pivot: np.ndarray | None = None  # rotation only
     table: dict | None = None        # tabulated only: mu -> DisplacementField
-    # _resolve's cache: (weakref to the last mesh met, (free, rows))
+    # _resolve's cache: (weakref to the last mesh met, (free, flat, rows))
     _resolved: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -113,11 +113,13 @@ def _rotation_matrix(dim, axis, radians):
 
 
 def _resolve(law, mesh):
-    """``law`` against ``mesh``, independent of mu: (free, rows).
+    """``law`` against ``mesh``, independent of mu: (free, flat, rows).
 
     ``free`` holds the positions in ``law.control_ids`` outside every
     clamp group, or is None when the law has no clamp groups (every
-    position is free). ``rows`` holds, for the free ids in that order,
+    position is free). ``flat`` holds the same free entries as positions
+    in the node-major flattening of a (n_controls, dim) field, or is None
+    with ``free``. ``rows`` holds, for the free ids in that order,
     the squared span coordinate (bend) or the coordinates relative to
     the pivot (rotation); it is None for a tabulated law.
 
@@ -131,12 +133,13 @@ def _resolve(law, mesh):
     ids = law.control_ids
     if ids.size and (ids.min() < 0 or ids.max() >= mesh.node_count):
         raise ValueError("law control ids out of range for this mesh")
-    free = None
+    free = flat = None
     if law.clamp_groups:
         clamped = np.zeros(mesh.node_count, dtype=bool)
         for g in law.clamp_groups:
             clamped[mesh.group(g)] = True
         free = np.flatnonzero(~clamped[ids])
+        flat = (free[:, None] * mesh.dim + np.arange(mesh.dim)).ravel()
     free_ids = ids if free is None else ids[free]
     if law.kind == "bend":
         span_axis = 2 if mesh.dim == 3 else 0
@@ -149,7 +152,7 @@ def _resolve(law, mesh):
         rows = np.take(mesh.nodes, free_ids, axis=0) - law.pivot
     else:
         rows = None
-    resolved = (free, rows)
+    resolved = (free, flat, rows)
     object.__setattr__(law, "_resolved", (weakref.ref(mesh), resolved))
     return resolved
 
@@ -165,7 +168,7 @@ def evaluate(law, mesh, mu):
     lo, hi = law.domain
     if not lo <= mu <= hi:
         raise DomainError(f"mu={mu} outside domain [{lo}, {hi}]")
-    free, rows = _resolve(law, mesh)
+    free, flat, rows = _resolve(law, mesh)
     ids = law.control_ids
 
     if law.kind == "bend":
@@ -182,15 +185,19 @@ def evaluate(law, mesh, mu):
         except KeyError:
             raise KeyError(f"tabulated law has no entry for mu={mu}") from None
         moved = entry.restrict(ids).vectors
+        if moved.shape[1] != mesh.dim:
+            raise ValueError(f"tabulated entry for mu={mu} has dim "
+                             f"{moved.shape[1]}, mesh has {mesh.dim}")
         if free is not None:
             moved = moved[free]
 
     if free is None:
         vec = moved
     else:
-        vec = np.zeros((ids.size, moved.shape[1]))
-        vec[free] = moved
-    return DisplacementField._built(ids, vec)
+        vec = np.zeros((ids.size, mesh.dim))
+        vec.reshape(-1)[flat] = moved.ravel()
+    # the clamped rows are zeros, so only the moved ones are scanned
+    return DisplacementField._built(ids, vec, scan=moved)
 
 
 def sample_domain(domain, n, seed):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,6 +124,23 @@ def _own(a, dtype):
     return arr
 
 
+def _int_ids(ids):
+    """``ids``, at least 1-D, through :func:`_own` as int64 ids.
+
+    A boolean mask, or a float id that is not an integer, raises
+    ValueError instead of being cast silently.
+    """
+    arr = np.atleast_1d(ids)
+    if arr.dtype.kind == "b":
+        raise ValueError("indices must be integer node ids, not a boolean mask")
+    if arr.dtype.kind == "f":
+        bad = ~((np.trunc(arr) == arr) & (np.abs(arr) < 2.0**63))
+        if bad.any():
+            raise ValueError(
+                f"indices must be integers, got {arr[bad][:5].tolist()}")
+    return _own(arr, np.int64)
+
+
 def _own_sorted_ids(ids):
     """``ids`` as a sorted, read-only int64 array no other reference can
     write: one that already is all of that is kept as is, anything else
@@ -155,7 +173,7 @@ class DisplacementField:
     vectors: np.ndarray
 
     def __post_init__(self):
-        idx = _own(np.atleast_1d(self.indices), np.int64)
+        idx = _int_ids(self.indices)
         vec = _own(self.vectors, np.float64)
         if vec.ndim != 2 or vec.shape[0] != idx.shape[0]:
             raise ValueError(
@@ -169,15 +187,16 @@ class DisplacementField:
         object.__setattr__(self, "vectors", vec)
 
     @classmethod
-    def _built(cls, indices, vectors):
+    def _built(cls, indices, vectors, scan=None):
         """Field over arrays a producer has just built, neither copied.
 
         ``indices`` are read-only, one-dimensional and unique, which the
         producer has established at their source; ``vectors`` (k, dim)
         are fresh and nothing else writes them. Only the finiteness scan
-        runs here.
+        runs here, over ``scan`` when the producer passes the part of
+        ``vectors`` that can hold non-finite values, else over all of them.
         """
-        _check_finite(vectors)
+        _check_finite(vectors if scan is None else scan)
         vectors.setflags(write=False)
         built = object.__new__(cls)
         object.__setattr__(built, "indices", indices)
@@ -190,15 +209,28 @@ class DisplacementField:
 
     @classmethod
     def zero(cls, indices, dim):
-        indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+        indices = _int_ids(indices)
         return cls(indices, np.zeros((indices.size, dim)))
 
     def restrict(self, ids):
-        """Rows of this field at ``ids`` (all must be present), in that order."""
-        ids = _own(np.atleast_1d(ids), np.int64)
+        """Rows of this field at ``ids`` (all must be present), in that order.
+
+        The last restriction validated against read-only ``indices`` that
+        own their data is kept as a plan: a call on a field holding that
+        same ``indices`` object, with an int64 array equal to the ids
+        validated then, gathers the planned rows without validating again.
+        """
+        global _restrict_plan
+        plan = _restrict_plan
+        idx = self.indices
+        if (plan is not None and plan[0]() is idx
+                and type(ids) is np.ndarray and ids.dtype == np.int64
+                and np.array_equal(plan[1], ids)):
+            return DisplacementField._built(
+                plan[1], self.vectors.take(plan[2], axis=0))
+        ids = _int_ids(ids)
         if ids.ndim != 1:
             raise ValueError("indices must be one-dimensional")
-        idx = self.indices
         # strictly increasing ids (the usual case) need no sort permutation
         order = (None if (idx[1:] > idx[:-1]).all()
                  else np.argsort(idx, kind="stable"))
@@ -212,7 +244,11 @@ class DisplacementField:
             raise ValueError(f"ids not covered by field: {ids[~found][:5].tolist()}")
         if has_duplicates(ids):
             raise ValueError("indices contain duplicates")
-        return DisplacementField._built(ids, self.vectors[rows])
+        if idx.flags.owndata and not idx.flags.writeable:
+            rows.setflags(write=False)
+            _restrict_plan = (weakref.ref(idx), ids, rows)
+        # take is the fast form of the row gather, with bitwise the same rows
+        return DisplacementField._built(ids, self.vectors.take(rows, axis=0))
 
     def as_vector(self):
         """Node-major flattening with the dim components interleaved.
@@ -226,6 +262,11 @@ class DisplacementField:
         if self.indices.size == 0:
             return 0.0
         return float(np.linalg.norm(self.vectors, axis=1).max())
+
+
+# DisplacementField.restrict's plan: (weak reference to the source
+# field's indices, the validated ids, their rows in the source), or None
+_restrict_plan = None
 
 
 def _check_finite(vectors):

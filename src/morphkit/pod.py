@@ -120,8 +120,12 @@ class PodModel:
     selection_params: dict | None = None
 
     def __post_init__(self):
-        for name in ("basis", "singular_values", "online_map"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
+        # the basis is held column-major: Z @ beta runs over contiguous
+        # columns; write_model still stores it row-major
+        for name, order in (("basis", "F"), ("singular_values", "C"),
+                            ("online_map", "C")):
+            arr = np.array(getattr(self, name), dtype=np.float64, copy=True,
+                           order=order)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         for name in ("control_ids", "target_ids"):

@@ -183,6 +183,14 @@ def test_evaluate_rejects_nonfinite_values(wing):
         evaluate(law, wing, 1e308)
 
 
+def test_evaluate_scans_the_free_rows_of_a_clamped_law(wing):
+    # only the free rows are scanned; the overflow lies in them
+    law = bend_law(wing.boundary_ids, (0.0, 1e308), clamp_groups=("left",))
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        evaluate(law, wing, 1e308)
+
+
 def test_evaluated_fields_are_frozen(tiny_wing):
     for law in (bend_law(tiny_wing.boundary_ids, (0.0, 1.0)),
                 rotation_law(tiny_wing.boundary_ids, (0.0, 1.0),
@@ -320,6 +328,15 @@ def test_tabulated_exact_lookup(tiny_wing):
     np.testing.assert_array_equal(d.vectors, half.vectors)
     with pytest.raises(KeyError, match="no entry"):
         evaluate(law, tiny_wing, 0.25)
+
+
+def test_tabulated_entry_of_another_dim_is_rejected(tiny_wing):
+    ids = tiny_wing.boundary_ids
+    flat = DisplacementField(ids, np.ones((ids.size, 2)))
+    for groups in ((), ("left",)):
+        law = tabulated_law(ids, (0.0, 1.0), {0.5: flat}, clamp_groups=groups)
+        with pytest.raises(ValueError, match="has dim 2, mesh has 3"):
+            evaluate(law, tiny_wing, 0.5)
 
 
 def test_read_tabulated(tiny_wing, tmp_path):

@@ -142,6 +142,111 @@ def test_field_restrict_copies_the_request_and_rejects_duplicates():
         f.restrict([4, 1, 4])
 
 
+@pytest.mark.parametrize("bad,match", [
+    ([1.7], "integers"),
+    ([0.9, 2.2], "integers"),
+    ([np.nan], "integers"),
+    (np.array([True, False, True]), "boolean mask"),
+])
+def test_field_and_restrict_reject_non_integer_ids(bad, match):
+    f = DisplacementField([0, 1, 2], np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=match):
+        f.restrict(bad)
+    with pytest.raises(ValueError, match=match):
+        DisplacementField(bad, np.zeros((len(bad), 2)))
+    with pytest.raises(ValueError, match=match):
+        DisplacementField.zero(bad, 2)
+
+
+def test_field_accepts_integral_float_ids():
+    f = DisplacementField([0.0, 2.0], [[1.0, 0.0], [2.0, 0.0]])
+    assert f.indices.dtype == np.int64
+    np.testing.assert_array_equal(f.indices, [0, 2])
+    np.testing.assert_array_equal(f.restrict([2.0]).vectors, [[2.0, 0.0]])
+
+
+# DisplacementField.restrict keeps the last validated restriction as a
+# plan; a hit leaves the module's plan object in place, a miss replaces it
+
+def _plan_source():
+    return DisplacementField([2, 5, 7, 11, 13, 17],
+                             np.arange(18.0).reshape(6, 3))
+
+
+def test_restrict_plan_hit_is_bitwise_a_fresh_restrict():
+    f = _plan_source()
+    request = np.array([13, 2, 17])
+    f.restrict(request)
+    plan = mesh_module._restrict_plan
+    assert plan[0]() is f.indices
+    other = DisplacementField(f.indices, f.vectors * 0.5)
+    assert other.indices is f.indices
+    hit = other.restrict(request)
+    assert mesh_module._restrict_plan is plan
+    fresh = DisplacementField(f.indices.copy(), other.vectors).restrict(
+        request.tolist())
+    assert mesh_module._restrict_plan is not plan
+    assert hit.indices.tobytes() == fresh.indices.tobytes()
+    assert hit.vectors.tobytes() == fresh.vectors.tobytes()
+    assert not hit.vectors.flags.writeable
+
+
+def test_restrict_plan_follows_a_mutated_request():
+    f = _plan_source()
+    request = np.array([13, 2, 17])
+    f.restrict(request)
+    request[1] = 5
+    g = f.restrict(request)
+    np.testing.assert_array_equal(g.indices, [13, 5, 17])
+    np.testing.assert_array_equal(g.vectors, f.vectors[[4, 1, 5]])
+    request[0] = 3
+    with pytest.raises(ValueError, match="not covered"):
+        f.restrict(request)
+
+
+def test_restrict_plan_on_unsorted_source():
+    f = DisplacementField([17, 2, 11, 5], np.arange(8.0).reshape(4, 2))
+    request = np.array([5, 17, 11])
+    first = f.restrict(request)
+    plan = mesh_module._restrict_plan
+    second = f.restrict(request)
+    assert mesh_module._restrict_plan is plan
+    for g in (first, second):
+        np.testing.assert_array_equal(g.indices, [5, 17, 11])
+        np.testing.assert_array_equal(g.vectors, f.vectors[[3, 0, 2]])
+
+
+def test_restrict_plan_hit_then_bad_request_still_raises():
+    f = _plan_source()
+    request = np.array([13, 2])
+    f.restrict(request)
+    f.restrict(request)
+    with pytest.raises(ValueError, match="not covered"):
+        f.restrict(np.array([13, 3]))
+    with pytest.raises(ValueError, match="duplicates"):
+        f.restrict(np.array([13, 13]))
+    # a mask equal in value to planned ids is not taken for them
+    g = DisplacementField([0, 1], np.zeros((2, 2)))
+    g.restrict(np.array([1, 0]))
+    with pytest.raises(ValueError, match="boolean mask"):
+        g.restrict(np.array([True, False]))
+
+
+@pytest.mark.parametrize("kind", ["writeable", "view"])
+def test_restrict_plans_only_frozen_owned_indices(kind, monkeypatch):
+    base = np.array([2, 5, 7, 11])
+    idx = base if kind == "writeable" else base[:]
+    if kind == "view":
+        idx.setflags(write=False)
+    f = DisplacementField._built(idx, np.arange(8.0).reshape(4, 2))
+    monkeypatch.setattr(mesh_module, "_restrict_plan", None)
+    request = np.array([11, 5])
+    for _ in range(2):
+        g = f.restrict(request)
+        assert mesh_module._restrict_plan is None
+        np.testing.assert_array_equal(g.vectors, [[6.0, 7.0], [2.0, 3.0]])
+
+
 def test_merge_fields_disjoint_union():
     a = DisplacementField([0], [[1.0, 0.0]])
     b = DisplacementField([2], [[0.0, 1.0]])

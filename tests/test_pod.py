@@ -479,6 +479,43 @@ def test_model_roundtrip(wing, tmp_path):
                                   online_solve(model, d_c).vectors)
 
 
+def _random_model(n_modes, n_targets=40, n_controls=6, dim=3, seed=0):
+    """Hand-built model: orthonormal basis of n_modes columns, random map."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((n_targets * dim, n_modes)))[0]
+    online_map = rng.standard_normal((n_modes, n_controls * dim))
+    return mk.PodModel(basis, np.linspace(2.0, 1.0, n_modes), n_modes, 0.0,
+                       "weighted", online_map, np.arange(n_controls),
+                       np.arange(100, 100 + n_targets), dim)
+
+
+@pytest.mark.parametrize("n_modes", [2, 5])
+def test_model_writes_the_column_major_basis_row_major(n_modes, tmp_path):
+    model = _random_model(n_modes)
+    assert model.basis.flags.f_contiguous
+    path = tmp_path / "model.bin"
+    write_model(model, path)
+    start = mk.pod._HEADER.size
+    block = path.read_bytes()[start:start + model.basis.nbytes]
+    assert block == np.ascontiguousarray(model.basis).tobytes()
+    back = read_model(path)
+    assert back.basis.flags.f_contiguous
+    np.testing.assert_array_equal(back.basis, model.basis)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 5])
+def test_online_solve_is_the_expansion_of_the_online_map(n_modes):
+    model = _random_model(n_modes, seed=n_modes)
+    rng = np.random.default_rng(10 + n_modes)
+    d = DisplacementField(model.control_ids,
+                          rng.standard_normal((model.control_ids.size, 3)))
+    expected = np.ascontiguousarray(model.basis) @ (model.online_map
+                                                    @ d.as_vector())
+    got = online_solve(model, d).as_vector()
+    assert (np.linalg.norm(got - expected)
+            <= 1e-14 * np.linalg.norm(expected))
+
+
 def test_model_missing_sidecar(wing, tmp_path):
     model = _small_model(wing)
     path = tmp_path / "model.bin"
