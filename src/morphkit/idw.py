@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .mesh import (COINCIDENCE_FACTOR, DisplacementField, _own,
+from .mesh import (COINCIDENCE_FACTOR, DisplacementField, _int_ids, _own,
                    coincident_pair, has_duplicates)
 
 __all__ = [
@@ -85,8 +85,8 @@ class IdwOperator:
         # as is; anything that some other reference may still write is
         # copied
         mat = _own(self.matrix, np.float64)
-        tgt = _own(np.atleast_1d(self.target_ids), np.int64)
-        ctl = _own(np.atleast_1d(self.control_ids), np.int64)
+        tgt = _int_ids(self.target_ids)
+        ctl = _int_ids(self.control_ids)
         if mat.ndim != 2 or mat.shape != (tgt.size, ctl.size):
             raise ValueError(f"matrix shape {mat.shape} does not match "
                              f"{tgt.size} targets x {ctl.size} controls")
@@ -103,12 +103,13 @@ class IdwOperator:
         return self.control_ids.size
 
 
-def _check_distinct_controls(controls, tol, what="control points"):
+def _check_distinct_controls(controls, tol):
     if tol > 0:
         pair = coincident_pair(controls, tol)
         if pair is not None:
             i, j = pair
-            raise ValueError(f"{what} {i} and {j} coincide within {tol:.3e}")
+            raise ValueError(
+                f"control points {i} and {j} coincide within {tol:.3e}")
 
 
 def weights_at(x, controls, config=IdwConfig()):
@@ -137,8 +138,8 @@ def weights_at(x, controls, config=IdwConfig()):
 
 def _validated(mesh, control_ids, target_ids, config):
     """Checked id arrays, control coordinates and resolved tolerance."""
-    control_ids = np.atleast_1d(np.asarray(control_ids, dtype=np.int64))
-    target_ids = np.atleast_1d(np.asarray(target_ids, dtype=np.int64))
+    control_ids = _int_ids(control_ids)
+    target_ids = _int_ids(target_ids)
     if control_ids.size == 0:
         raise ValueError("need at least one control point")
     for name, ids in (("control_ids", control_ids), ("target_ids", target_ids)):

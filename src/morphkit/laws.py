@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .mesh import DisplacementField, has_duplicates
+from .mesh import DisplacementField, _int_ids, has_duplicates
 
 __all__ = [
     "DisplacementLaw",
@@ -55,8 +55,7 @@ class DisplacementLaw:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        ids = np.array(np.atleast_1d(self.control_ids), dtype=np.int64, copy=True)
-        ids.setflags(write=False)
+        ids = _int_ids(self.control_ids)
         if ids.ndim != 1:
             raise ValueError("control_ids must be one-dimensional")
         if has_duplicates(ids):

@@ -5,7 +5,9 @@ A mesh is a flat array of node coordinates plus simplex connectivity
 boundary and interior index lists and named node groups living on the
 boundary. Instances are immutable; deformation produces a new mesh.
 
-Two generators build the synthetic geometries used throughout:
+Two generators build the synthetic geometries used throughout, both on
+one Kuhn-split lattice of hexahedral cells (six tetrahedra per cell,
+outer faces claimed in one order):
 
 * :func:`generate_box_wing` - a structured box, the stand-in for a
   clamped wing (span along z, "left" face at z = 0 is the clamp).
@@ -429,16 +431,49 @@ _KUHN_TETS = (
     ((0, 0, 0), (1, 0, 1), (1, 0, 0), (1, 1, 1)),
 )
 
+# the outer faces in claim order, as (name, axis, lattice index on it or
+# -1 for the last): a node on several faces goes to the earliest
+_FACES = (("left", 2, 0), ("right", 2, -1), ("top", 1, -1),
+          ("bottom", 1, 0), ("front", 0, 0), ("rear", 0, -1))
 
-def _tetrahedralize_cells(cell_ix, cell_iy, cell_iz, node_id):
-    """Six tets per hexahedral cell; ``node_id(ix, iy, iz)`` maps lattice
-    coordinates to node ids."""
-    tets = []
-    for corners in _KUHN_TETS:
-        tets.append(np.stack(
-            [node_id(cell_ix + dx, cell_iy + dy, cell_iz + dz)
-             for dx, dy, dz in corners], axis=1))
-    return np.vstack(tets)
+
+def _lattice(axes, hole=None):
+    """Kuhn-split tetrahedral lattice over the grid ``axes`` (x, y, z).
+
+    ``axes`` holds one increasing coordinate array per axis. With
+    ``hole=(lo, hi)``, the cells whose centers lie strictly inside that
+    box are dropped, and so are the nodes no remaining element uses.
+
+    Returns (nodes, elements, index, faces): the node coordinates in
+    x-major order; the elements, tet-major then cell order; each node's
+    lattice index, shape (3, n); and the six outer faces as disjoint node
+    masks, keyed by name in claim order.
+    """
+    shape = [ax.size for ax in axes]
+    cells = np.indices([s - 1 for s in shape]).reshape(3, -1)
+    if hole is not None:
+        centers = [(ax[c] + ax[c + 1]) / 2.0 for ax, c in zip(axes, cells)]
+        inside = np.logical_and.reduce(
+            [(m > lo) & (m < hi) for m, lo, hi in zip(centers, *hole)])
+        cells = cells[:, ~inside]
+    stride = np.array([shape[1] * shape[2], shape[2], 1])
+    first = stride @ cells  # node id of each cell's (0, 0, 0) corner
+    corner = np.array(_KUHN_TETS) @ stride
+    elements = (first[None, :, None] + corner[:, None, :]).reshape(-1, 4)
+
+    used = np.zeros(np.prod(shape), dtype=bool)
+    used[elements.ravel()] = True
+    elements = (np.cumsum(used) - 1)[elements]  # used nodes, renumbered
+    index = np.indices(shape).reshape(3, -1)[:, used]
+    nodes = np.column_stack([ax[i] for ax, i in zip(axes, index)])
+
+    claimed = np.zeros(nodes.shape[0], dtype=bool)
+    faces = {}
+    for name, axis, at in _FACES:
+        on = index[axis] == (at % shape[axis])
+        faces[name] = on & ~claimed
+        claimed |= on
+    return nodes, elements, index, faces
 
 
 def generate_box_wing(nx, ny, nz, lengths):
@@ -458,64 +493,50 @@ def generate_box_wing(nx, ny, nz, lengths):
         order) and overlapping edge-curve groups "left_edge",
         "right_edge", "horizontal_edges" for enrichment.
     """
-    nx, ny, nz = int(nx), int(ny), int(nz)
-    if min(nx, ny, nz) < 1:
+    counts = (int(nx), int(ny), int(nz))
+    if min(counts) < 1:
         raise ValueError("cell counts must be at least 1")
     lengths = np.asarray(lengths, dtype=np.float64)
     if lengths.shape != (3,) or np.any(lengths <= 0):
         raise ValueError("lengths must be three positive extents")
 
-    ix, iy, iz = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1),
-                             np.arange(nz + 1), indexing="ij")
-    ix, iy, iz = ix.ravel(), iy.ravel(), iz.ravel()
-    nodes = np.column_stack([ix * (lengths[0] / nx),
-                             iy * (lengths[1] / ny),
-                             iz * (lengths[2] / nz)])
-
-    def node_id(jx, jy, jz):
-        return (jx * (ny + 1) + jy) * (nz + 1) + jz
-
-    cx, cy, cz = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                             indexing="ij")
-    elements = _tetrahedralize_cells(cx.ravel(), cy.ravel(), cz.ravel(), node_id)
-
-    on_left = iz == 0
-    on_right = iz == nz
-    on_top = iy == ny
-    on_bottom = iy == 0
-    on_front = ix == 0
-    on_rear = ix == nx
-    on_boundary = on_left | on_right | on_top | on_bottom | on_front | on_rear
-
+    nodes, elements, (ix, iy, iz), faces = _lattice(
+        [np.arange(n + 1) * (length / n) for n, length in zip(counts, lengths)])
     ids = np.arange(nodes.shape[0])
-    claimed = np.zeros(nodes.shape[0], dtype=bool)
-    groups = {}
-    for name, mask in (("left", on_left), ("right", on_right),
-                       ("top", on_top), ("bottom", on_bottom),
-                       ("front", on_front), ("rear", on_rear)):
-        take = mask & ~claimed
-        groups[name] = ids[take]
-        claimed |= take
+    groups = {name: ids[mask] for name, mask in faces.items()}
+    rim_x = (ix == 0) | (ix == counts[0])
+    rim_y = (iy == 0) | (iy == counts[1])
+    groups["left_edge"] = ids[(iz == 0) & (rim_x | rim_y)]
+    groups["right_edge"] = ids[(iz == counts[2]) & (rim_x | rim_y)]
+    groups["horizontal_edges"] = ids[rim_x & rim_y]
 
-    face_rim = (ix == 0) | (ix == nx) | (iy == 0) | (iy == ny)
-    groups["left_edge"] = ids[on_left & face_rim]
-    groups["right_edge"] = ids[on_right & face_rim]
-    groups["horizontal_edges"] = ids[((ix == 0) | (ix == nx)) & ((iy == 0) | (iy == ny))]
-
+    on_boundary = np.logical_or.reduce(list(faces.values()))
     return Mesh(3, nodes, elements, ids[on_boundary], ids[~on_boundary],
                 groups).validate()
 
 
-def _axis_coords(extent, cells, cuts):
-    """Uniform subdivision of [0, extent] with ``cuts`` forced in exactly."""
+def _axis_coords(extent, cells, cuts, axis):
+    """Uniform subdivision of [0, extent] with ``cuts`` forced in exactly.
+
+    A cut within 1e-9 * extent of a grid coordinate replaces it. One that
+    would replace a wall (0 or ``extent``) or an earlier cut raises
+    ValueError naming ``axis``.
+    """
     coords = list(np.linspace(0.0, extent, cells + 1))
+    fixed = {0, cells}
     tol = 1e-9 * extent
     for value in cuts:
         nearest = min(range(len(coords)), key=lambda i: abs(coords[i] - value))
-        if abs(coords[nearest] - value) <= tol:
-            coords[nearest] = value
-        else:
+        if abs(coords[nearest] - value) > tol:
+            fixed.add(len(coords))
             coords.append(value)
+        elif nearest in fixed:
+            raise ValueError(
+                f"obstacle face at {axis} = {value!r} lies within {tol:.3g} "
+                f"of an outer wall or of the opposite obstacle face")
+        else:
+            coords[nearest] = value
+            fixed.add(nearest)
     return np.array(sorted(coords))
 
 
@@ -530,6 +551,8 @@ def generate_tunnel(outer, inner, resolution):
     Args:
         outer: outer box extents, three positive floats.
         inner: obstacle extents, strictly smaller than ``outer`` per axis.
+            An obstacle face within 1e-9 times the extent of an outer
+            wall or of the opposite face raises ValueError.
         resolution: cells per axis of the outer box before the obstacle
             cuts are inserted; an int or a (nx, ny, nz) triple.
 
@@ -554,55 +577,21 @@ def generate_tunnel(outer, inner, resolution):
 
     lo = (outer - inner) / 2.0
     hi = lo + inner
-    axes = [_axis_coords(outer[i], res[i], (lo[i], hi[i])) for i in range(3)]
-    counts = [len(ax) - 1 for ax in axes]
+    axes = [_axis_coords(outer[i], res[i], (lo[i], hi[i]), "xyz"[i])
+            for i in range(3)]
+    nodes, elements, _, faces = _lattice(axes, hole=(lo, hi))
 
-    gx, gy, gz = np.meshgrid(axes[0], axes[1], axes[2], indexing="ij")
-    all_nodes = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-
-    def grid_id(jx, jy, jz):
-        return (jx * (counts[1] + 1) + jy) * (counts[2] + 1) + jz
-
-    cx, cy, cz = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
-    cx, cy, cz = cx.ravel(), cy.ravel(), cz.ravel()
-    centers = np.column_stack([(axes[0][cx] + axes[0][cx + 1]),
-                               (axes[1][cy] + axes[1][cy + 1]),
-                               (axes[2][cz] + axes[2][cz + 1])]) / 2.0
-    keep = ~np.all((centers > lo) & (centers < hi), axis=1)
-    elements = _tetrahedralize_cells(cx[keep], cy[keep], cz[keep], grid_id)
-
-    used = np.zeros(all_nodes.shape[0], dtype=bool)
-    used[elements.ravel()] = True
-    new_id = np.full(all_nodes.shape[0], -1, dtype=np.int64)
-    new_id[used] = np.arange(used.sum())
-    nodes = all_nodes[used]
-    elements = new_id[elements]
-
-    x, y, z = nodes[:, 0], nodes[:, 1], nodes[:, 2]
-    on_outer = {
-        "left": z == 0.0, "right": z == outer[2],
-        "top": y == outer[1], "bottom": y == 0.0,
-        "front": x == 0.0, "rear": x == outer[0],
-    }
     inside_closed = np.all((nodes >= lo) & (nodes <= hi), axis=1)
     face_hits = sum((nodes[:, i] == lo[i]) | (nodes[:, i] == hi[i]) for i in range(3))
     on_obstacle = inside_closed & (face_hits >= 1)
 
     ids = np.arange(nodes.shape[0])
-    boundary_mask = on_obstacle.copy()
-    for mask in on_outer.values():
-        boundary_mask |= mask
-
-    claimed = np.zeros(nodes.shape[0], dtype=bool)
-    groups = {}
-    for name in ("left", "right", "top", "bottom", "front", "rear"):
-        take = on_outer[name] & ~claimed
-        groups[name] = ids[take]
-        claimed |= take
+    groups = {name: ids[mask] for name, mask in faces.items()}
     groups["obstacle"] = ids[on_obstacle]
     groups["obstacle_edges"] = ids[inside_closed & (face_hits >= 2)]
 
-    return Mesh(3, nodes, elements, ids[boundary_mask], ids[~boundary_mask],
+    on_boundary = np.logical_or.reduce([on_obstacle, *faces.values()])
+    return Mesh(3, nodes, elements, ids[on_boundary], ids[~on_boundary],
                 groups).validate()
 
 

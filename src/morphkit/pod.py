@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DegenerateSnapshotsError, IllPosedOnlineError
 from .idw import deform  # noqa: F401 -- perfbench/tracing.py wraps pod.deform
 from .laws import evaluate
-from .mesh import DisplacementField, _own, has_duplicates
+from .mesh import DisplacementField, _int_ids, _own, has_duplicates
 
 __all__ = [
     "SnapshotSet",
@@ -86,8 +86,7 @@ class SnapshotSet:
 
     def __post_init__(self):
         mat = _own(self.matrix, np.float64)
-        ids = np.array(np.atleast_1d(self.target_ids), dtype=np.int64, copy=True)
-        ids.setflags(write=False)
+        ids = _int_ids(self.target_ids)
         if mat.ndim != 2 or mat.shape[0] != ids.size * self.dim:
             raise ValueError("snapshot rows must equal n_targets * dim")
         if mat.shape[1] != len(self.params):
@@ -129,10 +128,7 @@ class PodModel:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         for name in ("control_ids", "target_ids"):
-            arr = np.array(np.atleast_1d(getattr(self, name)), dtype=np.int64,
-                           copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _int_ids(getattr(self, name)))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.basis.shape != (self.target_ids.size * self.dim, self.n_modes):

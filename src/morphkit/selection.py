@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateSampleError
-from .mesh import sorted_unique
+from .mesh import _int_ids, sorted_unique
 
 __all__ = [
     "RegionParams",
@@ -117,9 +117,7 @@ class SelectionResult:
     per_region: dict | None = None
 
     def __post_init__(self):
-        sel = np.array(np.atleast_1d(self.selected), dtype=np.int64, copy=True)
-        sel.setflags(write=False)
-        object.__setattr__(self, "selected", sel)
+        object.__setattr__(self, "selected", _int_ids(self.selected))
         object.__setattr__(self, "order", tuple(int(i) for i in self.order))
         object.__setattr__(self, "trace",
                            tuple((int(i), int(s)) for i, s in self.trace))
@@ -432,6 +430,8 @@ def write_selection(result, params, path):
             "b": params.b,
             "strategy": params.strategy,
             "seed": params.seed,
+            "seed_points": {group: int(node)
+                            for group, node in params.seed_points.items()},
         },
         "trace": [list(entry) for entry in result.trace],
     }

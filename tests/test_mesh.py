@@ -1,5 +1,6 @@
 """Mesh containers, generators, quality metric, and file formats."""
 
+import hashlib
 import itertools
 import json
 
@@ -163,6 +164,44 @@ def test_field_accepts_integral_float_ids():
     assert f.indices.dtype == np.int64
     np.testing.assert_array_equal(f.indices, [0, 2])
     np.testing.assert_array_equal(f.restrict([2.0]).vectors, [[2.0, 0.0]])
+
+
+# each container's id array, built around ``ids`` (3 of them) with every
+# other argument well-formed
+_ID_HOLDERS = {
+    "law": lambda ids: mk.bend_law(ids, (0.0, 1.0)).control_ids,
+    "snapshots": lambda ids: mk.SnapshotSet(
+        np.zeros((3, 1)), (0.0,), ids, 1).target_ids,
+    "pod-controls": lambda ids: mk.PodModel(
+        np.zeros((2, 1)), [1.0], 1, 0.0, "plain", np.zeros((1, 3)),
+        ids, [0, 1], 1).control_ids,
+    "pod-targets": lambda ids: mk.PodModel(
+        np.zeros((3, 1)), [1.0], 1, 0.0, "plain", np.zeros((1, 2)),
+        [0, 1], ids, 1).target_ids,
+    "selection": lambda ids: mk.SelectionResult(ids, (), ()).selected,
+    "op-targets": lambda ids: mk.IdwOperator(
+        np.ones((3, 1)), ids, [9], mk.IdwConfig()).target_ids,
+    "op-controls": lambda ids: mk.IdwOperator(
+        np.full((1, 3), 1 / 3), [9], ids, mk.IdwConfig()).control_ids,
+    "assemble": lambda ids: mk.assemble(
+        generate_box_wing(1, 1, 1, (1.0, 1.0, 1.0)), ids, [7]).control_ids,
+}
+
+
+@pytest.mark.parametrize("holder", list(_ID_HOLDERS))
+@pytest.mark.parametrize("ids, match", [
+    ([0.0, 1.7, 2.0], "integers"),
+    (np.array([True, False, True]), "boolean mask"),
+    ([0.0, 2.0, 5.0], None),
+])
+def test_id_holders_reject_non_integer_ids(holder, ids, match):
+    if match is None:
+        held = _ID_HOLDERS[holder](ids)
+        assert held.dtype == np.int64 and not held.flags.writeable
+        np.testing.assert_array_equal(held, [0, 2, 5])
+    else:
+        with pytest.raises(ValueError, match=match):
+            _ID_HOLDERS[holder](ids)
 
 
 # DisplacementField.restrict keeps the last validated restriction as a
@@ -358,6 +397,49 @@ def test_tunnel_drops_cells_inside_obstacle(small_tunnel):
 def test_tunnel_rejects_obstacle_touching_wall():
     with pytest.raises(ValueError):
         generate_tunnel((2.0, 2.0, 2.0), (2.0, 1.0, 1.0), 4)
+
+
+@pytest.mark.parametrize("inner, axis", [
+    # a face within 1e-9 * extent of a wall would move that wall
+    ((4.0 * (1 - 1e-12), 1.2, 1.2), "x"),
+    ((1.2, 1.2, 4.0 - 2e-9), "z"),
+    # two faces that close would become one plane
+    ((1e-12, 1.2, 1.2), "x"),
+    ((1.2, 1e-10, 1.2), "y"),
+])
+def test_tunnel_rejects_face_snapping_onto_wall_or_face(inner, axis):
+    with pytest.raises(ValueError, match=f"at {axis} = "):
+        generate_tunnel((4.0, 4.0, 4.0), inner, 6)
+
+
+def test_tunnel_face_snaps_onto_interior_grid_plane():
+    # the x faces land 2e-10 from the grid planes at 2/3 and 10/3, within
+    # 1e-9 * 4, so those planes move onto the faces
+    mesh = generate_tunnel((4.0, 4.0, 4.0), (8.0 / 3.0 - 4e-10, 1.2, 1.2), 6)
+    xs = sorted(set(mesh.nodes[:, 0].tolist()))
+    assert len(xs) == 7 and xs[0] == 0.0 and xs[-1] == 4.0
+    assert xs[1] == (4.0 - (8.0 / 3.0 - 4e-10)) / 2.0
+    assert all(mesh.group(g).size for g in ("front", "rear", "obstacle"))
+
+
+# write_mesh's native JSON for each generator input, pinned when each
+# generator built its own lattice
+@pytest.mark.parametrize("build, digest", [
+    (lambda: generate_box_wing(2, 2, 2, (1, 1, 1)),
+     "76568741eb7b195fa579801b6d375914bc8c31249af1665fd6e8071b364556b5"),
+    (lambda: generate_box_wing(8, 4, 25, (1.0, 0.25, 6.3)),
+     "0ecbc120c30b2b4205d7104a58a7c7e0f0c1a8a50aeec894b5ad21f1f9367cc2"),
+    (lambda: generate_tunnel((4, 4, 4), (1.2, 1.2, 1.2), 6),
+     "ba1ad0833888eee7839c5afafe38e7259773e0e9bbb751549184f58f56bfc088"),
+    (lambda: generate_tunnel((5, 5, 5), (1, 1, 1), 22),
+     "87e997572e54099efb292478c7c4052223eeb859dce1d9d13ae9394a95d6b608"),
+    (lambda: generate_tunnel((3, 4, 5), (0.7, 1.3, 2.9), (4, 7, 9)),
+     "14163d528b5edf97486393cadeeb06f7ec8f1c21654ca73e2a9a2acb910d16ca"),
+], ids=["wing-2", "wing-8-4-25", "tunnel-6", "tunnel-22", "tunnel-4-7-9"])
+def test_generator_bytes_are_pinned(build, digest, tmp_path):
+    path = tmp_path / "mesh.json"
+    write_mesh(build(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -459,15 +459,25 @@ def test_baseline_delta_signs(errors):
 # persistence
 
 def test_selection_roundtrip(lattice11, tmp_path):
-    params = SelectionParams((RegionParams("all", 2.1),), a=0.8, b=1.4,
-                             seed=9)
-    res = select_multi(lattice11, params)
-    path = tmp_path / "sel.json"
-    write_selection(res, params, path)
-    ids, echo = read_selection(path)
-    np.testing.assert_array_equal(ids, res.selected)
-    assert echo["a"] == 0.8 and echo["b"] == 1.4 and echo["seed"] == 9
-    assert echo["regions"] == [{"group": "all", "radius": 2.1}]
+    # a pinned first pick may come in as a NumPy int; the echo writes it as
+    # a JSON number
+    for seed_points in ({}, {"all": np.int64(49)}):
+        params = SelectionParams((RegionParams("all", 2.1),), a=0.8, b=1.4,
+                                 seed=9, seed_points=seed_points)
+        res = select_multi(lattice11, params)
+        path = tmp_path / "sel.json"
+        write_selection(res, params, path)
+        ids, echo = read_selection(path)
+        np.testing.assert_array_equal(ids, res.selected)
+        assert echo["a"] == 0.8 and echo["b"] == 1.4 and echo["seed"] == 9
+        assert echo["regions"] == [{"group": "all", "radius": 2.1}]
+        assert echo["seed_points"] == seed_points
+        # the echo reproduces the run
+        again = SelectionParams(
+            tuple(RegionParams(**r) for r in echo["regions"]), echo["a"],
+            echo["b"], echo["strategy"], echo["seed"], echo["seed_points"])
+        np.testing.assert_array_equal(select_multi(lattice11, again).selected,
+                                      ids)
 
 
 def test_read_selection_missing_key(tmp_path):
