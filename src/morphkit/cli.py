@@ -133,6 +133,7 @@ def run_selection(mesh, cfg, args, params=None):
 def _setup(args):
     """(config, output directory, made if missing, mesh) of a subcommand."""
     cfg = load_config(args.config)
+    _repeat(cfg, args)  # a bad repeat count fails before anything is built
     out = Path(getattr(args, "out", None) or cfg.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out, build_mesh(cfg)
@@ -143,9 +144,11 @@ def _idw_config(cfg):
 
 
 def _repeat(cfg, args):
-    if getattr(args, "repeat", None) is not None:
-        return args.repeat
-    return int(cfg.get("repeat", DEFAULT_REPEAT))
+    repeat = (int(cfg.get("repeat", DEFAULT_REPEAT)) if args.repeat is None
+              else args.repeat)
+    if repeat < 1:
+        raise ValueError("repeat must be at least 1")
+    return repeat
 
 
 def _mu(cfg, args):
@@ -376,6 +379,8 @@ def cmd_sweep(args):
 
 
 def cmd_random_baseline(args):
+    if args.draws < 2:
+        raise ValueError("need at least two error samples")
     cfg, out, mesh = _setup(args)
     mu = _mu(cfg, args)
     config = _idw_config(cfg)

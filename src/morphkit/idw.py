@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .mesh import (COINCIDENCE_FACTOR, DisplacementField, _int_ids, _own,
-                   coincident_pair, has_duplicates)
+from .mesh import (COINCIDENCE_FACTOR, DisplacementField, _node_ids, _own,
+                   coincident_pair)
 
 __all__ = [
     "IdwConfig",
@@ -85,8 +85,8 @@ class IdwOperator:
         # as is; anything that some other reference may still write is
         # copied
         mat = _own(self.matrix, np.float64)
-        tgt = _int_ids(self.target_ids)
-        ctl = _int_ids(self.control_ids)
+        tgt = _node_ids(self.target_ids, "target_ids")
+        ctl = _node_ids(self.control_ids, "control_ids")
         if mat.ndim != 2 or mat.shape != (tgt.size, ctl.size):
             raise ValueError(f"matrix shape {mat.shape} does not match "
                              f"{tgt.size} targets x {ctl.size} controls")
@@ -138,15 +138,10 @@ def weights_at(x, controls, config=IdwConfig()):
 
 def _validated(mesh, control_ids, target_ids, config):
     """Checked id arrays, control coordinates and resolved tolerance."""
-    control_ids = _int_ids(control_ids)
-    target_ids = _int_ids(target_ids)
+    control_ids = _node_ids(control_ids, "control_ids", mesh.node_count)
+    target_ids = _node_ids(target_ids, "target_ids", mesh.node_count)
     if control_ids.size == 0:
         raise ValueError("need at least one control point")
-    for name, ids in (("control_ids", control_ids), ("target_ids", target_ids)):
-        if ids.size and (ids.min() < 0 or ids.max() >= mesh.node_count):
-            raise ValueError(f"{name} contains a node id out of range")
-        if has_duplicates(ids):
-            raise ValueError(f"{name} contains duplicates")
     # the mesh's own tolerance is resolve_tol(mesh.nodes), computed once
     tol = (mesh.coincidence_tolerance if config.coincidence_tol is None
            else float(config.coincidence_tol))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .mesh import DisplacementField, _int_ids, has_duplicates
+from .mesh import DisplacementField, _node_ids
 
 __all__ = [
     "DisplacementLaw",
@@ -55,12 +55,8 @@ class DisplacementLaw:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        ids = _int_ids(self.control_ids)
-        if ids.ndim != 1:
-            raise ValueError("control_ids must be one-dimensional")
-        if has_duplicates(ids):
-            raise ValueError("control_ids contain duplicates")
-        object.__setattr__(self, "control_ids", ids)
+        object.__setattr__(self, "control_ids",
+                           _node_ids(self.control_ids, "control_ids"))
         lo, hi = (float(v) for v in self.domain)
         if not lo <= hi:
             raise ValueError(f"domain [{lo}, {hi}] is empty")
@@ -129,9 +125,7 @@ def _resolve(law, mesh):
     cached = law._resolved
     if cached is not None and cached[0]() is mesh:
         return cached[1]
-    ids = law.control_ids
-    if ids.size and (ids.min() < 0 or ids.max() >= mesh.node_count):
-        raise ValueError("law control ids out of range for this mesh")
+    ids = _node_ids(law.control_ids, "law control ids", mesh.node_count)
     free = flat = None
     if law.clamp_groups:
         clamped = np.zeros(mesh.node_count, dtype=bool)

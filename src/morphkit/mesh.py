@@ -126,35 +126,51 @@ def _own(a, dtype):
     return arr
 
 
-def _int_ids(ids):
-    """``ids``, at least 1-D, through :func:`_own` as int64 ids.
+def _int_ids(ids, what="indices"):
+    """``ids``, at least 1-D and of any rank, through :func:`_own` as int64.
 
-    A boolean mask, or a float id that is not an integer, raises
-    ValueError instead of being cast silently.
+    A boolean mask, a float that is not an integer or a non-numeric value
+    raises ValueError naming ``what`` instead of being cast silently.
     """
     arr = np.atleast_1d(ids)
     if arr.dtype.kind == "b":
-        raise ValueError("indices must be integer node ids, not a boolean mask")
+        raise ValueError(f"{what} must be integer node ids, not a boolean mask")
     if arr.dtype.kind == "f":
         bad = ~((np.trunc(arr) == arr) & (np.abs(arr) < 2.0**63))
         if bad.any():
             raise ValueError(
-                f"indices must be integers, got {arr[bad][:5].tolist()}")
+                f"{what} must be integers, got {arr[bad][:5].tolist()}")
+    elif arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
     return _own(arr, np.int64)
 
 
-def _own_sorted_ids(ids):
-    """``ids`` as a sorted, read-only int64 array no other reference can
-    write: one that already is all of that is kept as is, anything else
-    is copied once, sorted in place and frozen."""
-    if (type(ids) is np.ndarray and ids.dtype == np.int64 and ids.ndim == 1
-            and ids.flags.owndata and not ids.flags.writeable
-            and not (ids[1:] < ids[:-1]).any()):
-        return ids
-    arr = np.array(ids, dtype=np.int64, ndmin=1)
-    arr.sort()
-    arr.setflags(write=False)
-    return arr
+def _node_ids(ids, what, count=None):
+    """``ids`` through :func:`_int_ids`, checked one-dimensional, without
+    repeats and, when ``count`` is given, inside [0, count); ValueError
+    names ``what``. Strictly increasing ids, the usual case, cost O(n)."""
+    ids = _int_ids(ids, what)
+    if ids.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional")
+    if has_duplicates(ids):
+        raise ValueError(f"{what} contain duplicates")
+    if count is not None and ids.size and (ids.min() < 0 or ids.max() >= count):
+        bad = ids[(ids < 0) | (ids >= count)][:5].tolist()
+        raise ValueError(f"{what} out of range [0, {count}): {bad}")
+    return ids
+
+
+def _sorted_ids(ids, what):
+    """``ids`` through :func:`_int_ids`, checked one-dimensional and sorted
+    only when it is not (a frozen, owned, sorted int64 array is kept);
+    repeats are left to :meth:`Mesh.validate`."""
+    ids = _int_ids(ids, what)
+    if ids.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional")
+    if (ids[1:] < ids[:-1]).any():
+        ids = np.sort(ids)
+        ids.setflags(write=False)
+    return ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,15 +191,11 @@ class DisplacementField:
     vectors: np.ndarray
 
     def __post_init__(self):
-        idx = _int_ids(self.indices)
+        idx = _node_ids(self.indices, "indices")
         vec = _own(self.vectors, np.float64)
         if vec.ndim != 2 or vec.shape[0] != idx.shape[0]:
             raise ValueError(
                 f"vectors shape {vec.shape} does not match {idx.shape[0]} indices")
-        if idx.ndim != 1:
-            raise ValueError("indices must be one-dimensional")
-        if has_duplicates(idx):
-            raise ValueError("indices contain duplicates")
         _check_finite(vec)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "vectors", vec)
@@ -211,8 +223,7 @@ class DisplacementField:
 
     @classmethod
     def zero(cls, indices, dim):
-        indices = _int_ids(indices)
-        return cls(indices, np.zeros((indices.size, dim)))
+        return cls(indices, np.zeros((np.size(indices), dim)))
 
     def restrict(self, ids):
         """Rows of this field at ``ids`` (all must be present), in that order.
@@ -230,9 +241,7 @@ class DisplacementField:
                 and np.array_equal(plan[1], ids)):
             return DisplacementField._built(
                 plan[1], self.vectors.take(plan[2], axis=0))
-        ids = _int_ids(ids)
-        if ids.ndim != 1:
-            raise ValueError("indices must be one-dimensional")
+        ids = _node_ids(ids, "ids")
         # strictly increasing ids (the usual case) need no sort permutation
         order = (None if (idx[1:] > idx[:-1]).all()
                  else np.argsort(idx, kind="stable"))
@@ -244,8 +253,6 @@ class DisplacementField:
                  else np.zeros(ids.size, dtype=bool))
         if not found.all():
             raise ValueError(f"ids not covered by field: {ids[~found][:5].tolist()}")
-        if has_duplicates(ids):
-            raise ValueError("indices contain duplicates")
         if idx.flags.owndata and not idx.flags.writeable:
             rows.setflags(write=False)
             _restrict_plan = (weakref.ref(idx), ids, rows)
@@ -314,18 +321,16 @@ class Mesh:
         nodes = _own(np.atleast_2d(self.nodes), np.float64)
         # a frozen owned array, as every Mesh holds, is shared: deformed
         # meshes keep their parent's connectivity
-        elements = _own(self.elements, np.int64)
+        elements = _int_ids(self.elements, "elements")
         if elements.size == 0:
             elements = _own(elements.reshape(0, self.dim + 1), np.int64)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "elements", elements)
         # so are sorted id arrays: with_nodes copies no ids
-        object.__setattr__(self, "boundary_ids",
-                           _own_sorted_ids(self.boundary_ids))
-        object.__setattr__(self, "interior_ids",
-                           _own_sorted_ids(self.interior_ids))
+        for name in ("boundary_ids", "interior_ids"):
+            object.__setattr__(self, name, _sorted_ids(getattr(self, name), name))
         object.__setattr__(self, "groups",
-                           {str(k): _own_sorted_ids(v)
+                           {str(k): _sorted_ids(v, f"group {k!r}")
                             for k, v in dict(self.groups).items()})
 
     @property
@@ -658,9 +663,7 @@ def apply_deformation(mesh, displacement):
     """New mesh with ``displacement`` added to the referenced nodes."""
     if displacement.dim != mesh.dim:
         raise ValueError(f"field dim {displacement.dim} != mesh dim {mesh.dim}")
-    idx = displacement.indices
-    if idx.size and (idx.min() < 0 or idx.max() >= mesh.node_count):
-        raise ValueError("displacement refers to a node id out of range")
+    idx = _node_ids(displacement.indices, "displacement ids", mesh.node_count)
     coords = mesh.nodes.copy()
     coords[idx] += displacement.vectors
     coords.setflags(write=False)  # fresh, so the new mesh keeps it uncopied

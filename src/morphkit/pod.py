@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DegenerateSnapshotsError, IllPosedOnlineError
 from .idw import deform  # noqa: F401 -- perfbench/tracing.py wraps pod.deform
 from .laws import evaluate
-from .mesh import DisplacementField, _int_ids, _own, has_duplicates
+from .mesh import DisplacementField, _node_ids, _own
 
 __all__ = [
     "SnapshotSet",
@@ -86,7 +86,7 @@ class SnapshotSet:
 
     def __post_init__(self):
         mat = _own(self.matrix, np.float64)
-        ids = _int_ids(self.target_ids)
+        ids = _node_ids(self.target_ids, "target_ids")
         if mat.ndim != 2 or mat.shape[0] != ids.size * self.dim:
             raise ValueError("snapshot rows must equal n_targets * dim")
         if mat.shape[1] != len(self.params):
@@ -128,7 +128,7 @@ class PodModel:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         for name in ("control_ids", "target_ids"):
-            object.__setattr__(self, name, _int_ids(getattr(self, name)))
+            object.__setattr__(self, name, _node_ids(getattr(self, name), name))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.basis.shape != (self.target_ids.size * self.dim, self.n_modes):
@@ -137,9 +137,6 @@ class PodModel:
                                      self.control_ids.size * self.dim):
             raise ValueError("online_map must be N x (n_controls * dim)")
         # checked once here, so online_solve can trust them on every query
-        for name in ("control_ids", "target_ids"):
-            if has_duplicates(getattr(self, name)):
-                raise ValueError(f"{name} contain duplicates")
         for name in ("basis", "online_map"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite entries")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateSampleError
-from .mesh import _int_ids, sorted_unique
+from .mesh import _int_ids, _node_ids, sorted_unique
 
 __all__ = [
     "RegionParams",
@@ -54,6 +54,18 @@ _MEMO_BYTES = 2 * 2**20
 _BUILD_BLOCK = 16_384
 
 
+def _check_walk(radius=None, a=None, b=None, strategy=None):
+    """Raise ValueError for a walk parameter out of range; None skips it."""
+    if radius is not None and not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if a is not None and not 0 < a < 1:
+        raise ValueError(f"a must lie in (0, 1), got {a}")
+    if b is not None and not b > 1:
+        raise ValueError(f"b must exceed 1, got {b}")
+    if strategy is not None and strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}")
+
+
 @dataclass(frozen=True)
 class RegionParams:
     """One selection region: the group to draw candidates from and its radius."""
@@ -62,8 +74,7 @@ class RegionParams:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        _check_walk(radius=self.radius)
 
 
 @dataclass(frozen=True)
@@ -72,7 +83,8 @@ class SelectionParams:
 
     a scales the annulus thickness (a * R), b the outer radius of the
     ring candidates are picked from (b * R); seed feeds the random
-    strategy; seed_points optionally pins the first pick per region.
+    strategy; seed_points optionally maps a region's group to the node
+    id its walk picks first.
     """
 
     regions: tuple
@@ -86,14 +98,19 @@ class SelectionParams:
         regions = tuple(r if isinstance(r, RegionParams) else RegionParams(*r)
                         for r in self.regions)
         object.__setattr__(self, "regions", regions)
-        if len({r.group for r in regions}) != len(regions):
+        groups = [r.group for r in regions]
+        if len(set(groups)) != len(regions):
             raise ValueError("regions must name distinct groups")
-        if not 0 < self.a < 1:
-            raise ValueError(f"a must lie in (0, 1), got {self.a}")
-        if not self.b > 1:
-            raise ValueError(f"b must exceed 1, got {self.b}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
+        _check_walk(a=self.a, b=self.b, strategy=self.strategy)
+        unknown = sorted(set(self.seed_points) - set(groups))
+        if unknown:
+            raise ValueError(f"seed_points {unknown} name no region of {groups}")
+        for group, node in self.seed_points.items():
+            if np.ndim(node):
+                raise ValueError(f"seed point {node!r} of {group!r} is not one id")
+        object.__setattr__(self, "seed_points", {
+            group: _int_ids(node, f"seed point of {group!r}").item()
+            for group, node in self.seed_points.items()})
 
 
 @dataclass(frozen=True)
@@ -117,7 +134,7 @@ class SelectionResult:
     per_region: dict | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "selected", _int_ids(self.selected))
+        object.__setattr__(self, "selected", _node_ids(self.selected, "selected ids"))
         object.__setattr__(self, "order", tuple(int(i) for i in self.order))
         object.__setattr__(self, "trace",
                            tuple((int(i), int(s)) for i, s in self.trace))
@@ -234,21 +251,10 @@ def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
     of radius R around itself, and an exhausted ring hands over to the
     next one.
     """
-    candidates = np.sort(np.atleast_1d(np.asarray(candidates, dtype=np.int64)))
+    candidates = np.sort(_node_ids(candidates, "candidate ids", mesh.node_count))
     if candidates.size == 0:
         raise ValueError("candidate set is empty")
-    if (candidates[1:] == candidates[:-1]).any():  # sorted: repeats are neighbours
-        raise ValueError("candidate ids contain duplicates")
-    if candidates[0] < 0 or candidates[-1] >= mesh.node_count:
-        raise ValueError("candidate ids out of range")
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if not 0 < a < 1:
-        raise ValueError(f"a must lie in (0, 1), got {a}")
-    if not b > 1:
-        raise ValueError(f"b must exceed 1, got {b}")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}")
+    _check_walk(radius, a, b, strategy)
 
     nc = candidates.size
     outer = b * radius
@@ -369,7 +375,7 @@ def select_multi(mesh, params):
 
 def enrich(selected, mesh, group_names):
     """Union ``selected`` with every node of the named groups, sorted."""
-    parts = [np.atleast_1d(np.asarray(selected, dtype=np.int64))]
+    parts = [_node_ids(selected, "selected ids", mesh.node_count)]
     for name in group_names:
         parts.append(mesh.group(name))
     return sorted_unique(np.concatenate(parts))
@@ -377,7 +383,7 @@ def enrich(selected, mesh, group_names):
 
 def select_random(candidates, k, seed):
     """Uniform sample of k distinct candidates, sorted."""
-    candidates = np.atleast_1d(np.asarray(candidates, dtype=np.int64))
+    candidates = _node_ids(candidates, "candidate ids")
     if not 1 <= k <= candidates.size:
         raise ValueError(f"k must lie in [1, {candidates.size}], got {k}")
     rng = np.random.default_rng(seed)
@@ -430,8 +436,7 @@ def write_selection(result, params, path):
             "b": params.b,
             "strategy": params.strategy,
             "seed": params.seed,
-            "seed_points": {group: int(node)
-                            for group, node in params.seed_points.items()},
+            "seed_points": params.seed_points,
         },
         "trace": [list(entry) for entry in result.trace],
     }
@@ -447,4 +452,4 @@ def read_selection(path):
     for key in ("selected", "params", "trace"):
         if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
-    return np.asarray(doc["selected"], dtype=np.int64), doc["params"]
+    return _node_ids(doc["selected"], "selected ids"), doc["params"]

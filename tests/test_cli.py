@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import morphkit as mk
-from morphkit import idw, read_mesh, read_selection
+from morphkit import cli, idw, read_mesh, read_selection
 from morphkit.cli import main
 from morphkit.metrics import CSV_COLUMNS
 
@@ -328,6 +328,36 @@ def test_full_reference_is_streamed(tmp_path, monkeypatch, command):
         assert rows[1]["method"] == "idw"
         assert rows[1]["t_assembly_s"] is None
         assert rows[1]["t_deform_s"] > 0.0
+
+
+def test_select_rejects_a_seed_point_naming_no_region(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, selection={
+        "radius": 0.3, "regions": [{"group": "left"}],
+        "seed_points": {"lefft": 3}})
+    out = tmp_path / "out"
+    assert main(["select", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "'lefft'" in capsys.readouterr().err
+    assert not (out / "selection.json").exists()
+
+
+@pytest.mark.parametrize("command, cfg_repeat, message", [
+    (["random-baseline", "--draws", "1"], 2, "at least two error samples"),
+    (["morph", "--repeat", "0"], 2, "repeat must be at least 1"),
+    (["pod-online", "--repeat", "-1"], 2, "repeat must be at least 1"),
+    (["morph"], 0, "repeat must be at least 1"),
+])
+def test_bad_counts_fail_before_any_work(tmp_path, monkeypatch, capsys,
+                                         command, cfg_repeat, message):
+    def no_mesh(cfg):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(cli, "build_mesh", no_mesh)
+    cfg = write_cfg(tmp_path, repeat=cfg_repeat)
+    out = tmp_path / "out"
+    assert main([command[0], "--config", str(cfg), "--out", str(out),
+                 *command[1:]]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -166,26 +166,65 @@ def test_field_accepts_integral_float_ids():
     np.testing.assert_array_equal(f.restrict([2.0]).vectors, [[2.0, 0.0]])
 
 
-# each container's id array, built around ``ids`` (3 of them) with every
-# other argument well-formed
+# every entry point that takes node ids from a caller, called with ``ids``
+# (3 of them) and every other argument well-formed, returning the id array
+# it keeps; with the messages of the checks it makes beyond integers, no
+# boolean mask and one dimension: on repeats, and on ids outside its mesh
+_CUBE = generate_box_wing(1, 1, 1, (1.0, 1.0, 1.0))  # 8 nodes
+_UNIQUE = {"repeat": "duplicates"}
+_IN_MESH = {"repeat": "duplicates", "range": "out of range"}
+
+
+def _deformed_ids(ids):
+    field = DisplacementField(ids, np.zeros((len(ids), 3)))
+    apply_deformation(_CUBE, field)
+    return field.indices
+
+
 _ID_HOLDERS = {
-    "law": lambda ids: mk.bend_law(ids, (0.0, 1.0)).control_ids,
-    "snapshots": lambda ids: mk.SnapshotSet(
-        np.zeros((3, 1)), (0.0,), ids, 1).target_ids,
-    "pod-controls": lambda ids: mk.PodModel(
+    "law": (lambda ids: mk.bend_law(ids, (0.0, 1.0)).control_ids, _UNIQUE),
+    "snapshots": (lambda ids: mk.SnapshotSet(
+        np.zeros((3, 1)), (0.0,), ids, 1).target_ids, _UNIQUE),
+    "pod-controls": (lambda ids: mk.PodModel(
         np.zeros((2, 1)), [1.0], 1, 0.0, "plain", np.zeros((1, 3)),
-        ids, [0, 1], 1).control_ids,
-    "pod-targets": lambda ids: mk.PodModel(
+        ids, [0, 1], 1).control_ids, _UNIQUE),
+    "pod-targets": (lambda ids: mk.PodModel(
         np.zeros((3, 1)), [1.0], 1, 0.0, "plain", np.zeros((1, 2)),
-        [0, 1], ids, 1).target_ids,
-    "selection": lambda ids: mk.SelectionResult(ids, (), ()).selected,
-    "op-targets": lambda ids: mk.IdwOperator(
-        np.ones((3, 1)), ids, [9], mk.IdwConfig()).target_ids,
-    "op-controls": lambda ids: mk.IdwOperator(
+        [0, 1], ids, 1).target_ids, _UNIQUE),
+    "selection": (lambda ids: mk.SelectionResult(ids, (), ()).selected,
+                  _UNIQUE),
+    "op-targets": (lambda ids: mk.IdwOperator(
+        np.ones((3, 1)), ids, [9], mk.IdwConfig()).target_ids, _UNIQUE),
+    "op-controls": (lambda ids: mk.IdwOperator(
         np.full((1, 3), 1 / 3), [9], ids, mk.IdwConfig()).control_ids,
-    "assemble": lambda ids: mk.assemble(
-        generate_box_wing(1, 1, 1, (1.0, 1.0, 1.0)), ids, [7]).control_ids,
+        _UNIQUE),
+    "assemble": (lambda ids: mk.assemble(_CUBE, ids, [7]).control_ids,
+                 _IN_MESH),
+    "assemble-targets": (lambda ids: mk.assemble(_CUBE, [7], ids).target_ids,
+                         _IN_MESH),
+    "interpolate": (lambda ids: mk.interpolate(
+        _CUBE, DisplacementField([7], [[0.0, 0.0, 1.0]]), ids).indices,
+        _IN_MESH),
+    "field": (lambda ids: DisplacementField(
+        ids, np.zeros((len(ids), 2))).indices, _UNIQUE),
+    "restrict": (lambda ids: DisplacementField(
+        np.arange(8), np.zeros((8, 2))).restrict(ids).indices,
+        {"repeat": "duplicates", "range": "not covered"}),
+    "evaluate": (lambda ids: mk.evaluate(
+        mk.bend_law(ids, (0.0, 1.0)), _CUBE, 0.5).indices, _IN_MESH),
+    "apply-deformation": (_deformed_ids, _IN_MESH),
+    "select": (lambda ids: mk.select(_CUBE, ids, 0.01).selected, _IN_MESH),
+    "enrich": (lambda ids: mk.enrich(ids, _CUBE, []), _IN_MESH),
+    "select-random": (lambda ids: mk.select_random(ids, 3, 0), _UNIQUE),
+    # a mesh's ids are sorted on the way in; repeats are Mesh.validate's
+    "mesh-boundary": (lambda ids: Mesh(
+        3, _CUBE.nodes, _CUBE.elements, ids, []).boundary_ids, {}),
+    "mesh-group": (lambda ids: Mesh(
+        3, _CUBE.nodes, _CUBE.elements, _CUBE.boundary_ids,
+        _CUBE.interior_ids, {"g": ids}).groups["g"], {}),
 }
+# entry points returning a fresh array for the caller to own
+_FRESH = {"enrich", "select-random"}
 
 
 @pytest.mark.parametrize("holder", list(_ID_HOLDERS))
@@ -193,15 +232,34 @@ _ID_HOLDERS = {
     ([0.0, 1.7, 2.0], "integers"),
     (np.array([True, False, True]), "boolean mask"),
     ([0.0, 2.0, 5.0], None),
+    ([[0], [2], [5]], "one-dimensional"),
+    ([0, 5, 5], "repeat"),
+    ([0, 5, 99], "range"),
 ])
 def test_id_holders_reject_non_integer_ids(holder, ids, match):
+    build, checks = _ID_HOLDERS[holder]
+    if match in ("repeat", "range"):
+        match = checks.get(match)  # None: this entry point accepts the ids
     if match is None:
-        held = _ID_HOLDERS[holder](ids)
-        assert held.dtype == np.int64 and not held.flags.writeable
-        np.testing.assert_array_equal(held, [0, 2, 5])
+        held = build(ids)
+        assert held.dtype == np.int64
+        assert holder in _FRESH or not held.flags.writeable
+        np.testing.assert_array_equal(held, ids)
     else:
         with pytest.raises(ValueError, match=match):
-            _ID_HOLDERS[holder](ids)
+            build(ids)
+
+
+def test_frozen_sorted_ids_pass_through_uncopied():
+    ids = np.arange(8)
+    ids.setflags(write=False)
+    assert Mesh(3, _CUBE.nodes, _CUBE.elements, ids, []).boundary_ids is ids
+    assert DisplacementField(ids, np.zeros((8, 3))).indices is ids
+    op = mk.IdwOperator(np.full((8, 8), 1 / 8), ids, ids, mk.IdwConfig())
+    assert op.target_ids is ids and op.control_ids is ids
+    model = mk.PodModel(np.zeros((8, 1)), [1.0], 1, 0.0, "plain",
+                        np.zeros((1, 8)), ids, ids, 1)
+    assert model.target_ids is ids and model.control_ids is ids
 
 
 # DisplacementField.restrict keeps the last validated restriction as a
@@ -923,6 +981,20 @@ def test_read_mesh_bad_json(tmp_path):
     with pytest.raises(MeshFormatError) as err:
         read_mesh(path)
     assert err.value.line is not None
+
+
+@pytest.mark.parametrize("where, value", [
+    ("elements", 0.4), ("boundary", 0.4), ("groups", 0.4), ("elements", "3")])
+def test_read_mesh_rejects_non_integer_ids(tiny_wing, tmp_path, where, value):
+    path = tmp_path / "mesh.json"
+    write_mesh(tiny_wing, path)
+    doc = json.loads(path.read_text())
+    ids = {"elements": doc["elements"][0], "boundary": doc["boundary"],
+           "groups": doc["groups"]["left"]}[where]
+    ids[1] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MeshFormatError, match="integers"):
+        read_mesh(path)
 
 
 def test_read_mesh_missing_key(tmp_path):

@@ -306,6 +306,12 @@ def test_trace_records_pool_sizes(lattice11):
     assert all(size >= 1 for _, size in res.trace[1:])
 
 
+# the walk parameters' messages, the same from select and from the params
+WALK_MESSAGES = {"radius": "radius must be positive",
+                 "a": r"a must lie in \(0, 1\)", "b": "b must exceed 1",
+                 "strategy": "strategy must be one of"}
+
+
 def test_select_validates_arguments(lattice11):
     ids = lattice11.boundary_ids
     with pytest.raises(ValueError):
@@ -314,13 +320,13 @@ def test_select_validates_arguments(lattice11):
         select(lattice11, [0, 0], 1.0)
     with pytest.raises(ValueError):
         select(lattice11, [0, 999], 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=WALK_MESSAGES["radius"]):
         select(lattice11, ids, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=WALK_MESSAGES["a"]):
         select(lattice11, ids, 1.0, a=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=WALK_MESSAGES["b"]):
         select(lattice11, ids, 1.0, b=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=WALK_MESSAGES["strategy"]):
         select(lattice11, ids, 1.0, strategy="spiral")
 
 
@@ -382,16 +388,29 @@ def test_select_multi_rejects_empty_group(lattice11):
 
 def test_params_validation():
     region = RegionParams("left", 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=WALK_MESSAGES["radius"]):
         RegionParams("left", 0.0)
     with pytest.raises(ValueError):
         SelectionParams((region, RegionParams("left", 2.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=WALK_MESSAGES["a"]):
         SelectionParams((region,), a=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=WALK_MESSAGES["b"]):
         SelectionParams((region,), b=0.9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=WALK_MESSAGES["strategy"]):
         SelectionParams((region,), strategy="best")
+    # every seed point key names a region, and every value is one node id
+    with pytest.raises(ValueError, match=r"\['lefft', 'top'\] name no region "
+                                         r"of \['left'\]"):
+        SelectionParams((region,), seed_points={"top": 1, "lefft": 3})
+    with pytest.raises(ValueError, match="boolean mask"):
+        SelectionParams((region,), seed_points={"left": True})
+    with pytest.raises(ValueError, match="integers"):
+        SelectionParams((region,), seed_points={"left": 1.5})
+    with pytest.raises(ValueError, match="not one id"):
+        SelectionParams((region,), seed_points={"left": [1, 2]})
+    pinned = SelectionParams((region,), seed_points={"left": np.int64(3)})
+    assert pinned.seed_points == {"left": 3}
+    assert type(pinned.seed_points["left"]) is int
 
 
 def test_enrich_unions_groups(wing):
@@ -478,6 +497,13 @@ def test_selection_roundtrip(lattice11, tmp_path):
             echo["b"], echo["strategy"], echo["seed"], echo["seed_points"])
         np.testing.assert_array_equal(select_multi(lattice11, again).selected,
                                       ids)
+
+
+def test_read_selection_rejects_non_integer_ids(tmp_path):
+    path = tmp_path / "sel.json"
+    path.write_text('{"selected": [1, 2.5], "params": {}, "trace": []}')
+    with pytest.raises(ValueError, match="integers"):
+        read_selection(path)
 
 
 def test_read_selection_missing_key(tmp_path):
