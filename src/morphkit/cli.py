@@ -16,6 +16,7 @@ turn overridden by --seed. Exit code 0 means all outputs were written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -117,17 +118,19 @@ def selection_params(cfg, args):
 
 
 def run_selection(mesh, cfg, args, params=None):
-    """(control ids, method name, params or None); ``params`` default to
-    the config's, and none means every boundary node is a control point."""
+    """(control ids, method name, params or None, SelectionResult or None);
+    ``params`` default to the config's, and none means every boundary node
+    is a control point. With enrichment the result holds the enriched ids."""
     if params is None:
         params = selection_params(cfg, args)
     if params is None:
-        return mesh.boundary_ids, "idw", None
+        return mesh.boundary_ids, "idw", None, None
     result = selection.select_multi(mesh, params)
     enrichment = cfg.get("enrichment", ())
     if enrichment:
-        return selection.enrich(result.selected, mesh, enrichment), "esidw", params
-    return result.selected, "sidw", params
+        result = replace(result, selected=selection.enrich(
+            result.selected, mesh, enrichment))
+    return result.selected, "esidw" if enrichment else "sidw", params, result
 
 
 def _setup(args):
@@ -135,6 +138,8 @@ def _setup(args):
     cfg = load_config(args.config)
     _repeat(cfg, args)  # a bad repeat count fails before anything is built
     out = Path(getattr(args, "out", None) or cfg.get("out", "."))
+    # deepest first; main removes them again if the command fails
+    args.made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out, build_mesh(cfg)
 
@@ -178,31 +183,34 @@ def _quality(mesh, d_boundary, d_interior):
 
 
 def _reference(mesh, d_boundary, config):
-    """(interior field, seconds) of the full IDW morph, streamed."""
+    """(interior field, report row) of the full IDW morph, streamed. It
+    builds no operator, so the row has no assembly time, and ``repeat`` does
+    not apply to its one timed pass."""
     start = time.perf_counter()
     d_ref = idw.interpolate(mesh, d_boundary, mesh.interior_ids, config)
-    return d_ref, time.perf_counter() - start
+    t_deform = time.perf_counter() - start
+    return d_ref, ComparisonReport(
+        method="idw", card_C_hat=int(mesh.boundary_ids.size), rel_error=0.0,
+        **_quality(mesh, d_boundary, d_ref)[1], t_deform_s=t_deform)
 
 
-def morph_once(mesh, cfg, args, mu, reference="idw", params=None):
-    """Select, assemble, morph at ``mu``; returns (deformed mesh, reports).
+def _write_reports(reports, out, stem):
+    metrics.write_reports_csv(reports, out / f"{stem}.csv")
+    metrics.write_reports_json(reports, out / f"{stem}.json")
 
-    ``params`` replaces the config's selection (sweeps). The first report
-    row describes the thinned morph, the second (when ``reference`` is
-    "idw") the full IDW morph it is compared with. That reference builds
-    no operator, so its row has no assembly time and ``repeat`` does not
-    apply to it.
-    """
+
+def morph_once(mesh, cfg, args, d_boundary, reference=None, params=None):
+    """Select, assemble and morph the boundary field ``d_boundary``;
+    returns (deformed mesh, report row). ``params`` replaces the config's
+    selection (sweeps). The row's ``rel_error`` is measured against
+    ``reference``, the full IDW morph's interior field, when one is given."""
     repeat = _repeat(cfg, args)
-    config = _idw_config(cfg)
-    law = build_law(cfg, mesh)
-    control_ids, method, params = run_selection(mesh, cfg, args, params)
+    control_ids, method, params, _ = run_selection(mesh, cfg, args, params)
 
     start = time.perf_counter()
-    op = idw.assemble(mesh, control_ids, mesh.interior_ids, config)
+    op = idw.assemble(mesh, control_ids, mesh.interior_ids, _idw_config(cfg))
     t_assembly = time.perf_counter() - start
 
-    d_boundary = laws.evaluate(law, mesh, mu)  # full control set, always
     d_hat = d_boundary.restrict(control_ids)
     d_interior = idw.deform(op, d_hat)
     t_deform = metrics.time_mean(lambda: idw.deform(op, d_hat), repeat=repeat)
@@ -212,19 +220,10 @@ def morph_once(mesh, cfg, args, mu, reference="idw", params=None):
         method=method, **_selection_fields(params),
         card_C_hat=int(control_ids.size), **quality,
         t_assembly_s=t_assembly, t_deform_s=t_deform)
-    reports = [row]
-
-    if reference == "idw":
-        d_ref, t_deform_full = _reference(mesh, d_boundary, config)
-        if np.array_equal(control_ids, mesh.boundary_ids):
-            row.rel_error = 0.0
-        else:
-            row.rel_error = metrics.relative_error(d_interior, d_ref)
-        reports.append(ComparisonReport(
-            method="idw", card_C_hat=int(mesh.boundary_ids.size),
-            rel_error=0.0, **_quality(mesh, d_boundary, d_ref)[1],
-            t_deform_s=t_deform_full))
-    return deformed, reports
+    if reference is not None:
+        row.rel_error = (0.0 if np.array_equal(control_ids, mesh.boundary_ids)
+                         else metrics.relative_error(d_interior, reference))
+    return deformed, row
 
 
 # ---------------------------------------------------------------------------
@@ -242,32 +241,25 @@ def cmd_mesh_gen(args):
 
 def cmd_select(args):
     cfg, out, mesh = _setup(args)
-    params = selection_params(cfg, args)
+    selected, method, params, result = run_selection(mesh, cfg, args)
     if params is None:
         raise ValueError("config has no 'selection' section")
-    result = selection.select_multi(mesh, params)
-    selected = result.selected
-    enrichment = cfg.get("enrichment", ())
-    if enrichment:
-        selected = selection.enrich(selected, mesh, enrichment)
-        result = selection.SelectionResult(selected, result.order, result.trace,
-                                           per_region=result.per_region)
     selection.write_selection(result, params, out / "selection.json")
     print(f"selected {selected.size} of {mesh.boundary_ids.size} boundary nodes "
-          f"({'esidw' if enrichment else 'sidw'})")
+          f"({method})")
     return 0
 
 
 def cmd_morph(args):
     cfg, out, mesh = _setup(args)
-    mu = _mu(cfg, args)
-    deformed, reports = morph_once(mesh, cfg, args, mu, reference=args.reference)
+    d_boundary = laws.evaluate(build_law(cfg, mesh), mesh, _mu(cfg, args))
+    d_ref, ref_row = (_reference(mesh, d_boundary, _idw_config(cfg))
+                      if args.reference == "idw" else (None, None))
+    deformed, row = morph_once(mesh, cfg, args, d_boundary, d_ref)
     write_mesh(deformed, out / "deformed.json")
     if args.vtk:
         write_mesh(deformed, out / "deformed.vtk", format="vtk-legacy-ascii")
-    metrics.write_reports_csv(reports, out / "report.csv")
-    metrics.write_reports_json(reports, out / "report.json")
-    row = reports[0]
+    _write_reports([r for r in (row, ref_row) if r is not None], out, "report")
     err = "n/a" if row.rel_error is None else f"{row.rel_error:.3e}"
     print(f"{row.method}: card={row.card_C_hat} rel_error={err} "
           f"max_Q={row.max_Q:.4f}")
@@ -278,7 +270,7 @@ def cmd_pod_offline(args):
     cfg, out, mesh = _setup(args)
     pod_cfg = cfg.get("pod", {})
     law = build_law(cfg, mesh)
-    control_ids, method, params = run_selection(mesh, cfg, args)
+    control_ids, method, params, _ = run_selection(mesh, cfg, args)
     start = time.perf_counter()
     op = idw.assemble(mesh, control_ids, mesh.interior_ids, _idw_config(cfg))
     t_assembly = time.perf_counter() - start
@@ -299,8 +291,7 @@ def cmd_pod_offline(args):
         method=f"pod-{method}", **_selection_fields(params),
         card_C_hat=int(control_ids.size), N_modes=model.n_modes,
         t_assembly_s=t_assembly, t_offline_s=t_offline)
-    metrics.write_reports_csv([report], out / "offline_report.csv")
-    metrics.write_reports_json([report], out / "offline_report.json")
+    _write_reports([report], out, "offline_report")
     print(f"pod-{method}: {model.n_modes} mode(s) from {n_train} snapshots "
           f"({mode} projection)")
     return 0
@@ -330,13 +321,10 @@ def cmd_pod_online(args):
     reports = [row]
 
     if args.reference == "idw":
-        d_ref, t_deform_full = _reference(mesh, d_boundary, _idw_config(cfg))
+        d_ref, ref_row = _reference(mesh, d_boundary, _idw_config(cfg))
         row.rel_error = metrics.relative_error(d_interior, d_ref)
-        reports.append(ComparisonReport(
-            method="idw", card_C_hat=int(mesh.boundary_ids.size), rel_error=0.0,
-            t_deform_s=t_deform_full))
-    metrics.write_reports_csv(reports, out / "online_report.csv")
-    metrics.write_reports_json(reports, out / "online_report.json")
+        reports.append(ref_row)
+    _write_reports(reports, out, "online_report")
     err = "n/a" if row.rel_error is None else f"{row.rel_error:.3e}"
     print(f"{method}: N={model.n_modes} rel_error={err} t_online={t_online:.3e}s")
     return 0
@@ -355,6 +343,16 @@ def cmd_sweep(args):
     radius = cfg.get("selection", {}).get("radius")
     if args.axis == "R" and not radius:
         raise ValueError("R sweep needs a base 'radius' in the selection section")
+    law, config = build_law(cfg, mesh), _idw_config(cfg)
+
+    def fields(mu):  # the boundary field and, if asked for, the reference
+        d_boundary = laws.evaluate(law, mesh, mu)
+        d_ref = (idw.interpolate(mesh, d_boundary, mesh.interior_ids, config)
+                 if args.reference == "idw" else None)
+        return d_boundary, d_ref
+
+    if args.axis != "mu":  # mu is fixed along R, a and b
+        fixed = fields(_mu(cfg, args))
     reports = []
     for value in values:
         params = base
@@ -368,12 +366,9 @@ def cmd_sweep(args):
                              b=(1.0 / value) if args.couple_b else base.b)
         elif args.axis == "b":
             params = replace(base, b=value)
-        mu = value if args.axis == "mu" else _mu(cfg, args)
-        _, rows = morph_once(mesh, cfg, args, mu, reference=args.reference,
-                             params=params)
-        reports.append(rows[0])
-    metrics.write_reports_csv(reports, out / "sweep.csv")
-    metrics.write_reports_json(reports, out / "sweep.json")
+        d_boundary, d_ref = fields(value) if args.axis == "mu" else fixed
+        reports.append(morph_once(mesh, cfg, args, d_boundary, d_ref, params)[1])
+    _write_reports(reports, out, "sweep")
     print(f"sweep over {args.axis}: {len(reports)} rows -> {out / 'sweep.csv'}")
     return 0
 
@@ -386,14 +381,14 @@ def cmd_random_baseline(args):
     config = _idw_config(cfg)
     law = build_law(cfg, mesh)
 
-    control_ids, method, params = run_selection(mesh, cfg, args)
+    control_ids, method, params, _ = run_selection(mesh, cfg, args)
     if method == "idw":
         raise ValueError("random-baseline needs a 'selection' section to "
                          "compare against")
     k = int(control_ids.size)
 
     d_boundary = laws.evaluate(law, mesh, mu)
-    d_ref = _reference(mesh, d_boundary, config)[0]
+    d_ref = idw.interpolate(mesh, d_boundary, mesh.interior_ids, config)
 
     def morph_error(ids):
         op = idw.assemble(mesh, ids, mesh.interior_ids, config)
@@ -504,6 +499,9 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (ValueError, KeyError, RuntimeError, OSError) as exc:
+        for made in getattr(args, "made", ()):  # deepest first
+            with contextlib.suppress(OSError):  # rmdir keeps what holds files
+                made.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -126,11 +126,26 @@ def _own(a, dtype):
     return arr
 
 
+def _holds_bool(seq, arr):
+    """Whether the (nested) list or tuple ``seq``, which NumPy read as the
+    numeric array ``arr``, holds a bool. Only its entries that read as 0 or
+    1 can be one, so only those are looked at."""
+    for index in np.argwhere((arr == 0) | (arr == 1)):
+        item = seq
+        for i in index:
+            item = item[i]
+        if isinstance(item, (bool, np.bool_)):
+            return True
+    return False
+
+
 def _int_ids(ids, what="indices"):
     """``ids``, at least 1-D and of any rank, through :func:`_own` as int64.
 
     A boolean mask, a float that is not an integer or a non-numeric value
-    raises ValueError naming ``what`` instead of being cast silently.
+    raises ValueError naming ``what`` instead of being cast silently, and so
+    does a bool inside a list or tuple, which NumPy would read as 0 or 1.
+    Arrays skip that look: a numeric array cannot hold a bool.
     """
     arr = np.atleast_1d(ids)
     if arr.dtype.kind == "b":
@@ -142,6 +157,8 @@ def _int_ids(ids, what="indices"):
                 f"{what} must be integers, got {arr[bad][:5].tolist()}")
     elif arr.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    if isinstance(ids, (list, tuple)) and _holds_bool(ids, arr):
+        raise ValueError(f"{what} must be integers, not booleans")
     return _own(arr, np.int64)
 
 

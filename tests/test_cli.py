@@ -86,6 +86,17 @@ def test_select_enrichment_makes_esidw(tmp_path, capsys):
     assert np.isin(plain_ids, rich_ids).all()
     mesh = cli_mesh()
     assert np.isin(mesh.group("left_edge"), rich_ids).all()
+    # the enriched ids, with the walk's own trace and pick order
+    np.testing.assert_array_equal(
+        rich_ids, mk.enrich(plain_ids, mesh, ["left_edge", "right_edge"]))
+    docs = [json.loads((o / "selection.json").read_text())
+            for o in (out_a, out_b)]
+    assert docs[1]["trace"] == docs[0]["trace"]
+    runs = [cli.run_selection(mesh, cli.load_config(c), None)
+            for c in (cfg, rich)]
+    assert runs[1][1] == "esidw"
+    np.testing.assert_array_equal(runs[1][3].selected, rich_ids)
+    assert runs[1][3].order == runs[0][3].order
 
 
 def test_morph_writes_report_and_mesh(tmp_path):
@@ -277,6 +288,28 @@ def test_sweep_rows_equal_single_morphs(tmp_path, axis, values, hand):
             assert untimed[axis] == value
 
 
+@pytest.mark.parametrize("axis, values, calls", [
+    ("R", "0.25,0.5", 1), ("a", "0.5,0.6", 1), ("b", "1.5,2.0", 1),
+    ("mu", "0.005,0.01", 2)])
+def test_sweep_computes_one_reference_per_mu(tmp_path, monkeypatch, axis,
+                                             values, calls):
+    cfg = write_cfg(tmp_path)
+    seen = []
+    streamed = idw.interpolate
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return streamed(*args, **kwargs)
+
+    monkeypatch.setattr(idw, "interpolate", counted)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                 "--axis", axis, "--values", values]) == 0
+    assert len(seen) == calls
+    rows = json.loads((tmp_path / "s" / "sweep.json").read_text())
+    assert len(rows) == 2
+    assert all(0.0 < r["rel_error"] < 1.0 for r in rows)
+
+
 def test_random_baseline(tmp_path, capsys):
     cfg = write_cfg(tmp_path, baseline_seed=42)
     out = tmp_path / "out"
@@ -328,6 +361,7 @@ def test_full_reference_is_streamed(tmp_path, monkeypatch, command):
         assert rows[1]["method"] == "idw"
         assert rows[1]["t_assembly_s"] is None
         assert rows[1]["t_deform_s"] > 0.0
+        assert np.isfinite([rows[1]["max_Q"], rows[1]["mean_Q"]]).all()
 
 
 def test_select_rejects_a_seed_point_naming_no_region(tmp_path, capsys):
@@ -338,6 +372,33 @@ def test_select_rejects_a_seed_point_naming_no_region(tmp_path, capsys):
     assert main(["select", "--config", str(cfg), "--out", str(out)]) == 1
     assert "'lefft'" in capsys.readouterr().err
     assert not (out / "selection.json").exists()
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    (["mesh-gen"], {"mesh": {"path": "missing.json"}}, "missing.json"),
+    (["select"], {"selection": {"radius": 0.3, "regions": [{"group": "left"}],
+                                "seed_points": {"lefft": 3}}}, "'lefft'"),
+    (["morph"], {"law": {"kind": "twist", "domain": [0.0, 0.02]}}, "twist"),
+])
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_command_leaves_no_directory_it_made(
+        tmp_path, capsys, command, overrides, message, existing):
+    cfg = write_cfg(tmp_path, **overrides)
+    out = tmp_path / "made" / "out"
+    if existing:
+        out.mkdir(parents=True)
+    assert main([command[0], "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert out.exists() == existing
+    assert (tmp_path / "made").exists() == existing
+    if existing:
+        assert not any(out.iterdir())
+
+
+def test_mesh_gen_reads_no_selection_section(tmp_path):
+    cfg = write_cfg(tmp_path, selection={"regions": [], "seed_points": {"x": 1}})
+    assert main(["mesh-gen", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("command, cfg_repeat, message", [

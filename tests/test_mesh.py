@@ -148,6 +148,7 @@ def test_field_restrict_copies_the_request_and_rejects_duplicates():
     ([0.9, 2.2], "integers"),
     ([np.nan], "integers"),
     (np.array([True, False, True]), "boolean mask"),
+    ([0, True], "integers"),  # NumPy alone would read the bool as 1
 ])
 def test_field_and_restrict_reject_non_integer_ids(bad, match):
     f = DisplacementField([0, 1, 2], np.zeros((3, 2)))
@@ -235,6 +236,7 @@ _FRESH = {"enrich", "select-random"}
     ([[0], [2], [5]], "one-dimensional"),
     ([0, 5, 5], "repeat"),
     ([0, 5, 99], "range"),
+    ([0, True, 5], "integers"),
 ])
 def test_id_holders_reject_non_integer_ids(holder, ids, match):
     build, checks = _ID_HOLDERS[holder]
@@ -984,7 +986,8 @@ def test_read_mesh_bad_json(tmp_path):
 
 
 @pytest.mark.parametrize("where, value", [
-    ("elements", 0.4), ("boundary", 0.4), ("groups", 0.4), ("elements", "3")])
+    ("elements", 0.4), ("boundary", 0.4), ("groups", 0.4), ("elements", "3"),
+    ("elements", True), ("boundary", True)])
 def test_read_mesh_rejects_non_integer_ids(tiny_wing, tmp_path, where, value):
     path = tmp_path / "mesh.json"
     write_mesh(tiny_wing, path)
