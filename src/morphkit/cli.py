@@ -145,7 +145,7 @@ def _setup(args):
 
 
 def _idw_config(cfg):
-    return idw.IdwConfig(p=int(cfg.get("idw", {}).get("p", 4)))
+    return idw.IdwConfig(p=cfg.get("idw", {}).get("p", 4))
 
 
 def _repeat(cfg, args):
@@ -479,7 +479,8 @@ def build_parser():
     common(p, mu=True, reference=True)
     p.add_argument("--axis", choices=("R", "a", "b", "mu"), required=True)
     p.add_argument("--values", required=True,
-                   help="comma-separated values for the chosen axis")
+                   help="comma-separated values for the chosen axis; the "
+                        "list may start with a negative number")
     p.add_argument("--couple-b", action="store_true",
                    help="with --axis a, set b = 1/a per value")
     p.set_defaults(fn=cmd_sweep)
@@ -494,8 +495,23 @@ def build_parser():
     return parser
 
 
+def _join_values(argv):
+    """Glue ``--values`` to the token after it, as ``--values=<list>``.
+
+    argparse takes a token that starts with '-' and is not one number for
+    an option, so ``--values -0.01,-0.005`` would be refused.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    i = 0
+    while i < len(argv) - 1:
+        if argv[i] == "--values":
+            argv[i:i + 2] = ["--values=" + argv[i + 1]]
+        i += 1
+    return argv
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_values(argv))
     try:
         return args.fn(args)
     except (ValueError, KeyError, RuntimeError, OSError) as exc:

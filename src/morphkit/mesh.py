@@ -717,11 +717,11 @@ def _write_json(mesh, path):
     n = mesh.node_count
     if elements.size and (elements.min() < 0 or elements.max() >= n):
         raise ValueError("element refers to a node id out of range")
-    # dim, ids and groups are small and go through json.dumps; the two
-    # large arrays are composed here in the same text, which is ASCII
-    # throughout (json.dumps escapes any other character)
+    # everything but the elements goes through json.dumps; the element
+    # array is composed in the same text, which is ASCII throughout
+    # (json.dumps escapes any other character)
     head = ('{"dim": ' + json.dumps(mesh.dim) + ', "nodes": '
-            + _nodes_json(mesh.nodes) + ', "elements": ')
+            + json.dumps(mesh.nodes.tolist()) + ', "elements": ')
     body = _elements_json(elements, n)
     groups = {k: v.tolist() for k, v in mesh.groups.items()}
     tail = (', "boundary": ' + json.dumps(mesh.boundary_ids.tolist())
@@ -731,16 +731,6 @@ def _write_json(mesh, path):
         fh.write(head.encode("ascii"))
         fh.write(body)
         fh.write(tail.encode("ascii"))
-
-
-def _nodes_json(nodes):
-    """``json.dumps(nodes.tolist())`` for finite (n, d) coordinates: JSON
-    writes a float as its ``repr``."""
-    if nodes.size == 0:
-        return json.dumps(nodes.tolist())
-    reprs = iter(map(float.__repr__, nodes.ravel().tolist()))
-    rows = zip(*[reprs] * nodes.shape[1])
-    return "[[" + "], [".join(map(", ".join, rows)) + "]]"
 
 
 def _elements_json(elements, node_count):

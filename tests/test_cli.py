@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import morphkit as mk
-from morphkit import cli, idw, read_mesh, read_selection
+from morphkit import cli, idw, pod, read_mesh, read_selection, write_mesh
 from morphkit.cli import main
 from morphkit.metrics import CSV_COLUMNS
 
@@ -59,6 +59,15 @@ def test_mesh_gen(tmp_path, capsys):
     assert mesh == cli_mesh()
     assert (out / "mesh.vtk").exists()
     assert "84 nodes" in capsys.readouterr().out
+    tunnel = write_cfg(tmp_path, name="tunnel.json", mesh={
+        "generator": "tunnel", "outer": [4, 4, 4], "inner": [1.2, 1.2, 1.2],
+        "resolution": 6})
+    assert main(["mesh-gen", "--config", str(tunnel),
+                 "--out", str(tmp_path / "tunnel")]) == 0
+    text = (tmp_path / "tunnel" / "mesh.json").read_text()
+    assert text == json.dumps(json.loads(text)) + "\n"
+    assert read_mesh(tmp_path / "tunnel" / "mesh.json") == mk.generate_tunnel(
+        (4.0, 4.0, 4.0), (1.2, 1.2, 1.2), 6)
 
 
 def test_select_sidw(tmp_path, capsys):
@@ -111,6 +120,8 @@ def test_morph_writes_report_and_mesh(tmp_path):
     assert int(rows[0]["card_C_hat"]) < int(rows[1]["card_C_hat"])
     deformed = read_mesh(out / "deformed.json")
     assert not np.array_equal(deformed.nodes, cli_mesh().nodes)
+    text = (out / "deformed.json").read_text()
+    assert text == json.dumps(json.loads(text)) + "\n"
     assert (out / "deformed.vtk").exists()
     assert (out / "report.json").exists()
 
@@ -143,11 +154,23 @@ def test_mu_flag_overrides_config(tmp_path):
     assert not np.array_equal(a.nodes, b.nodes)
 
 
-def test_pod_offline_then_online(tmp_path):
+def test_pod_offline_then_online(tmp_path, monkeypatch):
+    seen = []
+    build_online = pod.build_online
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("kz"))
+        return build_online(*args, **kwargs)
+
+    monkeypatch.setattr(pod, "build_online", spy)
+
+    # all 74 boundary nodes drive 10 interior ones: W is wide, so the
+    # weighted map comes from a solve
     cfg = write_cfg(tmp_path, selection=None)
     out = tmp_path / "out"
     assert main(["pod-offline", "--config", str(cfg),
                  "--out", str(out)]) == 0
+    assert seen == [None]
     assert (out / "pod_model.bin").exists()
     assert (out / "pod_model.bin.json").exists()
     offline = read_rows(out / "offline_report.csv")
@@ -161,6 +184,37 @@ def test_pod_offline_then_online(tmp_path):
     assert float(rows[0]["rel_error"]) < 1e-8
     assert rows[1]["method"] == "idw"
     assert read_mesh(out / "deformed.json").node_count == 84
+
+    # 8 controls over 54 interior nodes: W is tall, so the weighted map
+    # comes from the snapshot SVD's K Z instead
+    tall = write_cfg(
+        tmp_path, name="tall.json",
+        mesh={"generator": "box_wing", "nx": 4, "ny": 3, "nz": 10,
+              "lengths": [1.0, 0.5, 2.0]},
+        selection={"radius": 0.6, "seed": 1,
+                   "regions": [{"group": "left"}, {"group": "top"}]},
+        pod={"n_train": 6, "seed": 2})
+    out = tmp_path / "tall"
+    assert main(["pod-offline", "--config", str(tall), "--out", str(out)]) == 0
+    assert len(seen) == 2 and seen[1] is not None
+    model = mk.read_model(out / "pod_model.bin")
+    assert model.mode == "weighted"
+    assert np.isfinite(model.online_map).all()
+    assert model.target_ids.size >= model.control_ids.size
+    assert main(["pod-online", "--config", str(tall), "--out", str(out),
+                 "--reference", "none"]) == 0
+    row = json.loads((out / "online_report.json").read_text())[0]
+    assert row["N_modes"] == 1 and np.isfinite(row["mean_Q"])
+    # the model read back answers as the thinned morph it reduces
+    conf = cli.load_config(tall)
+    mesh = cli.build_mesh(conf)
+    law = cli.build_law(conf, mesh)
+    op = idw.assemble(mesh, model.control_ids, model.target_ids,
+                      cli._idw_config(conf))
+    for mu in (0.004, 0.017):
+        d = mk.evaluate(law, mesh, mu).restrict(model.control_ids)
+        assert mk.relative_error(mk.online_solve(model, d),
+                                 mk.deform(op, d)) <= 1e-10
 
 
 def test_pod_online_explicit_model_path(tmp_path):
@@ -226,6 +280,28 @@ def test_sweep_a_couples_b(tmp_path):
     rows = read_rows(out / "sweep.csv")
     assert float(rows[0]["a"]) == 0.5
     assert float(rows[0]["b"]) == 2.0
+
+
+def test_sweep_values_may_start_negative(tmp_path):
+    # argparse takes "-0.01,-0.005" for an option unless it is glued on
+    cfg = write_cfg(tmp_path, repeat=1, law={
+        "kind": "bend", "domain": [-0.02, 0.0], "clamp_groups": ["left"]})
+    tables = []
+    for j, values in enumerate([["--values", "-0.01,-0.005"],
+                                ["--values=-0.01,-0.005"]]):
+        out = tmp_path / f"s{j}"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--axis", "mu", *values]) == 0
+        tables.append([{k: v for k, v in r.items() if not k.startswith("t_")}
+                       for r in read_rows(out / "sweep.csv")])
+    assert len(tables[0]) == 2 and tables[1] == tables[0]
+    assert main(["morph", "--config", str(cfg), "--out", str(tmp_path / "m"),
+                 "--mu", "-0.01"]) == 0
+    single = read_rows(tmp_path / "m" / "report.csv")[0]
+    assert {k: v for k, v in single.items()
+            if not k.startswith("t_")} == tables[0][0]
+    with pytest.raises(SystemExit):  # a trailing --values is still refused
+        main(["sweep", "--config", str(cfg), "--axis", "mu", "--values"])
 
 
 @pytest.mark.parametrize("axis", ["R", "a", "b"])
@@ -379,10 +455,18 @@ def test_select_rejects_a_seed_point_naming_no_region(tmp_path, capsys):
     (["select"], {"selection": {"radius": 0.3, "regions": [{"group": "left"}],
                                 "seed_points": {"lefft": 3}}}, "'lefft'"),
     (["morph"], {"law": {"kind": "twist", "domain": [0.0, 0.02]}}, "twist"),
+    (["mesh-gen"], {"mesh": {"path": "bad_mesh.json"}}, "integers"),
+    (["morph"], {"idw": {"p": 2.5}}, "p must be an integer >= 1, got 2.5"),
 ])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_command_leaves_no_directory_it_made(
-        tmp_path, capsys, command, overrides, message, existing):
+        tmp_path, monkeypatch, capsys, command, overrides, message, existing):
+    # bad_mesh.json is the CLI mesh with the element id 0.4
+    monkeypatch.chdir(tmp_path)
+    write_mesh(cli_mesh(), "bad_mesh.json")
+    doc = json.loads((tmp_path / "bad_mesh.json").read_text())
+    doc["elements"][0][1] = 0.4
+    (tmp_path / "bad_mesh.json").write_text(json.dumps(doc))
     cfg = write_cfg(tmp_path, **overrides)
     out = tmp_path / "made" / "out"
     if existing:

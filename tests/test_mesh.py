@@ -429,6 +429,7 @@ def test_tunnel_counts(small_tunnel):
 
 def test_tunnel_groups_partition_boundary(small_tunnel):
     names = ("left", "right", "top", "bottom", "front", "rear", "obstacle")
+    assert all(small_tunnel.group(g).size for g in names)
     union = np.concatenate([small_tunnel.group(g) for g in names])
     assert union.size == np.unique(union).size
     np.testing.assert_array_equal(np.sort(union), small_tunnel.boundary_ids)
