@@ -27,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import idw, laws, metrics, pod, selection
-from .mesh import (apply_deformation, generate_box_wing, generate_tunnel,
-                   merge_fields, mesh_quality, read_mesh, write_mesh)
+from .mesh import (_scalar, apply_deformation, generate_box_wing,
+                   generate_tunnel, merge_fields, mesh_quality, read_mesh,
+                   write_mesh)
 from .metrics import ComparisonReport
 
 DEFAULT_REPEAT = 100
@@ -40,6 +41,14 @@ def load_config(path):
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return cfg
+
+
+def _number(section, key, default=None, where="", integral=False):
+    """``section[key]`` through ``mesh._scalar``, its errors naming the key
+    ``where + key`` (e.g. 'pod.n_train'); ``default`` if the key is absent."""
+    if key not in section:
+        return default
+    return _scalar(section[key], repr(where + key), integral)
 
 
 def build_mesh(cfg):
@@ -75,13 +84,15 @@ def build_law(cfg, mesh):
     raise ValueError(f"unknown law kind {kind!r}")
 
 
-def _resolve_seed(cfg_value, args):
+def _seed(section, key, where, args):
+    """--seed, else MORPHKIT_SEED, else the config's ``section[key]``
+    (default 0)."""
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("MORPHKIT_SEED")
     if env is not None:
         return int(env)
-    return cfg_value
+    return _number(section, key, 0, where, integral=True)
 
 
 def selection_params(cfg, args):
@@ -93,13 +104,14 @@ def selection_params(cfg, args):
     sel = cfg.get("selection")
     if not sel:
         return None
-    base = sel.get("radius")
+    base = _number(sel, "radius", where="selection.")
     regions = []
-    for entry in sel.get("regions", ()):
+    for i, entry in enumerate(sel.get("regions", ())):
+        where = f"selection.regions[{i}]."
         if "radius" in entry:
-            radius = float(entry["radius"])
+            radius = _number(entry, "radius", where=where)
         elif base is not None:
-            radius = float(entry.get("radius_factor", 1.0)) * float(base)
+            radius = _number(entry, "radius_factor", 1.0, where) * base
         else:
             raise ValueError(
                 f"region {entry.get('group')!r} has no radius and the "
@@ -109,10 +121,10 @@ def selection_params(cfg, args):
         raise ValueError("selection section lists no regions")
     return selection.SelectionParams(
         regions=tuple(regions),
-        a=float(sel.get("a", 0.8)),
-        b=float(sel.get("b", 1.3)),
+        a=_number(sel, "a", 0.8, "selection."),
+        b=_number(sel, "b", 1.3, "selection."),
         strategy=sel.get("strategy", "random"),
-        seed=int(_resolve_seed(sel.get("seed", 0), args)),
+        seed=_seed(sel, "seed", "selection.", args),
         seed_points=sel.get("seed_points", {}),
     )
 
@@ -149,8 +161,8 @@ def _idw_config(cfg):
 
 
 def _repeat(cfg, args):
-    repeat = (int(cfg.get("repeat", DEFAULT_REPEAT)) if args.repeat is None
-              else args.repeat)
+    repeat = (_number(cfg, "repeat", DEFAULT_REPEAT, integral=True)
+              if args.repeat is None else args.repeat)
     if repeat < 1:
         raise ValueError("repeat must be at least 1")
     return repeat
@@ -160,7 +172,7 @@ def _mu(cfg, args):
     if getattr(args, "mu", None) is not None:
         return args.mu
     if "mu" in cfg:
-        return float(cfg["mu"])
+        return _number(cfg, "mu")
     raise ValueError("no parameter value: pass --mu or set 'mu' in the config")
 
 
@@ -269,21 +281,20 @@ def cmd_morph(args):
 def cmd_pod_offline(args):
     cfg, out, mesh = _setup(args)
     pod_cfg = cfg.get("pod", {})
+    n_train = _number(pod_cfg, "n_train", 50, "pod.", True)
+    pod_seed = _seed(pod_cfg, "seed", "pod.", args)
+    epsilon = _number(pod_cfg, "epsilon", 1e-5, "pod.")
+    mode = args.projection or pod_cfg.get("projection", "weighted")
     law = build_law(cfg, mesh)
     control_ids, method, params, _ = run_selection(mesh, cfg, args)
     start = time.perf_counter()
     op = idw.assemble(mesh, control_ids, mesh.interior_ids, _idw_config(cfg))
     t_assembly = time.perf_counter() - start
 
-    n_train = int(pod_cfg.get("n_train", 50))
-    pod_seed = int(_resolve_seed(pod_cfg.get("seed", 0), args))
-    mode = args.projection or pod_cfg.get("projection", "weighted")
     train = laws.sample_domain(law.domain, n_train, pod_seed)
     start = time.perf_counter()
-    model = pod.build_pod_model(
-        op, law, mesh, train, float(pod_cfg.get("epsilon", 1e-5)), mode=mode,
-        selection_params={"method": method, "card_C_hat": int(control_ids.size),
-                          "seed": pod_seed})
+    model = pod.build_pod_model(op, law, mesh, train, epsilon, mode=mode,
+                                selection_params={"method": method})
     t_offline = time.perf_counter() - start
 
     pod.write_model(model, out / "pod_model.bin")
@@ -340,7 +351,7 @@ def cmd_sweep(args):
     base = selection_params(cfg, args)
     if args.axis != "mu" and base is None:
         raise ValueError(f"{args.axis} sweep needs a 'selection' section")
-    radius = cfg.get("selection", {}).get("radius")
+    radius = _number(cfg.get("selection", {}), "radius", where="selection.")
     if args.axis == "R" and not radius:
         raise ValueError("R sweep needs a base 'radius' in the selection section")
     law, config = build_law(cfg, mesh), _idw_config(cfg)
@@ -357,7 +368,7 @@ def cmd_sweep(args):
     for value in values:
         params = base
         if args.axis == "R":
-            scale = value / float(radius)
+            scale = value / radius
             params = replace(base, regions=tuple(
                 selection.RegionParams(r.group, r.radius * scale)
                 for r in base.regions))
@@ -396,7 +407,7 @@ def cmd_random_baseline(args):
         return metrics.relative_error(d_int, d_ref)
 
     err_selected = morph_error(control_ids)
-    master = int(_resolve_seed(cfg.get("baseline_seed", 0), args))
+    master = _seed(cfg, "baseline_seed", "", args)
     reports = [ComparisonReport(method=method, **_selection_fields(params),
                                 card_C_hat=k, rel_error=err_selected)]
     errors = []

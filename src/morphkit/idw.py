@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .mesh import (COINCIDENCE_FACTOR, DisplacementField, _node_ids, _own,
-                   coincident_pair)
+                   _scalar, coincident_pair)
 
 __all__ = [
     "IdwConfig",
@@ -41,7 +41,9 @@ class IdwConfig:
     """Assembly parameters.
 
     Attributes:
-        p: inverse-distance exponent, integer >= 1.
+        p: inverse-distance exponent, integer >= 1; an integral float
+            such as 4.0 is taken, while None, a bool, a string or 2.5
+            raises ValueError.
         coincidence_tol: absolute distance under which a target is treated
             as sitting on a control. None means 1e-12 times the bounding
             box diagonal of the geometry at hand.
@@ -51,9 +53,7 @@ class IdwConfig:
     coincidence_tol: float | None = None
 
     def __post_init__(self):
-        if int(self.p) != self.p or self.p < 1:
-            raise ValueError(f"p must be an integer >= 1, got {self.p}")
-        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "p", _scalar(self.p, "p", True, 1))
         if self.coincidence_tol is not None and not self.coincidence_tol >= 0:
             raise ValueError("coincidence_tol must be >= 0")
 

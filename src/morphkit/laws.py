@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .mesh import DisplacementField, _node_ids
+from .mesh import DisplacementField, _node_ids, _scalar
 
 __all__ = [
     "DisplacementLaw",
@@ -57,7 +57,7 @@ class DisplacementLaw:
             raise ValueError(f"kind must be one of {KINDS}")
         object.__setattr__(self, "control_ids",
                            _node_ids(self.control_ids, "control_ids"))
-        lo, hi = (float(v) for v in self.domain)
+        lo, hi = (_scalar(v, "domain bound") for v in self.domain)
         if not lo <= hi:
             raise ValueError(f"domain [{lo}, {hi}] is empty")
         object.__setattr__(self, "domain", (lo, hi))
@@ -74,7 +74,8 @@ class DisplacementLaw:
             if not self.table:
                 raise ValueError("tabulated law needs a non-empty table")
             object.__setattr__(self, "table",
-                               {float(k): v for k, v in self.table.items()})
+                               {_scalar(k, "tabulated mu"): v
+                                for k, v in self.table.items()})
 
 
 def bend_law(control_ids, domain, clamp_groups=()):
@@ -195,12 +196,11 @@ def evaluate(law, mesh, mu):
 
 def sample_domain(domain, n, seed):
     """n uniform draws from [lo, hi]; a point domain repeats its value."""
-    lo, hi = (float(v) for v in domain)
+    lo, hi = (_scalar(v, "domain bound") for v in domain)
     if not lo <= hi:
         raise ValueError(f"domain [{lo}, {hi}] is empty")
-    if n < 1:
-        raise ValueError("need at least one sample")
-    return np.random.default_rng(seed).uniform(lo, hi, size=int(n))
+    return np.random.default_rng(seed).uniform(
+        lo, hi, size=_scalar(n, "sample count", True, 1))
 
 
 def read_tabulated(path, control_ids, clamp_groups=()):
@@ -208,6 +208,7 @@ def read_tabulated(path, control_ids, clamp_groups=()):
     [{"mu": m, "indices": [...], "vectors": [[...]]}, ...]}."""
     with open(path) as fh:
         doc = json.load(fh)
-    table = {float(e["mu"]): DisplacementField(e["indices"], e["vectors"])
+    table = {_scalar(e["mu"], "tabulated mu"):
+             DisplacementField(e["indices"], e["vectors"])
              for e in doc["entries"]}
     return tabulated_law(control_ids, tuple(doc["domain"]), table, clamp_groups)

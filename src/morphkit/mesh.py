@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -124,6 +125,25 @@ def _own(a, dtype):
     arr = np.array(a, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def _scalar(value, what, integral=False, minimum=None):
+    """``value``, a Python or NumPy int or float, as a finite float, or as
+    an int with ``integral``, no less than ``minimum`` when one is given.
+    None, a bool, a string, a non-finite number and, with ``integral``, a
+    fraction such as 4.5 raise ValueError naming ``what`` instead of being
+    cast; 4.0 is integral. Concrete types are checked, not the ``numbers``
+    ABCs, which cost about a microsecond per call of ``idw.assemble``."""
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, (bool, np.bool_))
+            and (isinstance(value, (int, np.integer))
+                 or (math.isfinite(value)
+                     and (not integral or float(value).is_integer())))
+            and (minimum is None or value >= minimum)):
+        return int(value) if integral else float(value)
+    kind = "an integer" if integral else "a finite number"
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise ValueError(f"{what} must be {kind}{bound}, got {value!r}")
 
 
 def _holds_bool(seq, arr):
@@ -506,7 +526,8 @@ def generate_box_wing(nx, ny, nz, lengths):
     clamped "left" face sits at z = 0.
 
     Args:
-        nx, ny, nz: cell counts per axis, each >= 1.
+        nx, ny, nz: cell counts per axis, integers >= 1 (4.0 is taken,
+            4.5 raises ValueError).
         lengths: box extents (Lx, Ly, Lz), each > 0.
 
     Returns:
@@ -515,9 +536,8 @@ def generate_box_wing(nx, ny, nz, lengths):
         order) and overlapping edge-curve groups "left_edge",
         "right_edge", "horizontal_edges" for enrichment.
     """
-    counts = (int(nx), int(ny), int(nz))
-    if min(counts) < 1:
-        raise ValueError("cell counts must be at least 1")
+    counts = tuple(_scalar(n, name, True, 1)
+                   for n, name in zip((nx, ny, nz), ("nx", "ny", "nz")))
     lengths = np.asarray(lengths, dtype=np.float64)
     if lengths.shape != (3,) or np.any(lengths <= 0):
         raise ValueError("lengths must be three positive extents")
@@ -576,7 +596,8 @@ def generate_tunnel(outer, inner, resolution):
             An obstacle face within 1e-9 times the extent of an outer
             wall or of the opposite face raises ValueError.
         resolution: cells per axis of the outer box before the obstacle
-            cuts are inserted; an int or a (nx, ny, nz) triple.
+            cuts are inserted; one integer count or a (nx, ny, nz)
+            triple, integral as the box generator's counts.
 
     Returns:
         Mesh with the same disjoint face groups as the box generator plus
@@ -591,11 +612,11 @@ def generate_tunnel(outer, inner, resolution):
         raise ValueError("inner must be three positive extents")
     if np.any(inner >= outer):
         raise ValueError("inner box must be strictly inside the outer box")
-    if np.isscalar(resolution):
+    if np.ndim(resolution) == 0:
         resolution = (resolution,) * 3
-    res = tuple(int(r) for r in resolution)
-    if min(res) < 1:
-        raise ValueError("resolution must be at least 1 cell per axis")
+    res = tuple(_scalar(r, "resolution", True, 1) for r in resolution)
+    if len(res) != 3:
+        raise ValueError("resolution must be one cell count or three")
 
     lo = (outer - inner) / 2.0
     hi = lo + inner
@@ -796,8 +817,9 @@ def read_mesh(path):
         if key not in doc:
             raise MeshFormatError(f"missing key {key!r}")
     try:
-        mesh = Mesh(int(doc["dim"]), doc["nodes"], doc["elements"],
-                    doc["boundary"], doc["interior"], doc["groups"])
+        dim = _scalar(doc["dim"], "dim", True)
+        mesh = Mesh(dim, doc["nodes"], doc["elements"], doc["boundary"],
+                    doc["interior"], doc["groups"])
     except (TypeError, ValueError) as exc:
         raise MeshFormatError(f"malformed mesh document: {exc}") from None
     try:

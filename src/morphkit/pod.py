@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DegenerateSnapshotsError, IllPosedOnlineError
 from .idw import deform  # noqa: F401 -- perfbench/tracing.py wraps pod.deform
 from .laws import evaluate
-from .mesh import DisplacementField, _node_ids, _own
+from .mesh import DisplacementField, _node_ids, _own, _scalar
 
 __all__ = [
     "SnapshotSet",
@@ -131,6 +131,11 @@ class PodModel:
             object.__setattr__(self, name, _node_ids(getattr(self, name), name))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        object.__setattr__(self, "epsilon", _scalar(self.epsilon, "epsilon"))
+        object.__setattr__(self, "train_params", tuple(
+            _scalar(m, "train_params entry") for m in self.train_params))
+        if not isinstance(self.selection_params, (dict, type(None))):
+            raise ValueError("selection_params must be a dict or None")
         if self.basis.shape != (self.target_ids.size * self.dim, self.n_modes):
             raise ValueError("basis shape inconsistent with targets and n_modes")
         if self.online_map.shape != (self.n_modes,
@@ -270,9 +275,9 @@ def build_online(Z, sigma, op, mode="weighted", epsilon=0.0,
         online_map = np.tensordot(Zr, op.matrix, axes=([0], [0]))  # (dim, N, m)
         online_map = online_map.transpose(1, 2, 0).reshape(n_modes,
                                                            op.n_controls * dim)
-    return PodModel(Z, sigma, n_modes, float(epsilon), mode, online_map,
-                    op.control_ids, op.target_ids, dim,
-                    tuple(float(m) for m in train_params), selection_params)
+    return PodModel(Z, sigma, n_modes, epsilon, mode, online_map,
+                    op.control_ids, op.target_ids, dim, train_params,
+                    selection_params)
 
 
 def online_solve(model, d_controls):
@@ -314,57 +319,52 @@ def build_pod_model(op, law, mesh, train_params, epsilon, mode="weighted",
 # ---------------------------------------------------------------------------
 # persistence
 #
-# binary layout, little-endian:
-#   4s  magic "POD2"
+# one file, little-endian:
+#   4s  magic "POD3"
 #   u32 rows (n_targets * dim), u32 n_modes, u32 n_sigma,
-#   u32 n_controls, u32 n_targets, u32 dim, u8 mode (0 weighted, 1 plain)
+#   u32 n_controls, u32 n_targets, u32 dim, u8 mode (0 weighted, 1 plain),
+#   u32 trailer length in bytes
 #   f64[] basis (rows x n_modes, row-major), f64[] sigma,
 #   f64[] online_map (N x n_controls*dim)
 #   i64[] target_ids, i64[] control_ids
-# plus a JSON sidecar at <path>.json with epsilon, n_modes, train_params,
-# selection_params. "POD1" dumps (a normal-equation matrix plus a
-# right-hand-side map) are not read.
+#   UTF-8 JSON trailer: epsilon, train_params, selection_params
+# "POD1" dumps (a normal-equation matrix plus a right-hand-side map) and
+# "POD2" ones (no trailer, but a JSON sidecar) are not read.
 
-_MAGIC = b"POD2"
-_HEADER = struct.Struct("<4sIIIIIIB")
+_MAGIC = b"POD3"
+_HEADER = struct.Struct("<4sIIIIIIBI")
 
 
 def write_model(model, path):
-    path = str(path)
-    rows = model.basis.shape[0]
+    trailer = json.dumps({"epsilon": model.epsilon,
+                          "train_params": list(model.train_params),
+                          "selection_params": model.selection_params}).encode()
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, rows, model.n_modes,
+        fh.write(_HEADER.pack(_MAGIC, model.basis.shape[0], model.n_modes,
                               model.singular_values.size,
                               model.control_ids.size, model.target_ids.size,
-                              model.dim, MODES.index(model.mode)))
+                              model.dim, MODES.index(model.mode),
+                              len(trailer)))
         for arr in (model.basis, model.singular_values, model.online_map):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         for arr in (model.target_ids, model.control_ids):
             fh.write(arr.astype("<i8").tobytes())
-    sidecar = {
-        "epsilon": model.epsilon,
-        "n_modes": model.n_modes,
-        "mode": model.mode,
-        "train_params": list(model.train_params),
-        "selection_params": model.selection_params,
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=1)
-        fh.write("\n")
+        fh.write(trailer)
 
 
 def read_model(path):
-    path = str(path)
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: magic {raw[:4]!r} is not POD2; POD1 dumps "
-                         "of older versions are not read, re-run pod-offline")
-    _, rows, n_modes, n_sigma, n_ctl, n_tgt, dim, mode_flag = _HEADER.unpack_from(raw)
+        raise ValueError(f"{path}: magic {raw[:4]!r} is not POD3; POD1 and "
+                         "POD2 dumps of older versions are not read, re-run "
+                         "pod-offline")
+    (_, rows, n_modes, n_sigma, n_ctl, n_tgt, dim, mode_flag,
+     n_trailer) = _HEADER.unpack_from(raw)
     if mode_flag >= len(MODES):
         raise ValueError(f"{path}: unknown mode flag {mode_flag}")
     counts = (rows * n_modes, n_sigma, n_modes * n_ctl * dim, n_tgt, n_ctl)
-    expected = _HEADER.size + 8 * sum(counts)
+    expected = _HEADER.size + 8 * sum(counts) + n_trailer
     if len(raw) != expected:
         raise ValueError(f"{path}: truncated model dump "
                          f"({len(raw)} bytes, expected {expected})")
@@ -373,21 +373,20 @@ def read_model(path):
     for count, dtype in zip(counts, ("<f8",) * 3 + ("<i8",) * 2):
         blocks.append(np.frombuffer(raw, dtype=dtype, count=count, offset=offset))
         offset += 8 * count
-    try:
-        with open(path + ".json") as fh:
-            sidecar = json.load(fh)
-    except FileNotFoundError:
-        sidecar = {}
-    return PodModel(
-        basis=blocks[0].reshape(rows, n_modes),
-        singular_values=blocks[1],
-        n_modes=n_modes,
-        epsilon=float(sidecar.get("epsilon", 0.0)),
-        mode=MODES[mode_flag],
-        online_map=blocks[2].reshape(n_modes, n_ctl * dim),
-        control_ids=blocks[4],
-        target_ids=blocks[3],
-        dim=dim,
-        train_params=tuple(sidecar.get("train_params", ())),
-        selection_params=sidecar.get("selection_params"),
-    )
+    try:  # the trailer, like the arrays, comes from outside the program
+        trailer = json.loads(raw[offset:])
+        return PodModel(
+            basis=blocks[0].reshape(rows, n_modes),
+            singular_values=blocks[1],
+            n_modes=n_modes,
+            epsilon=trailer["epsilon"],
+            mode=MODES[mode_flag],
+            online_map=blocks[2].reshape(n_modes, n_ctl * dim),
+            control_ids=blocks[4],
+            target_ids=blocks[3],
+            dim=dim,
+            train_params=trailer["train_params"],
+            selection_params=trailer["selection_params"],
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: bad model file: {exc!r}") from None

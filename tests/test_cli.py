@@ -16,6 +16,9 @@ from morphkit.metrics import CSV_COLUMNS
 
 FACES = ("left", "right", "top", "bottom", "front", "rear")
 
+# an override that writes a JSON null (None drops the key)
+NULL = object()
+
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
     cfg = {
@@ -32,6 +35,8 @@ def write_cfg(tmp_path, name="cfg.json", **overrides):
     for key, value in overrides.items():
         if value is None:
             cfg.pop(key, None)
+        elif value is NULL:
+            cfg[key] = None
         else:
             cfg[key] = value
     path = tmp_path / name
@@ -171,8 +176,8 @@ def test_pod_offline_then_online(tmp_path, monkeypatch):
     assert main(["pod-offline", "--config", str(cfg),
                  "--out", str(out)]) == 0
     assert seen == [None]
-    assert (out / "pod_model.bin").exists()
-    assert (out / "pod_model.bin.json").exists()
+    assert (out / "pod_model.bin").read_bytes()[:4] == b"POD3"
+    assert not (out / "pod_model.bin.json").exists()
     offline = read_rows(out / "offline_report.csv")
     assert offline[0]["method"] == "pod-idw"
     assert int(offline[0]["N_modes"]) == 1  # the bend family is rank one
@@ -222,11 +227,10 @@ def test_pod_online_explicit_model_path(tmp_path):
     out = tmp_path / "out"
     main(["pod-offline", "--config", str(cfg), "--out", str(out)])
     moved = tmp_path / "stash.bin"
-    moved.write_bytes((out / "pod_model.bin").read_bytes())
-    (out / "pod_model.bin.json").rename(tmp_path / "stash.bin.json")
-    (out / "pod_model.bin").unlink()
+    (out / "pod_model.bin").rename(moved)
     assert main(["pod-online", "--config", str(cfg), "--out", str(out),
                  "--model", str(moved), "--mu", "0.01"]) == 0
+    assert read_rows(out / "online_report.csv")[0]["method"] == "pod-idw"
 
 
 def test_pod_offline_with_selection_names_method(tmp_path):
@@ -234,12 +238,41 @@ def test_pod_offline_with_selection_names_method(tmp_path):
     out = tmp_path / "out"
     assert main(["pod-offline", "--config", str(cfg),
                  "--out", str(out)]) == 0
-    sidecar = json.loads((out / "pod_model.bin.json").read_text())
-    assert sidecar["selection_params"]["method"] == "esidw"
+    model = mk.read_model(out / "pod_model.bin")
+    assert model.selection_params == {"method": "esidw"}
+    assert model.epsilon == 1e-5
+    assert model.train_params == tuple(mk.sample_domain((0.0, 0.02), 5, 0))
     assert main(["pod-online", "--config", str(cfg), "--out", str(out),
                  "--mu", "0.01"]) == 0
     rows = read_rows(out / "online_report.csv")
     assert rows[0]["method"] == "pod-esidw"
+    # a copy of the one file keeps its method
+    copy = tmp_path / "copy" / "model.bin"
+    copy.parent.mkdir()
+    copy.write_bytes((out / "pod_model.bin").read_bytes())
+    other = tmp_path / "other"
+    assert main(["pod-online", "--config", str(cfg), "--out", str(other),
+                 "--mu", "0.01", "--model", str(copy)]) == 0
+    assert read_rows(other / "online_report.csv")[0]["method"] == "pod-esidw"
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda raw: b"POD1" + raw[4:], "re-run pod-offline"),
+    (lambda raw: b"POD2" + raw[4:], "re-run pod-offline"),
+    (lambda raw: raw[:-1], "truncated"),
+    (lambda raw: raw[:-1] + b"]", "bad model file"),
+])
+def test_pod_online_refuses_a_bad_model(tmp_path, capsys, damage, message):
+    cfg = write_cfg(tmp_path, selection=None)
+    out = tmp_path / "out"
+    assert main(["pod-offline", "--config", str(cfg), "--out", str(out)]) == 0
+    model = out / "pod_model.bin"
+    model.write_bytes(damage(model.read_bytes()))
+    capsys.readouterr()
+    assert main(["pod-online", "--config", str(cfg), "--out", str(out),
+                 "--mu", "0.01"]) == 1
+    err = capsys.readouterr().err
+    assert str(model) in err and message in err
 
 
 def test_sweep_mu(tmp_path):
@@ -457,6 +490,37 @@ def test_select_rejects_a_seed_point_naming_no_region(tmp_path, capsys):
     (["morph"], {"law": {"kind": "twist", "domain": [0.0, 0.02]}}, "twist"),
     (["mesh-gen"], {"mesh": {"path": "bad_mesh.json"}}, "integers"),
     (["morph"], {"idw": {"p": 2.5}}, "p must be an integer >= 1, got 2.5"),
+    (["morph"], {"idw": {"p": None}}, "p must be an integer >= 1, got None"),
+    (["morph"], {"idw": {"p": True}}, "p must be an integer >= 1, got True"),
+    (["morph"], {"idw": {"p": "4"}}, "p must be an integer >= 1, got '4'"),
+    (["mesh-gen"], {"mesh": {"generator": "box_wing", "nx": 4.5, "ny": 2,
+                             "nz": 6, "lengths": [1.0, 0.25, 2.0]}},
+     "nx must be an integer >= 1, got 4.5"),
+    (["mesh-gen"], {"mesh": {"generator": "tunnel", "outer": [4, 4, 4],
+                             "inner": [1.2, 1.2, 1.2], "resolution": 4.5}},
+     "resolution must be an integer >= 1, got 4.5"),
+    (["morph"], {"mu": NULL}, "'mu' must be a finite number, got None"),
+    (["morph"], {"mu": "0.01"}, "'mu' must be a finite number, got '0.01'"),
+    (["pod-offline"], {"pod": {"n_train": None}},
+     "'pod.n_train' must be an integer, got None"),
+    (["pod-offline"], {"pod": {"n_train": 4.5}},
+     "'pod.n_train' must be an integer, got 4.5"),
+    (["pod-offline"], {"pod": {"n_train": 5, "epsilon": "1e-5"}},
+     "'pod.epsilon' must be a finite number, got '1e-5'"),
+    (["select"], {"selection": {"radius": 0.3, "a": None,
+                                "regions": [{"group": "left"}]}},
+     "'selection.a' must be a finite number, got None"),
+    (["select"], {"selection": {"radius": 0.3, "seed": 7.9,
+                                "regions": [{"group": "left"}]}},
+     "'selection.seed' must be an integer, got 7.9"),
+    (["select"], {"selection": {"radius": "0.3",
+                                "regions": [{"group": "left"}]}},
+     "'selection.radius' must be a finite number, got '0.3'"),
+    (["select"], {"selection": {"radius": 0.3, "regions": [
+        {"group": "left"}, {"group": "top", "radius_factor": True}]}},
+     "'selection.regions[1].radius_factor' must be a finite number, got True"),
+    (["morph"], {"law": {"kind": "bend", "domain": [None, 0.02]}},
+     "domain bound must be a finite number, got None"),
 ])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_command_leaves_no_directory_it_made(
@@ -490,6 +554,9 @@ def test_mesh_gen_reads_no_selection_section(tmp_path):
     (["morph", "--repeat", "0"], 2, "repeat must be at least 1"),
     (["pod-online", "--repeat", "-1"], 2, "repeat must be at least 1"),
     (["morph"], 0, "repeat must be at least 1"),
+    (["morph"], NULL, "'repeat' must be an integer, got None"),
+    (["morph"], 2.5, "'repeat' must be an integer, got 2.5"),
+    (["morph"], True, "'repeat' must be an integer, got True"),
 ])
 def test_bad_counts_fail_before_any_work(tmp_path, monkeypatch, capsys,
                                          command, cfg_repeat, message):
@@ -534,6 +601,34 @@ def test_seed_precedence(tmp_path, monkeypatch):
 
     ids = run_select(tmp_path, tmp_path / "o3", extra=("--seed", "3"))
     np.testing.assert_array_equal(ids, expected_selection(3))
+
+
+def test_equal_seeds_give_byte_identical_artifacts(tmp_path):
+    cfg = write_cfg(tmp_path, enrichment=["left_edge"],
+                    pod={"n_train": 6, "epsilon": 1e-5, "seed": 2})
+    runs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        for command, sub, extra in (("select", "select", ()),
+                                    ("morph", "morph", ()),
+                                    ("pod-offline", "pod", ()),
+                                    ("pod-online", "pod", ("--mu", "0.013"))):
+            assert main([command, "--config", str(cfg),
+                         "--out", str(out / sub), *extra]) == 0
+        runs.append(out)
+    a, b = runs
+    for name in ("select/selection.json", "morph/deformed.json",
+                 "pod/pod_model.bin", "pod/deformed.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    for name in ("morph/report.json", "pod/offline_report.json",
+                 "pod/online_report.json"):
+        rows_a, rows_b = (json.loads((run / name).read_text())
+                          for run in runs)
+        assert len(rows_a) == len(rows_b) > 0
+        for row_a, row_b in zip(rows_a, rows_b):
+            assert ({k: v for k, v in row_a.items() if not k.startswith("t_")}
+                    == {k: v for k, v in row_b.items()
+                        if not k.startswith("t_")}), name
 
 
 # ---------------------------------------------------------------------------

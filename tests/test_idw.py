@@ -67,6 +67,10 @@ def test_config_validation():
         IdwConfig(p=0)
     with pytest.raises(ValueError):
         IdwConfig(p=2.5)
+    for p in (None, True, np.True_, "4", float("inf")):
+        with pytest.raises(ValueError, match=f"got {p!r}"):
+            IdwConfig(p=p)
+    assert type(IdwConfig(p=4.0).p) is int and IdwConfig(p=4.0).p == 4
     with pytest.raises(ValueError):
         IdwConfig(coincidence_tol=-1.0)
     assert IdwConfig(coincidence_tol=0.5).resolve_tol([[0.0], [1.0]]) == 0.5

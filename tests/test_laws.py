@@ -309,6 +309,15 @@ def test_law_validation():
         tabulated_law([0], (0.0, 1.0), {})
     with pytest.raises(ValueError, match="duplicates"):
         bend_law([3, 1, 3], (0.0, 1.0))
+    # domain bounds and table keys are numbers, not cast
+    for domain in ((None, 1.0), ("0", 1.0), (True, 1.0), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="domain bound must be a finite"):
+            bend_law([0], domain)
+        with pytest.raises(ValueError, match="domain bound must be a finite"):
+            sample_domain(domain, 3, seed=0)
+    field = DisplacementField([0], [[0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="tabulated mu must be a finite"):
+        tabulated_law([0], (0.0, 1.0), {"0.5": field})
 
 
 def test_evaluate_checks_control_ids(lattice11):
@@ -351,6 +360,11 @@ def test_read_tabulated(tiny_wing, tmp_path):
     d = evaluate(law, tiny_wing, 1.0)
     assert d.vectors.shape == (3, 3)
     np.testing.assert_allclose(d.vectors[:, 0], 0.1)
+    for mu in (None, "1.0", [1.0]):
+        doc["entries"][0]["mu"] = mu
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="tabulated mu must be a finite"):
+            read_tabulated(path, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +383,8 @@ def test_sample_domain_validation():
         sample_domain((1.0, 0.0), 5, seed=0)
     with pytest.raises(ValueError):
         sample_domain((0.0, 1.0), 0, seed=0)
+    for n in (4.5, None, True, "4"):
+        with pytest.raises(ValueError, match="sample count must be an integer"):
+            sample_domain((0.0, 1.0), n, seed=0)
+    np.testing.assert_array_equal(sample_domain((0.0, 1.0), 4.0, seed=0),
+                                  sample_domain((0.0, 1.0), 4, seed=0))

@@ -414,6 +414,21 @@ def test_generator_rejects_bad_counts():
         generate_box_wing(0, 2, 2, (1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         generate_box_wing(2, 2, 2, (1.0, -1.0, 1.0))
+    # counts are not truncated or cast; integral floats are taken
+    for bad in (4.5, None, True, "4"):
+        with pytest.raises(ValueError, match=f"nz must be an integer >= 1, "
+                                             f"got {bad!r}"):
+            generate_box_wing(2, 2, bad, (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            generate_tunnel((4.0, 4.0, 4.0), (1.2, 1.2, 1.2), bad)
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        generate_tunnel((4.0, 4.0, 4.0), (1.2, 1.2, 1.2), (3, 3.5, 3))
+    with pytest.raises(ValueError, match="one cell count or three"):
+        generate_tunnel((4.0, 4.0, 4.0), (1.2, 1.2, 1.2), (3, 3))
+    assert generate_box_wing(2.0, 2, 2, (1.0, 1.0, 1.0)) == generate_box_wing(
+        2, 2, 2, (1.0, 1.0, 1.0))
+    assert generate_tunnel((4.0, 4.0, 4.0), (1.2, 1.2, 1.2), 3.0) == \
+        generate_tunnel((4.0, 4.0, 4.0), (1.2, 1.2, 1.2), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -998,6 +1013,18 @@ def test_read_mesh_rejects_non_integer_ids(tiny_wing, tmp_path, where, value):
     ids[1] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(MeshFormatError, match="integers"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("dim", [3.5, True, "3", None])
+def test_read_mesh_rejects_a_dim_that_is_not_an_integer(tiny_wing, tmp_path,
+                                                        dim):
+    path = tmp_path / "mesh.json"
+    write_mesh(tiny_wing, path)
+    doc = json.loads(path.read_text())
+    doc["dim"] = dim
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MeshFormatError, match="dim must be an integer"):
         read_mesh(path)
 
 

@@ -1,5 +1,7 @@
 """Snapshot compression and the reduced online stage."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -405,6 +407,37 @@ def test_plain_mode_skips_the_guard(wing, monkeypatch):
     assert seen == [None]
 
 
+def _tall_wing(wing, tiny_wing):
+    sel = mk.select(wing, wing.boundary_ids, 0.5, seed=2).selected
+    return wing, assemble(wing, sel, wing.interior_ids)
+
+
+@pytest.mark.parametrize("make_case, tall",
+                         [(_tall_wing, True), (_criterion_10_wing, False)])
+def test_weighted_answers_match_a_brute_force_oracle(wing, tiny_wing,
+                                                     make_case, tall):
+    # beside acceptance criterion 10: a seeded random control field lies
+    # outside the training span and gives O(1) answers, so a wrong
+    # weighted map shows at a relative bound
+    mesh, op = make_case(wing, tiny_wing)
+    # tall W: K Z from the snapshot SVD; wide W: from the solve
+    assert (op.n_targets >= op.n_controls) == tall
+    law = rotation_law(mesh.boundary_ids, (-36.0, 0.0), pivot=(0.0, 0.0, 0.0))
+    model = build_pod_model(op, law, mesh, sample_domain(law.domain, 8, 3),
+                            epsilon=1e-10)
+    KZ = np.kron(np.linalg.pinv(op.matrix), np.eye(3)) @ model.basis
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        d = DisplacementField(op.control_ids,
+                              rng.standard_normal((op.n_controls, 3)))
+        beta = np.linalg.lstsq(KZ, d.as_vector(), rcond=None)[0]
+        brute = model.basis @ beta
+        mine = online_solve(model, d).as_vector()
+        assert np.linalg.norm(brute) > 0.1
+        assert (np.linalg.norm(mine - brute)
+                <= 1e-10 * np.linalg.norm(brute))
+
+
 @pytest.mark.parametrize("mode", ["weighted", "plain"])
 def test_pod_model_is_deterministic(mode):
     mesh, law = _tunnel_case()
@@ -460,7 +493,16 @@ def test_model_roundtrip(wing, tmp_path):
     model = _small_model(wing)
     path = tmp_path / "model.bin"
     write_model(model, path)
+    assert list(tmp_path.iterdir()) == [path]  # one file, no sidecar
+    raw = path.read_bytes()
+    assert raw[:4] == b"POD3"
+    # the trailer holds only what the header and arrays do not
+    n_trailer = mk.pod._HEADER.unpack_from(raw)[-1]
+    assert json.loads(raw[-n_trailer:]) == {
+        "epsilon": 1e-5, "train_params": [0.005, 0.01, 0.02],
+        "selection_params": model.selection_params}
     back = read_model(path)
+    assert back.n_modes == model.n_modes
     np.testing.assert_array_equal(back.basis, model.basis)
     np.testing.assert_array_equal(back.singular_values,
                                   model.singular_values)
@@ -516,30 +558,24 @@ def test_online_solve_is_the_expansion_of_the_online_map(n_modes):
             <= 1e-14 * np.linalg.norm(expected))
 
 
-def test_model_missing_sidecar(wing, tmp_path):
-    model = _small_model(wing)
-    path = tmp_path / "model.bin"
-    write_model(model, path)
-    (tmp_path / "model.bin.json").unlink()
-    back = read_model(path)
-    assert not back.selection_params
-    assert back.n_modes == model.n_modes
-
-
 def test_read_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"WHAT" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="POD2"):
+    with pytest.raises(ValueError, match="not POD3"):
         read_model(path)
 
 
 def test_read_model_rejects_pod1(wing, tmp_path):
+    # and POD2, whose metadata lived in a JSON sidecar
     path = tmp_path / "model.bin"
     write_model(_small_model(wing), path)
-    path.write_bytes(b"POD1" + path.read_bytes()[4:])
-    with pytest.raises(ValueError, match="POD1.*re-run pod-offline") as err:
-        read_model(path)
-    assert "POD2" in str(err.value)
+    for magic in (b"POD1", b"POD2"):
+        path.write_bytes(magic + path.read_bytes()[4:])
+        with pytest.raises(ValueError,
+                           match="POD1 and POD2.*re-run pod-offline") as err:
+            read_model(path)
+        assert str(path) in str(err.value)
+        assert repr(magic) in str(err.value)
 
 
 def test_read_model_rejects_truncation(wing, tmp_path):
@@ -547,9 +583,47 @@ def test_read_model_rejects_truncation(wing, tmp_path):
     path = tmp_path / "model.bin"
     write_model(model, path)
     raw = path.read_bytes()
-    path.write_bytes(raw[:-16])
-    with pytest.raises(ValueError):
+    n_trailer = mk.pod._HEADER.unpack_from(raw)[-1]
+    # into the id block, then into the trailer only
+    for cut in (n_trailer + 16, 1):
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(ValueError, match="truncated") as err:
+            read_model(path)
+        assert str(path) in str(err.value)
+
+
+def _with_trailer(path, trailer):
+    """Replace the JSON trailer of the model file at ``path``."""
+    raw = path.read_bytes()
+    header = list(mk.pod._HEADER.unpack_from(raw))
+    body = raw[mk.pod._HEADER.size:len(raw) - header[-1]]
+    header[-1] = len(trailer)
+    path.write_bytes(mk.pod._HEADER.pack(*header) + body + trailer)
+
+
+@pytest.mark.parametrize("trailer", [
+    b"{not json",
+    b"\xff\xfe",
+    b"[]",
+    b'{"train_params": [0.01], "selection_params": null}',
+    b'{"epsilon": 1e-5, "selection_params": null}',
+    b'{"epsilon": 1e-5, "train_params": [0.01]}',
+    b'{"epsilon": "1e-5", "train_params": [], "selection_params": null}',
+    b'{"epsilon": NaN, "train_params": [], "selection_params": null}',
+    b'{"epsilon": true, "train_params": [], "selection_params": null}',
+    b'{"epsilon": 0.0, "train_params": [0.01, null], "selection_params": {}}',
+    b'{"epsilon": 0.0, "train_params": [Infinity], "selection_params": {}}',
+    b'{"epsilon": 0.0, "train_params": 3, "selection_params": {}}',
+    b'{"epsilon": 0.0, "train_params": [], "selection_params": "esidw"}',
+])
+def test_read_model_rejects_a_bad_trailer(wing, tmp_path, trailer):
+    path = tmp_path / "model.bin"
+    write_model(_small_model(wing), path)
+    _with_trailer(path, trailer)
+    with pytest.raises(ValueError, match="bad model file") as err:
         read_model(path)
+    assert str(path) in str(err.value)
+
 
 
 def _patched_model(wing, tmp_path, offset_of, value):
