@@ -45,8 +45,8 @@ class IdwConfig:
             such as 4.0 is taken, while None, a bool, a string or 2.5
             raises ValueError.
         coincidence_tol: absolute distance under which a target is treated
-            as sitting on a control. None means 1e-12 times the bounding
-            box diagonal of the geometry at hand.
+            as sitting on a control, a finite number >= 0. None means
+            1e-12 times the bounding box diagonal of the geometry at hand.
     """
 
     p: int = 4
@@ -54,8 +54,9 @@ class IdwConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _scalar(self.p, "p", True, 1))
-        if self.coincidence_tol is not None and not self.coincidence_tol >= 0:
-            raise ValueError("coincidence_tol must be >= 0")
+        if self.coincidence_tol is not None:
+            object.__setattr__(self, "coincidence_tol", _scalar(
+                self.coincidence_tol, "coincidence_tol", minimum=0))
 
     def resolve_tol(self, points):
         if self.coincidence_tol is not None:

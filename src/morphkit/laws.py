@@ -92,24 +92,22 @@ def tabulated_law(control_ids, domain, table, clamp_groups=()):
                            table=table)
 
 
-def _rotation_matrix(dim, axis, radians):
+def _rotation_transpose(dim, axis, radians):
+    """Rᵀ of the right-handed rotation by ``radians`` about ``axis``, as
+    one C-contiguous array, so that ``rows @ Rᵀ`` rotates row vectors.
+    A 2D rotation is about "z"; :func:`_resolve` checks that."""
     c, s = np.cos(radians), np.sin(radians)
     if dim == 2:
-        if axis != "z":
-            raise ValueError("2D rotation must be about 'z'")
-        return np.array([[c, -s], [s, c]])
-    k = _AXES[axis]
-    rot = np.eye(3)
-    i, j = (k + 1) % 3, (k + 2) % 3
-    rot[i, i] = c
-    rot[j, j] = c
-    rot[j, i] = s
-    rot[i, j] = -s
-    return rot
+        return np.array([[c, s], [-s, c]])
+    if axis == "x":
+        return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+    if axis == "y":
+        return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _resolve(law, mesh):
-    """``law`` against ``mesh``, independent of mu: (free, flat, rows).
+    """``law`` against ``mesh``, independent of mu: (free, flat, rows, r).
 
     ``free`` holds the positions in ``law.control_ids`` outside every
     clamp group, or is None when the law has no clamp groups (every
@@ -117,7 +115,9 @@ def _resolve(law, mesh):
     in the node-major flattening of a (n_controls, dim) field, or is None
     with ``free``. ``rows`` holds, for the free ids in that order,
     the squared span coordinate (bend) or the coordinates relative to
-    the pivot (rotation); it is None for a tabulated law.
+    the pivot (rotation); it is None for a tabulated law. ``r`` is
+    max|rows| as a Python float, 0.0 without rows; NaN or inf rows make
+    it NaN or inf.
 
     Both the law and the mesh are immutable, so the answer is cached on
     the law for the last mesh it met, keyed by that mesh's identity
@@ -141,12 +141,14 @@ def _resolve(law, mesh):
     elif law.kind == "rotation":
         if law.pivot.size != mesh.dim:
             raise ValueError(f"pivot has dim {law.pivot.size}, mesh has {mesh.dim}")
-        _rotation_matrix(mesh.dim, law.axis, 0.0)  # raises unless the axis suits dim
+        if mesh.dim == 2 and law.axis != "z":
+            raise ValueError("2D rotation must be about 'z'")
         # take is the fast form of the gather, with bitwise the same rows
         rows = np.take(mesh.nodes, free_ids, axis=0) - law.pivot
     else:
         rows = None
-    resolved = (free, flat, rows)
+    r = float(np.abs(rows).max()) if rows is not None and rows.size else 0.0
+    resolved = (free, flat, rows, r)
     object.__setattr__(law, "_resolved", (weakref.ref(mesh), resolved))
     return resolved
 
@@ -154,25 +156,31 @@ def _resolve(law, mesh):
 def evaluate(law, mesh, mu):
     """Displacement field of ``law`` at parameter ``mu`` over its control ids.
 
-    Only the free rows are computed; clamped rows are zero. Raises
-    DomainError when mu falls outside the declared domain and KeyError
-    when a tabulated law has no entry for mu.
+    Only the free rows are computed; clamped rows are zero. ``mu`` other
+    than a float goes through ``mesh._scalar``, so None, a bool or a
+    string raises ValueError. Raises DomainError when mu falls outside the
+    declared domain and KeyError when a tabulated law has no entry for mu.
     """
-    mu = float(mu)
+    if type(mu) is not float:  # a float, the usual case, skips the gate
+        mu = _scalar(mu, "mu")
     lo, hi = law.domain
     if not lo <= mu <= hi:
         raise DomainError(f"mu={mu} outside domain [{lo}, {hi}]")
-    free, flat, rows = _resolve(law, mesh)
+    free, flat, rows, r = _resolve(law, mesh)
     ids = law.control_ids
 
+    # bound on every |entry|: |mu| * max|rows| for the bend, and for the
+    # rotation dim * max|rows| for rows @ Rᵀ (|Rᵀ entries| <= 1) plus
+    # max|rows| for the subtraction; table rows are finite fields' rows
     if law.kind == "bend":
         moved = np.zeros((rows.size, mesh.dim))
         moved[:, 1] = mu * rows
+        bound = abs(mu) * r
     elif law.kind == "rotation":
-        rot = _rotation_matrix(mesh.dim, law.axis, np.deg2rad(mu))
-        # a contiguous rot.T is the fast form of the product, with bitwise
-        # the same results; a row's result does not depend on the others
-        moved = rows @ np.ascontiguousarray(rot.T) - rows
+        # a row's result does not depend on the others
+        moved = rows @ _rotation_transpose(mesh.dim, law.axis,
+                                           np.deg2rad(mu)) - rows
+        bound = (mesh.dim + 1) * r
     else:
         try:
             entry = law.table[mu]
@@ -184,14 +192,14 @@ def evaluate(law, mesh, mu):
                              f"{moved.shape[1]}, mesh has {mesh.dim}")
         if free is not None:
             moved = moved[free]
+        bound = 0.0
 
     if free is None:
         vec = moved
     else:
         vec = np.zeros((ids.size, mesh.dim))
         vec.reshape(-1)[flat] = moved.ravel()
-    # the clamped rows are zeros, so only the moved ones are scanned
-    return DisplacementField._built(ids, vec, scan=moved)
+    return DisplacementField._built(ids, vec, bound)
 
 
 def sample_domain(domain, n, seed):

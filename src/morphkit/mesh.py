@@ -50,6 +50,13 @@ COINCIDENCE_FACTOR = 1e-12
 
 _EPS = np.finfo(np.float64).eps
 
+# An entry computed by sums and products of finite values exceeds the
+# exact bound its producer derives by a factor of at most (1 + eps)^m
+# for m roundings, and the bound's own float evaluation is off by as
+# little. Below 2^1000 both stay 2^24 away from the largest float
+# (~2^1024), so such an entry cannot have overflowed to inf or NaN.
+_FINITE_BOUND = 2.0**1000
+
 
 def coincident_pair(points, tol):
     """Lowest index pair (i, j), i < j, of ``points`` at most ``tol`` apart.
@@ -238,16 +245,19 @@ class DisplacementField:
         object.__setattr__(self, "vectors", vec)
 
     @classmethod
-    def _built(cls, indices, vectors, scan=None):
+    def _built(cls, indices, vectors, bound):
         """Field over arrays a producer has just built, neither copied.
 
         ``indices`` are read-only, one-dimensional and unique, which the
         producer has established at their source; ``vectors`` (k, dim)
-        are fresh and nothing else writes them. Only the finiteness scan
-        runs here, over ``scan`` when the producer passes the part of
-        ``vectors`` that can hold non-finite values, else over all of them.
+        are fresh and nothing else writes them. ``bound`` is 0 when the
+        entries are copied from finite arrays, else an upper bound on
+        every |entry| that the producer derives from its finite inputs.
+        A bound below _FINITE_BOUND proves the entries finite; above it,
+        or NaN, the entries are scanned.
         """
-        _check_finite(vectors if scan is None else scan)
+        if not bound < _FINITE_BOUND:
+            _check_finite(vectors)
         vectors.setflags(write=False)
         built = object.__new__(cls)
         object.__setattr__(built, "indices", indices)
@@ -273,11 +283,14 @@ class DisplacementField:
         global _restrict_plan
         plan = _restrict_plan
         idx = self.indices
+        # the identity test spares the comparison when the caller passes
+        # the validated array back, as a loop over one id set does
         if (plan is not None and plan[0]() is idx
-                and type(ids) is np.ndarray and ids.dtype == np.int64
-                and np.array_equal(plan[1], ids)):
+                and (plan[1] is ids
+                     or (type(ids) is np.ndarray and ids.dtype == np.int64
+                         and np.array_equal(plan[1], ids)))):
             return DisplacementField._built(
-                plan[1], self.vectors.take(plan[2], axis=0))
+                plan[1], self.vectors.take(plan[2], axis=0), 0.0)
         ids = _node_ids(ids, "ids")
         # strictly increasing ids (the usual case) need no sort permutation
         order = (None if (idx[1:] > idx[:-1]).all()
@@ -293,8 +306,10 @@ class DisplacementField:
         if idx.flags.owndata and not idx.flags.writeable:
             rows.setflags(write=False)
             _restrict_plan = (weakref.ref(idx), ids, rows)
-        # take is the fast form of the row gather, with bitwise the same rows
-        return DisplacementField._built(ids, self.vectors.take(rows, axis=0))
+        # take is the fast form of the row gather, with bitwise the same
+        # rows; rows of a finite field are finite, so the bound is 0
+        return DisplacementField._built(ids, self.vectors.take(rows, axis=0),
+                                        0.0)
 
     def as_vector(self):
         """Node-major flattening with the dim components interleaved.
@@ -331,7 +346,9 @@ def merge_fields(*fields):
     if has_duplicates(idx):
         raise ValueError("fields overlap")
     idx.setflags(write=False)
-    return DisplacementField._built(idx, np.vstack([f.vectors for f in fields]))
+    # stacked rows of finite fields
+    return DisplacementField._built(
+        idx, np.vstack([f.vectors for f in fields]), 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroReferenceError
+from .mesh import _scalar
 from .mesh import mesh_quality  # noqa: F401 -- perfbench/tracing.py wraps metrics.mesh_quality
 
 __all__ = [
@@ -49,7 +50,12 @@ def relative_error(test, reference):
 
 
 def time_mean(fn, repeat=100):
-    """Mean wall-clock seconds of ``fn()`` over ``repeat`` calls (monotonic)."""
+    """Mean wall-clock seconds of ``fn()`` over ``repeat`` calls (monotonic).
+
+    ``repeat`` goes through ``mesh._scalar``: 2.5, None or a string raises
+    ValueError.
+    """
+    repeat = _scalar(repeat, "repeat", integral=True)
     if repeat < 1:
         raise ValueError("repeat must be at least 1")
     start = time.perf_counter()

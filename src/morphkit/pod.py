@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,6 +117,9 @@ class PodModel:
     dim: int
     train_params: tuple = ()
     selection_params: dict | None = None
+    # max|basis|, taken once: online_solve's outputs are bounded by it
+    # times sum|beta|
+    _basis_max: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
         # the basis is held column-major: Z @ beta runs over contiguous
@@ -145,6 +148,9 @@ class PodModel:
         for name in ("basis", "online_map"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite entries")
+        if self.basis.size:
+            object.__setattr__(self, "_basis_max",
+                               float(np.abs(self.basis).max()))
 
 
 def build_snapshots(op, law, mesh, train_params):
@@ -284,17 +290,22 @@ def online_solve(model, d_controls):
     """Reduced coordinates of one control displacement, expanded through the basis.
 
     ``d_controls`` must cover exactly ``model.control_ids``, in order.
+    Every output is at most max|basis| * sum|beta| in magnitude, so that
+    bound, not a scan of the outputs, proves them finite.
     """
-    if not np.array_equal(d_controls.indices, model.control_ids):
+    ids = d_controls.indices
+    if not (ids is model.control_ids or np.array_equal(ids, model.control_ids)):
         raise ValueError("displacement indices must equal model.control_ids in order")
     if d_controls.dim != model.dim:
         raise ValueError(f"field dim {d_controls.dim} != model dim {model.dim}")
     beta = model.online_map @ d_controls.as_vector()
     flat = model.basis @ beta
     flat.setflags(write=False)  # so the reshaped view cannot be made writeable
-    # the model has checked its target ids for duplicates
+    # the model has checked its target ids for duplicates; the bound is
+    # summed in Python floats, which overflow to inf without a warning
     return DisplacementField._built(
-        model.target_ids, flat.reshape(model.target_ids.size, model.dim))
+        model.target_ids, flat.reshape(model.target_ids.size, model.dim),
+        model._basis_max * sum(map(abs, beta.tolist())))
 
 
 def build_pod_model(op, law, mesh, train_params, epsilon, mode="weighted",

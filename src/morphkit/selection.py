@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateSampleError
-from .mesh import _int_ids, _node_ids, sorted_unique
+from .mesh import _int_ids, _node_ids, _scalar, sorted_unique
 
 __all__ = [
     "RegionParams",
@@ -54,15 +54,25 @@ _MEMO_BYTES = 2 * 2**20
 _BUILD_BLOCK = 16_384
 
 
-def _check_walk(radius=None, a=None, b=None, strategy=None):
-    """Raise ValueError for a walk parameter out of range; None skips it."""
-    if radius is not None and not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if a is not None and not 0 < a < 1:
-        raise ValueError(f"a must lie in (0, 1), got {a}")
-    if b is not None and not b > 1:
-        raise ValueError(f"b must exceed 1, got {b}")
-    if strategy is not None and strategy not in STRATEGIES:
+# each walk number's range: its test and the words of its error
+_WALK_RANGES = {"radius": (lambda v: v > 0, "be positive"),
+                "a": (lambda v: 0 < v < 1, "lie in (0, 1)"),
+                "b": (lambda v: v > 1, "exceed 1")}
+
+
+def _walk_number(name, value):
+    """``value`` of the walk parameter ``name`` (radius, a or b) as a float
+    through ``mesh._scalar``; ValueError names it when it is not a finite
+    number or lies outside its range."""
+    value = _scalar(value, name)
+    test, rule = _WALK_RANGES[name]
+    if not test(value):
+        raise ValueError(f"{name} must {rule}, got {value}")
+    return value
+
+
+def _check_strategy(strategy):
+    if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
 
 
@@ -74,7 +84,7 @@ class RegionParams:
     radius: float
 
     def __post_init__(self):
-        _check_walk(radius=self.radius)
+        object.__setattr__(self, "radius", _walk_number("radius", self.radius))
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,9 @@ class SelectionParams:
     a scales the annulus thickness (a * R), b the outer radius of the
     ring candidates are picked from (b * R); seed feeds the random
     strategy; seed_points optionally maps a region's group to the node
-    id its walk picks first.
+    id its walk picks first. a, b and seed go through ``mesh._scalar``,
+    seed as an integer, so None, a string or a fractional seed raises
+    ValueError.
     """
 
     regions: tuple
@@ -101,7 +113,10 @@ class SelectionParams:
         groups = [r.group for r in regions]
         if len(set(groups)) != len(regions):
             raise ValueError("regions must name distinct groups")
-        _check_walk(a=self.a, b=self.b, strategy=self.strategy)
+        for name in ("a", "b"):
+            object.__setattr__(self, name, _walk_number(name, getattr(self, name)))
+        _check_strategy(self.strategy)
+        object.__setattr__(self, "seed", _scalar(self.seed, "seed", True))
         unknown = sorted(set(self.seed_points) - set(groups))
         if unknown:
             raise ValueError(f"seed_points {unknown} name no region of {groups}")
@@ -254,7 +269,9 @@ def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
     candidates = np.sort(_node_ids(candidates, "candidate ids", mesh.node_count))
     if candidates.size == 0:
         raise ValueError("candidate set is empty")
-    _check_walk(radius, a, b, strategy)
+    radius, a, b = (_walk_number(name, value) for name, value in
+                    (("radius", radius), ("a", a), ("b", b)))
+    _check_strategy(strategy)
 
     nc = candidates.size
     outer = b * radius

@@ -71,8 +71,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"got {p!r}"):
             IdwConfig(p=p)
     assert type(IdwConfig(p=4.0).p) is int and IdwConfig(p=4.0).p == 4
-    with pytest.raises(ValueError):
-        IdwConfig(coincidence_tol=-1.0)
+    for tol in (-1.0, "x", True, np.nan):
+        with pytest.raises(ValueError, match=f"coincidence_tol must be a "
+                                             f"finite number >= 0, got {tol!r}"):
+            IdwConfig(coincidence_tol=tol)
     assert IdwConfig(coincidence_tol=0.5).resolve_tol([[0.0], [1.0]]) == 0.5
 
 

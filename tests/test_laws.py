@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
@@ -69,6 +70,22 @@ def test_clamp_overlapping_groups_and_foreign_nodes(tiny_wing):
 OUTER_FACES = ("left", "right", "top", "bottom", "front", "rear")
 
 
+def rotation_matrix(dim, axis, radians):
+    """R written out element by element: the reference for the Rᵀ that
+    laws._rotation_transpose builds as one array."""
+    c, s = np.cos(radians), np.sin(radians)
+    if dim == 2:
+        return np.array([[c, -s], [s, c]])
+    k = "xyz".index(axis)
+    rot = np.eye(3)
+    i, j = (k + 1) % 3, (k + 2) % 3
+    rot[i, i] = c
+    rot[j, j] = c
+    rot[j, i] = s
+    rot[i, j] = -s
+    return rot
+
+
 def explicit_field(kind, mesh, ids, mu):
     """The law's field written out from its definition, no clamping."""
     if kind == "bend":
@@ -77,7 +94,7 @@ def explicit_field(kind, mesh, ids, mu):
         return vec
     if kind == "rotation":
         rel = mesh.nodes[ids] - np.array([2.0, 2.0, 2.0])
-        return rel @ laws._rotation_matrix(3, "z", np.deg2rad(mu)).T - rel
+        return rel @ rotation_matrix(3, "z", np.deg2rad(mu)).T - rel
     return np.sin(mesh.nodes[ids] * mu)
 
 
@@ -176,7 +193,8 @@ def test_laws_compare_by_identity():
 
 
 def test_evaluate_rejects_nonfinite_values(wing):
-    # mu * z^2 overflows: the computed field is scanned, not trusted
+    # mu * z^2 overflows: the bound |mu| * max z^2 is inf, so the field is
+    # scanned and refused
     law = bend_law(wing.boundary_ids, (0.0, 1e308))
     with np.errstate(over="ignore"), \
             pytest.raises(ValueError, match="non-finite"):
@@ -184,7 +202,8 @@ def test_evaluate_rejects_nonfinite_values(wing):
 
 
 def test_evaluate_scans_the_free_rows_of_a_clamped_law(wing):
-    # only the free rows are scanned; the overflow lies in them
+    # only the free rows are computed, and their bound sends the field to
+    # the scan; the overflow lies in them
     law = bend_law(wing.boundary_ids, (0.0, 1e308), clamp_groups=("left",))
     with np.errstate(over="ignore"), \
             pytest.raises(ValueError, match="non-finite"):
@@ -246,15 +265,35 @@ def test_rotation_preserves_distance_to_pivot(wing):
     np.testing.assert_allclose(after, before, rtol=1e-12)
 
 
-@pytest.mark.parametrize("axis", ["x", "y", "z"])
-def test_rotation_is_bitwise_the_explicit_form(wing, axis):
-    pivot = np.array([0.5, 0.125, 1.0])
-    law = rotation_law(wing.boundary_ids, (-36.0, 0.0), pivot=pivot,
+@pytest.mark.parametrize("dim, axis", [(3, "x"), (3, "y"), (3, "z"),
+                                       (2, "z")], ids=["x", "y", "z", "2d"])
+def test_rotation_is_bitwise_the_explicit_form(wing, lattice11, dim, axis):
+    # Rᵀ built as one array gives the element-wise R's field bit for bit
+    mesh = wing if dim == 3 else lattice11
+    pivot = np.array([0.5, 0.125, 1.0][:dim])
+    law = rotation_law(mesh.boundary_ids, (-36.0, 36.0), pivot=pivot,
                        axis=axis)
-    d = evaluate(law, wing, -17.3)
-    rot = laws._rotation_matrix(3, axis, np.deg2rad(-17.3))
-    rel = wing.nodes[wing.boundary_ids] - pivot
-    np.testing.assert_array_equal(d.vectors, rel @ rot.T - rel)
+    rel = mesh.nodes[mesh.boundary_ids] - pivot
+    for mu in (-36.0, -17.3, -1e-9, 0.0, 2.5, 30.0, 36.0):
+        rot = rotation_matrix(dim, axis, np.deg2rad(mu))
+        assert laws._rotation_transpose(dim, axis, np.deg2rad(mu)).tobytes() \
+            == np.ascontiguousarray(rot.T).tobytes()
+        got = evaluate(law, mesh, mu).vectors
+        assert got.tobytes() == (rel @ rot.T - rel).tobytes()
+
+
+@pytest.mark.parametrize("node, pivot", [
+    ((1.5e308, 0.0), (-1.5e308, 0.0)),   # node - pivot overflows
+    ((1e308, 1e308), (0.0, 0.0)),        # node - pivot is finite, R x is not
+])
+def test_rotation_rejects_nonfinite_values(node, pivot):
+    # the bound (dim + 1) * max|node - pivot| is inf, so the field is scanned
+    mesh = mk.Mesh(2, [node, [0.0, 0.0]], np.empty((0, 3), dtype=np.int64),
+                   [0, 1], [])
+    law = rotation_law([0], (0.0, 90.0), pivot=pivot)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        evaluate(law, mesh, 90.0)
 
 
 def test_rotation_2d():
@@ -296,6 +335,20 @@ def test_domain_is_inclusive(tiny_wing):
         evaluate(law, tiny_wing, 1.0 + 1e-12)
     with pytest.raises(DomainError):
         evaluate(law, tiny_wing, -0.1)
+
+
+def test_evaluate_takes_numbers_not_strings(tiny_wing):
+    law = bend_law(tiny_wing.boundary_ids, (0.0, 1.0))
+    expected = evaluate(law, tiny_wing, 0.5).vectors
+    for mu in (np.float64(0.5), np.float32(0.5)):
+        assert evaluate(law, tiny_wing, mu).vectors.tobytes() \
+            == expected.tobytes()
+    np.testing.assert_array_equal(evaluate(law, tiny_wing, 1).vectors,
+                                  evaluate(law, tiny_wing, 1.0).vectors)
+    for mu in ("0.01", None, True, np.float64(np.nan)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"mu must be a finite number, got {mu!r}")):
+            evaluate(law, tiny_wing, mu)
 
 
 def test_law_validation():

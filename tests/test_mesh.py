@@ -337,7 +337,7 @@ def test_restrict_plans_only_frozen_owned_indices(kind, monkeypatch):
     idx = base if kind == "writeable" else base[:]
     if kind == "view":
         idx.setflags(write=False)
-    f = DisplacementField._built(idx, np.arange(8.0).reshape(4, 2))
+    f = DisplacementField._built(idx, np.arange(8.0).reshape(4, 2), 0.0)
     monkeypatch.setattr(mesh_module, "_restrict_plan", None)
     request = np.array([11, 5])
     for _ in range(2):

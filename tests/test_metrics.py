@@ -45,8 +45,12 @@ def test_time_mean_counts_calls():
     mean = time_mean(lambda: calls.append(1), repeat=7)
     assert len(calls) == 7
     assert mean >= 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="repeat must be at least 1"):
         time_mean(lambda: None, repeat=0)
+    for bad in (2.5, None, "3"):
+        with pytest.raises(ValueError, match=f"repeat must be an integer, "
+                                             f"got {bad!r}"):
+            time_mean(lambda: None, repeat=bad)
 
 
 def test_csv_schema_is_frozen():

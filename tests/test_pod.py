@@ -231,12 +231,67 @@ def test_online_solve_checks_ids(wing):
 
 def test_online_solve_rejects_nonfinite_values():
     # finite model and field, but beta = 1e300 * 1e10 overflows: the
-    # computed field is scanned, not trusted
+    # bound max|basis| * sum|beta| is inf, so the outputs are scanned
     model = mk.PodModel(np.ones((1, 1)), np.ones(1), 1, 0.0, "plain",
                         np.array([[1e300]]), [2], [5], 1)
     with np.errstate(over="ignore"), \
             pytest.raises(ValueError, match="non-finite"):
         online_solve(model, DisplacementField([2], [[1e10]]))
+
+
+def test_online_solve_rejects_an_expansion_that_overflows():
+    # beta = 1e10 is finite, but basis @ beta = 1e300 * 1e10 is not: the
+    # bound is inf, so the outputs are scanned
+    model = mk.PodModel(np.full((1, 1), 1e300), np.ones(1), 1, 0.0, "plain",
+                        np.ones((1, 1)), [2], [5], 1)
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        online_solve(model, DisplacementField([2], [[1e10]]))
+
+
+def _spy_check_finite(monkeypatch):
+    calls = []
+    check = mk.mesh._check_finite
+
+    def spy(vectors):
+        calls.append(vectors.shape)
+        check(vectors)
+
+    monkeypatch.setattr(mk.mesh, "_check_finite", spy)
+    return calls
+
+
+def test_online_solve_scans_finite_outputs_above_the_bound(monkeypatch):
+    # the bound 1e300 * (10 + 10) lies above 2**1000, but the two modes
+    # cancel: the outputs are scanned, found finite and equal basis @ beta
+    basis = np.array([[1e300, -1e300], [0.5, 0.25]])
+    model = mk.PodModel(basis, np.ones(2), 2, 0.0, "plain",
+                        np.ones((2, 1)), [2], [5, 6], 1)
+    d = DisplacementField([2], [[10.0]])
+    calls = _spy_check_finite(monkeypatch)
+    out = online_solve(model, d)
+    assert calls == [(2, 1)]
+    expected = basis @ np.array([10.0, 10.0])
+    assert out.vectors.ravel().tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(expected, [0.0, 7.5])
+
+
+@pytest.mark.parametrize("kind", ["bend", "rotation"])
+def test_online_query_scans_nothing(wing, monkeypatch, kind):
+    # evaluate -> restrict (validating first, then from its plan) ->
+    # online_solve: every producer's bound proves its output finite, so
+    # no output is scanned
+    op = assemble(wing, wing.boundary_ids, wing.interior_ids)
+    law = (bend_law(wing.boundary_ids, (0.0, 0.02), clamp_groups=("left",))
+           if kind == "bend" else
+           rotation_law(wing.boundary_ids, (-36.0, 0.0), pivot=(0.5, 0.1, 3.0)))
+    model = build_pod_model(op, law, wing, np.linspace(*law.domain, 4), 1e-5)
+    calls = _spy_check_finite(monkeypatch)
+    for mu in np.linspace(*law.domain, 5).tolist():
+        d = evaluate(law, wing, mu)
+        out = online_solve(model, d.restrict(model.control_ids))
+    assert calls == []
+    assert np.isfinite(out.vectors).all()
 
 
 def test_online_output_is_frozen(wing):

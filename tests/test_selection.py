@@ -411,6 +411,22 @@ def test_params_validation():
     pinned = SelectionParams((region,), seed_points={"left": np.int64(3)})
     assert pinned.seed_points == {"left": 3}
     assert type(pinned.seed_points["left"]) is int
+    # the walk numbers and the seed are numbers, not cast; None is refused
+    for bad in ("0.3", None, True, np.nan):
+        with pytest.raises(ValueError, match=f"radius must be a finite "
+                                             f"number, got {bad!r}"):
+            RegionParams("left", bad)
+    for name in ("a", "b"):
+        with pytest.raises(ValueError, match=f"{name} must be a finite "
+                                             "number, got None"):
+            SelectionParams((region,), **{name: None})
+    for bad in (7.9, None, "7"):
+        with pytest.raises(ValueError, match=f"seed must be an integer, "
+                                             f"got {bad!r}"):
+            SelectionParams((region,), seed=bad)
+    params = SelectionParams((("left", 1),), b=2, seed=7.0)
+    assert (type(params.regions[0].radius), type(params.b)) == (float, float)
+    assert params.seed == 7 and type(params.seed) is int
 
 
 def test_enrich_unions_groups(wing):
