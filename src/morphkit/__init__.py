@@ -21,9 +21,9 @@ from .mesh import (DisplacementField, Mesh, apply_deformation,
                    write_mesh)
 from .metrics import (CSV_COLUMNS, ComparisonReport, relative_error,
                       time_mean, write_reports_csv, write_reports_json)
-from .pod import (PodModel, SnapshotSet, build_online, build_pod_model,
-                  build_snapshots, compute_pod, online_solve, pod_energy,
-                  pseudo_inverse, read_model, write_model)
+from .pod import (PodModel, build_online, build_pod_model, build_snapshots,
+                  compute_pod, online_solve, pod_energy, pseudo_inverse,
+                  read_model, write_model)
 from .selection import (BaselineStats, RegionParams, SelectionParams,
                         SelectionResult, enrich, random_baseline_stats,
                         read_selection, select, select_multi, select_random,

@@ -43,12 +43,13 @@ def load_config(path):
     return cfg
 
 
-def _number(section, key, default=None, where="", integral=False):
+def _number(section, key, default=None, where="", integral=False,
+            minimum=None):
     """``section[key]`` through ``mesh._scalar``, its errors naming the key
     ``where + key`` (e.g. 'pod.n_train'); ``default`` if the key is absent."""
     if key not in section:
         return default
-    return _scalar(section[key], repr(where + key), integral)
+    return _scalar(section[key], repr(where + key), integral, minimum)
 
 
 def build_mesh(cfg):
@@ -86,13 +87,15 @@ def build_law(cfg, mesh):
 
 def _seed(section, key, where, args):
     """--seed, else MORPHKIT_SEED, else the config's ``section[key]``
-    (default 0)."""
+    (default 0): an integer >= 0, its errors naming where it came from."""
     if getattr(args, "seed", None) is not None:
-        return args.seed
+        return _scalar(args.seed, "--seed", True, 0)
     env = os.environ.get("MORPHKIT_SEED")
     if env is not None:
-        return int(env)
-    return _number(section, key, 0, where, integral=True)
+        with contextlib.suppress(ValueError):  # else refused as a string
+            env = int(env)
+        return _scalar(env, "MORPHKIT_SEED", True, 0)
+    return _number(section, key, 0, where, integral=True, minimum=0)
 
 
 def selection_params(cfg, args):

@@ -155,8 +155,9 @@ def assemble(mesh, control_ids, target_ids, config=IdwConfig()):
     """Weight matrix of ``control_ids`` at ``target_ids`` for ``mesh``.
 
     The coincidence tolerance resolves against the mesh bounding box and
-    is stored back into the returned operator's config, so dumps carry
-    concrete numbers.
+    is stored back into the returned operator's config, so that rows of
+    the operator can be checked against :func:`weights_at` at the mesh's
+    own tolerance.
     """
     control_ids, target_ids, controls, tol = _validated(
         mesh, control_ids, target_ids, config)

@@ -203,11 +203,12 @@ def evaluate(law, mesh, mu):
 
 
 def sample_domain(domain, n, seed):
-    """n uniform draws from [lo, hi]; a point domain repeats its value."""
+    """n uniform draws from [lo, hi]; a point domain repeats its value.
+    ``seed`` must be an integer >= 0."""
     lo, hi = (_scalar(v, "domain bound") for v in domain)
     if not lo <= hi:
         raise ValueError(f"domain [{lo}, {hi}] is empty")
-    return np.random.default_rng(seed).uniform(
+    return np.random.default_rng(_scalar(seed, "seed", True, 0)).uniform(
         lo, hi, size=_scalar(n, "sample count", True, 1))
 
 

@@ -1,14 +1,16 @@
 """Reduced-order acceleration of repeated morphs.
 
-Offline: evaluate the morphing operator on training parameters, stack
-the flattened interior displacements as snapshot columns (node-major,
-components interleaved), extract an orthonormal basis Z by thin SVD, and
-precompute one online map R. The mode count N is the smallest one whose
-discarded spectral energy
+Offline, on plain arrays: :func:`build_snapshots` morphs every training
+parameter through the operator W (targets x controls) and returns S, the
+flattened interior displacements as columns (node-major, components
+interleaved), and F, the training control fields they came from, so
+that S = (W ⊗ I) F. :func:`compute_pod` takes the thin SVD
+S = Z Sigma Vt and keeps N modes, N the smallest count whose discarded
+spectral energy
 
     E(N) = sum_{n>N} sigma_n^2 / sum_n sigma_n^2
 
-drops to the requested epsilon.
+drops to the requested epsilon. One online map R is then precomputed.
 
 Online: for a new parameter, the reduced coordinates are beta = R d for
 the control displacement d, expanded through Z. Two projections fix R:
@@ -21,16 +23,15 @@ the control displacement d, expanded through Z. Two projections fix R:
 
 Both reproduce any morph whose image already lies in span(Z).
 
-K Z comes one of two ways. The snapshots are S = (W ⊗ I) F, F holding
-the training control fields, so the basis is Z = S V_N Sigma_N^-1
-(the method of snapshots, Sirovich 1987). When W has full column rank,
-pinv(W) W = I and K Z = F V_N Sigma_N^-1: one small product over
-factors the offline stage already holds. V_N is taken from the SVD
-itself; the identity V_N Sigma_N^-1 = S^T Z Sigma_N^-2 would square
-sigma_1 / sigma_N. :func:`build_pod_model` takes that route when W is
-tall and its Gram matrix certifies the rank (:func:`_full_column_rank`).
-Otherwise, and for any basis handed to :func:`build_online` on its own,
-K Z is a minimum-norm least-squares solve against W.
+K Z comes one of two ways. The basis is Z = S V_N Sigma_N^-1 (the method
+of snapshots, Sirovich 1987), so when W has full column rank,
+pinv(W) W = I and K Z = F V_N Sigma_N^-1: one small product of F with
+the right singular vectors the SVD of S already gave. The identity
+V_N Sigma_N^-1 = S^T Z Sigma_N^-2 would square sigma_1 / sigma_N.
+:func:`build_pod_model` takes that route when W is tall and its Gram
+matrix certifies the rank (:func:`_full_column_rank`). Otherwise, and
+for any basis handed to :func:`build_online` on its own, K Z is a
+minimum-norm least-squares solve against W.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ import numpy as np
 from .errors import DegenerateSnapshotsError, IllPosedOnlineError
 from .idw import deform  # noqa: F401 -- perfbench/tracing.py wraps pod.deform
 from .laws import evaluate
-from .mesh import DisplacementField, _node_ids, _own, _scalar
+from .mesh import DisplacementField, _node_ids, _scalar
 
 __all__ = [
-    "SnapshotSet",
     "PodModel",
     "build_snapshots",
     "compute_pod",
@@ -67,39 +67,6 @@ RANK_TOL = 1e-12
 GRAM_TOL = 1e-8
 
 MODES = ("weighted", "plain")
-
-
-@dataclass(frozen=True, eq=False)
-class SnapshotSet:
-    """Training snapshots: one flattened displacement field per column.
-
-    ``fields``, when given, holds the training control fields the
-    snapshots were morphed from, one column each, rows laid out
-    (control, component). Hand-built sets may omit it.
-    """
-
-    matrix: np.ndarray      # (n_targets * dim, n_train)
-    params: tuple           # training mu values, one per column
-    target_ids: np.ndarray
-    dim: int
-    fields: np.ndarray | None = None  # (n_controls * dim, n_train)
-
-    def __post_init__(self):
-        mat = _own(self.matrix, np.float64)
-        ids = _node_ids(self.target_ids, "target_ids")
-        if mat.ndim != 2 or mat.shape[0] != ids.size * self.dim:
-            raise ValueError("snapshot rows must equal n_targets * dim")
-        if mat.shape[1] != len(self.params):
-            raise ValueError("one training parameter per column required")
-        if self.fields is not None:
-            fields = _own(self.fields, np.float64)
-            if (fields.ndim != 2 or fields.shape[0] % self.dim
-                    or fields.shape[1] != mat.shape[1]):
-                raise ValueError("fields must be (n_controls * dim) x n_train")
-            object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "target_ids", ids)
-        object.__setattr__(self, "params", tuple(float(m) for m in self.params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,11 +90,16 @@ class PodModel:
 
     def __post_init__(self):
         # the basis is held column-major: Z @ beta runs over contiguous
-        # columns; write_model still stores it row-major
+        # columns; write_model still stores it row-major. Each copy starts
+        # on a 64-byte boundary: where the allocator happened to place the
+        # basis moved a tunnel-22 query's time by up to ~8 %
         for name, order in (("basis", "F"), ("singular_values", "C"),
                             ("online_map", "C")):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True,
-                           order=order)
+            src = np.asarray(getattr(self, name), dtype=np.float64)
+            raw = np.empty(src.size + 8)
+            arr = np.ndarray(src.shape, np.float64, raw,
+                             -raw.ctypes.data % 64, order=order)
+            arr[...] = src
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         for name in ("control_ids", "target_ids"):
@@ -154,30 +126,31 @@ class PodModel:
 
 
 def build_snapshots(op, law, mesh, train_params):
-    """Morph every training parameter and stack the results as columns.
+    """Morph every training parameter: returns (S, F), both read-only.
 
-    The control fields sit side by side in one (n_controls, dim * n_train)
-    matrix, component-major, so that one product with the operator morphs
-    them all straight into the snapshot layout: column j is
-    ``deform(op, field_j).as_vector()``. The set keeps that matrix as its
-    ``fields``, viewed (n_controls * dim, n_train).
+    S (n_targets * dim, n_train) holds one flattened interior
+    displacement per column, column j being ``deform(op,
+    field_j).as_vector()``; F (n_controls * dim, n_train) holds the
+    training control fields, rows laid out (control, component). F is
+    filled as one (n_controls, dim * n_train) matrix, component-major, so
+    that one product with the operator morphs every field straight into
+    the layout of S.
     """
     train_params = tuple(float(m) for m in train_params)
     if not train_params:
         raise ValueError("need at least one training parameter")
     dim, n_train = mesh.dim, len(train_params)
-    fields = np.empty((op.n_controls * dim, n_train))
-    stacked = fields.reshape(op.n_controls, dim, n_train)
+    F = np.empty((op.n_controls * dim, n_train))
+    stacked = F.reshape(op.n_controls, dim, n_train)
     for j, mu in enumerate(train_params):
         stacked[:, :, j] = evaluate(law, mesh, mu).restrict(
             op.control_ids).vectors
-    cols = np.empty((op.n_targets * dim, n_train))
+    S = np.empty((op.n_targets * dim, n_train))
     np.matmul(op.matrix, stacked.reshape(op.n_controls, dim * n_train),
-              out=cols.reshape(op.n_targets, dim * n_train))
-    # frozen, so the set keeps both uncopied
-    cols.setflags(write=False)
-    fields.setflags(write=False)
-    return SnapshotSet(cols, train_params, op.target_ids, dim, fields)
+              out=S.reshape(op.n_targets, dim * n_train))
+    S.setflags(write=False)
+    F.setflags(write=False)
+    return S, F
 
 
 def pod_energy(sigma, n):
@@ -189,20 +162,22 @@ def pod_energy(sigma, n):
     return float(sq[n:].sum() / total)
 
 
-def compute_pod(snapshots, epsilon, right_vectors=False):
-    """Orthonormal basis from snapshots: returns (Z, sigma, N).
+def compute_pod(S, epsilon):
+    """Orthonormal basis of the snapshot matrix ``S``: (Z, sigma, N, Vt_N).
 
     sigma holds every singular value above RANK_TOL * sigma_1; Z keeps
-    the first N columns, N being the smallest count with E(N) <= epsilon.
-    With ``right_vectors`` the tuple ends with Vt_N, the first N right
-    singular vectors as rows, so that Z = S Vt_N^T / sigma_N.
+    the first N left singular vectors, N being the smallest count with
+    E(N) <= epsilon, and Vt_N the first N right ones as rows, so that
+    Z = S Vt_N^T / sigma_N.
     """
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    U = snapshots.matrix
-    if not U.any():
+    S = np.asarray(S, dtype=np.float64)
+    if S.ndim != 2:
+        raise ValueError(f"snapshot matrix must be 2-D, got shape {S.shape}")
+    if not S.any():
         raise DegenerateSnapshotsError("all snapshot columns are zero")
-    Z, sigma, Vt = np.linalg.svd(U, full_matrices=False)
+    Z, sigma, Vt = np.linalg.svd(S, full_matrices=False)
     keep = sigma >= RANK_TOL * sigma[0]
     sigma = sigma[keep]
     r = sigma.size
@@ -211,9 +186,7 @@ def compute_pod(snapshots, epsilon, right_vectors=False):
         if pod_energy(sigma, n) <= epsilon:
             n_modes = n
             break
-    if right_vectors:
-        return Z[:, :n_modes], sigma, n_modes, Vt[:n_modes]
-    return Z[:, :n_modes], sigma, n_modes
+    return Z[:, :n_modes], sigma, n_modes, Vt[:n_modes]
 
 
 def pseudo_inverse(matrix):
@@ -315,13 +288,12 @@ def build_pod_model(op, law, mesh, train_params, epsilon, mode="weighted",
     In weighted mode K Z comes from the snapshot SVD when W passes
     :func:`_full_column_rank`, else from :func:`build_online`'s solve.
     """
-    snapshots = build_snapshots(op, law, mesh, train_params)
-    Z, sigma, n_modes, Vt = compute_pod(snapshots, epsilon,
-                                        right_vectors=True)
+    S, F = build_snapshots(op, law, mesh, train_params)
+    Z, sigma, n_modes, Vt = compute_pod(S, epsilon)
     kz = None
     if mode == "weighted" and _full_column_rank(op.matrix):
-        kz = snapshots.fields @ (Vt.T / sigma[:n_modes])  # F V_N Sigma_N^-1
-    del snapshots  # freed before the online map is built
+        kz = F @ (Vt.T / sigma[:n_modes])  # F V_N Sigma_N^-1
+    del S, F  # freed before the online map is built
     return build_online(Z, sigma, op, mode=mode, epsilon=epsilon,
                         train_params=train_params,
                         selection_params=selection_params, kz=kz)

@@ -95,8 +95,8 @@ class SelectionParams:
     ring candidates are picked from (b * R); seed feeds the random
     strategy; seed_points optionally maps a region's group to the node
     id its walk picks first. a, b and seed go through ``mesh._scalar``,
-    seed as an integer, so None, a string or a fractional seed raises
-    ValueError.
+    seed as an integer >= 0, so None, a string, a negative or a
+    fractional seed raises ValueError.
     """
 
     regions: tuple
@@ -116,7 +116,7 @@ class SelectionParams:
         for name in ("a", "b"):
             object.__setattr__(self, name, _walk_number(name, getattr(self, name)))
         _check_strategy(self.strategy)
-        object.__setattr__(self, "seed", _scalar(self.seed, "seed", True))
+        object.__setattr__(self, "seed", _scalar(self.seed, "seed", True, 0))
         unknown = sorted(set(self.seed_points) - set(groups))
         if unknown:
             raise ValueError(f"seed_points {unknown} name no region of {groups}")
@@ -264,8 +264,9 @@ def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
     pick is drawn from the current annulus restricted to distances
     (R, b*R] from the previous pick, every pick removes the closed ball
     of radius R around itself, and an exhausted ring hands over to the
-    next one.
+    next one. ``seed`` must be an integer >= 0 for every strategy.
     """
+    seed = _scalar(seed, "seed", True, 0)
     candidates = np.sort(_node_ids(candidates, "candidate ids", mesh.node_count))
     if candidates.size == 0:
         raise ValueError("candidate set is empty")
@@ -399,12 +400,14 @@ def enrich(selected, mesh, group_names):
 
 
 def select_random(candidates, k, seed):
-    """Uniform sample of k distinct candidates, sorted."""
+    """Uniform sample of k distinct candidates, sorted; k and seed go
+    through ``mesh._scalar`` as integers, k >= 1 and seed >= 0."""
     candidates = _node_ids(candidates, "candidate ids")
-    if not 1 <= k <= candidates.size:
+    k = _scalar(k, "k", True, 1)
+    if k > candidates.size:
         raise ValueError(f"k must lie in [1, {candidates.size}], got {k}")
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(candidates, size=int(k), replace=False))
+    rng = np.random.default_rng(_scalar(seed, "seed", True, 0))
+    return np.sort(rng.choice(candidates, size=k, replace=False))
 
 
 @dataclass(frozen=True)
@@ -422,10 +425,13 @@ class BaselineStats:
 
 
 def random_baseline_stats(errors):
-    """Mean, sample standard deviation, and standardized extremes."""
+    """Mean, sample standard deviation, and standardized extremes of at
+    least two finite errors."""
     errors = np.asarray(errors, dtype=np.float64)
     if errors.ndim != 1 or errors.size < 2:
         raise ValueError("need at least two error samples")
+    if not np.isfinite(errors).all():
+        raise ValueError("error samples must be finite")
     lo, hi = float(errors.min()), float(errors.max())
     if lo == hi:
         raise DegenerateSampleError("all draws have identical error")

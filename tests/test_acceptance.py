@@ -332,8 +332,7 @@ def test_10_oracle_equivalence():
         sigma = np.array([3.0, 2.0, 1.0, 1e-3])
         U = np.linalg.qr(rng.standard_normal((6, 4)))[0]
         V = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        snaps = mk.SnapshotSet((U * sigma) @ V.T, (0, 1, 2, 3), [0, 1, 2], 2)
-        _, kept, n = compute_pod(snaps, eps)
+        _, kept, n, _ = compute_pod((U * sigma) @ V.T, eps)
         sq = kept**2
         brute = next(m for m in range(1, kept.size + 1)
                      if sq[m:].sum() / sq.sum() <= eps)

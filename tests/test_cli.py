@@ -512,7 +512,7 @@ def test_select_rejects_a_seed_point_naming_no_region(tmp_path, capsys):
      "'selection.a' must be a finite number, got None"),
     (["select"], {"selection": {"radius": 0.3, "seed": 7.9,
                                 "regions": [{"group": "left"}]}},
-     "'selection.seed' must be an integer, got 7.9"),
+     "'selection.seed' must be an integer >= 0, got 7.9"),
     (["select"], {"selection": {"radius": "0.3",
                                 "regions": [{"group": "left"}]}},
      "'selection.radius' must be a finite number, got '0.3'"),
@@ -521,6 +521,8 @@ def test_select_rejects_a_seed_point_naming_no_region(tmp_path, capsys):
      "'selection.regions[1].radius_factor' must be a finite number, got True"),
     (["morph"], {"law": {"kind": "bend", "domain": [None, 0.02]}},
      "domain bound must be a finite number, got None"),
+    (["pod-offline"], {"pod": {"n_train": 5, "seed": -1}},
+     "'pod.seed' must be an integer >= 0, got -1"),
 ])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_command_leaves_no_directory_it_made(
@@ -601,6 +603,25 @@ def test_seed_precedence(tmp_path, monkeypatch):
 
     ids = run_select(tmp_path, tmp_path / "o3", extra=("--seed", "3"))
     np.testing.assert_array_equal(ids, expected_selection(3))
+
+
+@pytest.mark.parametrize("flag, env, message", [
+    ("-1", None, "--seed must be an integer >= 0, got -1"),
+    (None, "7.9", "MORPHKIT_SEED must be an integer >= 0, got '7.9'"),
+    (None, "-1", "MORPHKIT_SEED must be an integer >= 0, got -1"),
+])
+def test_bad_seeds_are_refused_by_their_source(tmp_path, monkeypatch, capsys,
+                                               flag, env, message):
+    # a bad config seed is a case of
+    # test_failed_command_leaves_no_directory_it_made
+    if env is None:
+        monkeypatch.delenv("MORPHKIT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MORPHKIT_SEED", env)
+    extra = () if flag is None else ("--seed", flag)
+    assert main(["select", "--config", str(write_cfg(tmp_path)),
+                 "--out", str(tmp_path / "out"), *extra]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_equal_seeds_give_byte_identical_artifacts(tmp_path):

@@ -98,3 +98,17 @@ def test_mismatched_dims_rejected():
     _, controls = random_cloud(10, 1, 4, dim=2)
     with pytest.raises(ValueError, match="dim"):
         _kernels.assemble_weight_matrix(targets, controls, 4, 1e-12)
+
+
+def test_exact_hit_at_zero_tolerance_gets_the_indicator_row():
+    # with tol = 0 only d = 0 is a hit; it must still take the indicator
+    # row, not the ratio form's 0/0
+    controls = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    targets = np.array([[1.0, 0.0], [0.3, 0.4]])
+    w = _kernels.assemble_weight_matrix(targets, controls, 2, 0.0)
+    np.testing.assert_array_equal(w[0], [0.0, 1.0, 0.0])
+    np.testing.assert_allclose(w[1], rooted_weights(targets, controls, 2,
+                                                    0.0)[1], rtol=1e-15)
+    values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    moved = _kernels.apply_weights(targets, controls, values, 2, 0.0)
+    np.testing.assert_array_equal(moved[0], [3.0, 4.0])

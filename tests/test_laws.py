@@ -441,3 +441,7 @@ def test_sample_domain_validation():
             sample_domain((0.0, 1.0), n, seed=0)
     np.testing.assert_array_equal(sample_domain((0.0, 1.0), 4.0, seed=0),
                                   sample_domain((0.0, 1.0), 4, seed=0))
+    for seed in (7.9, -1, None, "3"):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, "
+                                             f"got {seed!r}"):
+            sample_domain((0.0, 1.0), 3, seed)

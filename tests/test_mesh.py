@@ -184,8 +184,6 @@ def _deformed_ids(ids):
 
 _ID_HOLDERS = {
     "law": (lambda ids: mk.bend_law(ids, (0.0, 1.0)).control_ids, _UNIQUE),
-    "snapshots": (lambda ids: mk.SnapshotSet(
-        np.zeros((3, 1)), (0.0,), ids, 1).target_ids, _UNIQUE),
     "pod-controls": (lambda ids: mk.PodModel(
         np.zeros((2, 1)), [1.0], 1, 0.0, "plain", np.zeros((1, 3)),
         ids, [0, 1], 1).control_ids, _UNIQUE),

@@ -1,13 +1,18 @@
 """Snapshot compression and the reduced online stage."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import morphkit as mk
 from morphkit import (DegenerateSnapshotsError, DisplacementField,
-                      IllPosedOnlineError, SnapshotSet, assemble, bend_law,
+                      IllPosedOnlineError, assemble, bend_law,
                       build_online, build_pod_model, build_snapshots,
                       compute_pod, deform, evaluate, online_solve,
                       pod_energy, pseudo_inverse, read_model, relative_error,
@@ -15,14 +20,13 @@ from morphkit import (DegenerateSnapshotsError, DisplacementField,
 
 
 def synthetic_snapshots(sigma, rows=6, seed=0):
-    """SnapshotSet with a prescribed spectrum (rows = 3 nodes x dim 2)."""
+    """Snapshot matrix with a prescribed spectrum (rows = 3 nodes x dim 2)."""
     rng = np.random.default_rng(seed)
     sigma = np.asarray(sigma, dtype=np.float64)
     k = sigma.size
     U = np.linalg.qr(rng.standard_normal((rows, k)))[0]
     V = np.linalg.qr(rng.standard_normal((k, k)))[0]
-    mat = (U * sigma) @ V.T
-    return SnapshotSet(mat, tuple(range(k)), [0, 1, 2], 2)
+    return (U * sigma) @ V.T
 
 
 # ---------------------------------------------------------------------------
@@ -40,23 +44,43 @@ def test_pod_energy_hand_case():
 
 @pytest.mark.parametrize("epsilon,expected", [(0.5, 1), (0.2, 2), (0.0, 3)])
 def test_truncation_count(epsilon, expected):
-    snaps = synthetic_snapshots([2.0, 1.0, 1.0])
-    Z, sigma, n = compute_pod(snaps, epsilon)
+    S = synthetic_snapshots([2.0, 1.0, 1.0])
+    Z, sigma, n, _ = compute_pod(S, epsilon)
     assert n == expected
     assert Z.shape == (6, expected)
     np.testing.assert_allclose(sigma, [2.0, 1.0, 1.0], rtol=1e-12)
 
 
+def test_energy_cut_keeps_the_count_whose_energy_equals_epsilon():
+    # E(1) of the spectrum (2, 1) is 1/5: epsilon equal to it keeps N = 1
+    S = np.diag([2.0, 1.0])
+    _, sigma, _, _ = compute_pod(S, 0.0)
+    Z, _, n, _ = compute_pod(S, pod_energy(sigma, 1))
+    assert n == 1 and Z.shape == (2, 1)
+
+
+def test_rank_cut_keeps_a_value_at_the_tolerance():
+    # sigma_2 = RANK_TOL * sigma_1 exactly: kept, like every value above it
+    _, sigma, n, _ = compute_pod(np.diag([1.0, mk.pod.RANK_TOL]), 0.0)
+    assert sigma.tolist() == [1.0, 1e-12] and n == 2
+
+
+def test_compute_pod_refuses_a_matrix_that_is_not_2d():
+    for S in (np.ones(6), np.ones((3, 2, 2))):
+        with pytest.raises(ValueError, match="2-D"):
+            compute_pod(S, 0.0)
+
+
 def test_basis_is_orthonormal():
-    snaps = synthetic_snapshots([5.0, 3.0, 0.5], seed=2)
-    Z, _, n = compute_pod(snaps, 0.0)
+    S = synthetic_snapshots([5.0, 3.0, 0.5], seed=2)
+    Z, _, n, _ = compute_pod(S, 0.0)
     np.testing.assert_allclose(Z.T @ Z, np.eye(n), atol=1e-12)
 
 
 def test_rank_tolerance_drops_noise_modes():
     # third direction is numerically zero, so only two values survive
-    snaps = synthetic_snapshots([1.0, 0.5, 1e-15])
-    _, sigma, n = compute_pod(snaps, 0.0)
+    S = synthetic_snapshots([1.0, 0.5, 1e-15])
+    _, sigma, n, _ = compute_pod(S, 0.0)
     assert sigma.size == 2
     assert n == 2
 
@@ -64,8 +88,7 @@ def test_rank_tolerance_drops_noise_modes():
 def test_rank_one_family():
     col = np.arange(1.0, 7.0)
     mat = np.outer(col, [1.0, 2.0, 3.0])
-    snaps = SnapshotSet(mat, (0.1, 0.2, 0.3), [0, 1, 2], 2)
-    Z, _, n = compute_pod(snaps, 1e-5)
+    Z, _, n, _ = compute_pod(mat, 1e-5)
     assert n == 1
     # basis spans the single direction
     proj = Z @ (Z.T @ mat)
@@ -73,16 +96,8 @@ def test_rank_one_family():
 
 
 def test_zero_snapshots_rejected():
-    snaps = SnapshotSet(np.zeros((6, 2)), (0.0, 1.0), [0, 1, 2], 2)
     with pytest.raises(DegenerateSnapshotsError):
-        compute_pod(snaps, 0.0)
-
-
-def test_snapshot_set_validation():
-    with pytest.raises(ValueError, match="rows"):
-        SnapshotSet(np.zeros((5, 2)), (0.0, 1.0), [0, 1, 2], 2)
-    with pytest.raises(ValueError, match="parameter"):
-        SnapshotSet(np.zeros((6, 2)), (0.0,), [0, 1, 2], 2)
+        compute_pod(np.zeros((6, 2)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +137,8 @@ def test_build_snapshots_layout():
     mesh = mk.Mesh(2, nodes, np.empty((0, 3), dtype=np.int64), [0, 1], [2])
     op = assemble(mesh, [0, 1], [2])
     law = bend_law(np.array([0, 1]), (0.0, 1.0))
-    snaps = build_snapshots(op, law, mesh, (0.5, 1.0))
-    np.testing.assert_allclose(snaps.matrix,
-                               [[0.0, 0.0], [0.25, 0.5]], atol=1e-15)
-    assert snaps.params == (0.5, 1.0)
+    S, _ = build_snapshots(op, law, mesh, (0.5, 1.0))
+    np.testing.assert_allclose(S, [[0.0, 0.0], [0.25, 0.5]], atol=1e-15)
 
 
 @pytest.mark.parametrize("n_train", [1, 3, 8])
@@ -142,11 +155,11 @@ def test_build_snapshots_matches_the_deform_loop(wing, n_train):
     for mesh, law in cases:
         op = assemble(mesh, mesh.boundary_ids[::2], mesh.interior_ids)
         train = sample_domain(law.domain, n_train, seed=5)
-        snaps = build_snapshots(op, law, mesh, train)
+        S, _ = build_snapshots(op, law, mesh, train)
         loop = np.column_stack([
             deform(op, evaluate(law, mesh, mu).restrict(op.control_ids))
             .as_vector() for mu in train])
-        np.testing.assert_allclose(snaps.matrix, loop, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(S, loop, rtol=0, atol=1e-14)
 
 
 def test_build_snapshots_needs_params(wing):
@@ -294,6 +307,56 @@ def test_online_query_scans_nothing(wing, monkeypatch, kind):
     assert np.isfinite(out.vectors).all()
 
 
+def test_field_bounds_cover_their_entries(wing, lattice11, monkeypatch):
+    # DisplacementField._built scans no output whose bound is below 2**1000,
+    # so every bound a producer computes must cover its entries; a bound of
+    # 0 marks rows copied from finite arrays
+    seen = []
+    built = DisplacementField._built
+
+    def spy(cls, indices, vectors, bound):
+        seen.append((vectors, bound))
+        return built(indices, vectors, bound)
+
+    def check(make, computed):
+        seen.clear()
+        make()
+        assert seen
+        for vectors, bound in seen:
+            if computed:
+                assert bound >= np.abs(vectors).max() > 0.0
+            else:
+                assert bound == 0.0 and np.isfinite(vectors).all()
+
+    bend = bend_law(wing.boundary_ids, (-0.02, 0.02), clamp_groups=("left",))
+    rotations = [(wing, rotation_law(wing.boundary_ids, (-180.0, 180.0),
+                                     pivot=(0.5, 0.1, 3.0), axis=axis))
+                 for axis in "xyz"]
+    rotations.append((lattice11, rotation_law(
+        lattice11.boundary_ids, (-180.0, 180.0), pivot=(5.0, 5.0))))
+    table = mk.tabulated_law(wing.boundary_ids, (0.0, 1.0),
+                             {0.5: evaluate(bend, wing, 0.02)})
+    op = assemble(wing, wing.boundary_ids[::3], wing.interior_ids)
+    model = build_pod_model(op, bend, wing, np.linspace(-0.02, 0.02, 4), 1e-5)
+    d = evaluate(bend, wing, 0.013)
+    halves = (d.restrict(wing.boundary_ids[:20]),
+              d.restrict(wing.boundary_ids[20:]))
+    queries = [evaluate(bend, wing, mu).restrict(op.control_ids)
+               for mu in (-0.02, 0.013)]
+    monkeypatch.setattr(DisplacementField, "_built", classmethod(spy))
+
+    for mu in (-0.02, 0.013):
+        check(lambda: evaluate(bend, wing, mu), True)
+    for mesh, law in rotations:
+        for mu in (180.0, -180.0, 90.0, -37.5):
+            check(lambda: evaluate(law, mesh, mu), True)
+    check(lambda: evaluate(table, wing, 0.5), False)
+    check(lambda: d.restrict(op.control_ids), False)
+    check(lambda: mk.merge_fields(*halves), False)
+    for d_c in queries:
+        check(lambda: online_solve(model, d_c), True)
+
+
 def test_online_output_is_frozen(wing):
     op = assemble(wing, wing.boundary_ids, wing.interior_ids)
     law = bend_law(wing.boundary_ids, (0.0, 0.02))
@@ -323,6 +386,22 @@ def test_nearly_collinear_basis_rejected_at_build():
     with pytest.raises(IllPosedOnlineError) as err:
         build_online(Z, np.array([1.0, 1.0]), op)
     assert 0.0 < err.value.smallest_singular_value < 1e-13
+
+
+@pytest.mark.parametrize("s_min, accepted", [(5e-12, True), (5e-13, False)])
+def test_online_rank_cut_sits_at_the_tolerance(s_min, accepted):
+    # a handed-in K Z with singular values (1, s_min) against the cut
+    # RANK_TOL * s_1 = 1e-12, a factor 5 on either side of it
+    op = mk.IdwOperator(np.full((3, 2), 0.5), [0, 1, 2], [3, 4],
+                        mk.IdwConfig())
+    Z, kz = np.eye(3)[:, :2], np.diag([1.0, s_min])
+    if accepted:
+        model = build_online(Z, np.array([1.0, 0.5]), op, kz=kz)
+        np.testing.assert_allclose(model.online_map, np.diag([1.0, 1 / s_min]),
+                                   rtol=1e-15)
+    else:
+        with pytest.raises(IllPosedOnlineError):
+            build_online(Z, np.array([1.0, 0.5]), op, kz=kz)
 
 
 def test_build_online_validation(wing):
@@ -360,7 +439,8 @@ def _spy_kz(monkeypatch):
 
 def _lstsq_model(op, law, mesh, train, epsilon):
     """The fallback route by hand: build_online's solve on the same basis."""
-    Z, sigma, _ = compute_pod(build_snapshots(op, law, mesh, train), epsilon)
+    S, _ = build_snapshots(op, law, mesh, train)
+    Z, sigma, _, _ = compute_pod(S, epsilon)
     return build_online(Z, sigma, op, epsilon=epsilon, train_params=train)
 
 
@@ -511,26 +591,18 @@ def test_snapshots_keep_their_control_fields(wing):
     op = assemble(wing, sel, wing.interior_ids)
     law = bend_law(wing.boundary_ids, (0.0, 0.02))
     train = (0.005, 0.01, 0.02)
-    snaps = build_snapshots(op, law, wing, train)
+    S, F = build_snapshots(op, law, wing, train)
     expected = np.column_stack([evaluate(law, wing, mu).restrict(sel)
                                 .as_vector() for mu in train])
-    np.testing.assert_array_equal(snaps.fields, expected)
-    assert not snaps.fields.flags.writeable
-    assert synthetic_snapshots([1.0, 0.5]).fields is None
-    with pytest.raises(ValueError, match="fields"):
-        SnapshotSet(np.zeros((6, 2)), (0.0, 1.0), [0, 1, 2], 2,
-                    np.zeros((5, 2)))
+    np.testing.assert_array_equal(F, expected)
+    assert not F.flags.writeable
 
 
 def test_right_vectors_rebuild_the_basis():
-    snaps = synthetic_snapshots([5.0, 3.0, 0.5], seed=2)
-    Z, sigma, n = compute_pod(snaps, 0.01)
-    Z2, sigma2, n2, Vt = compute_pod(snaps, 0.01, right_vectors=True)
-    np.testing.assert_array_equal(Z2, Z)
-    np.testing.assert_array_equal(sigma2, sigma)
-    assert n2 == n and Vt.shape == (n, 3)
-    np.testing.assert_allclose(snaps.matrix @ Vt.T / sigma[:n], Z,
-                               rtol=0, atol=1e-14)
+    S = synthetic_snapshots([5.0, 3.0, 0.5], seed=2)
+    Z, sigma, n, Vt = compute_pod(S, 0.01)
+    assert Vt.shape == (n, 3)
+    np.testing.assert_allclose(S @ Vt.T / sigma[:n], Z, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +766,15 @@ def _patched_model(wing, tmp_path, offset_of, value):
     return read_model(path)
 
 
+def test_model_arrays_start_on_64_bytes(wing, tmp_path):
+    model = _small_model(wing)
+    write_model(model, tmp_path / "model.bin")
+    for held in (model, read_model(tmp_path / "model.bin")):
+        for arr in (held.basis, held.singular_values, held.online_map):
+            assert arr.ctypes.data % 64 == 0 and not arr.flags.writeable
+        assert held.basis.flags.f_contiguous
+
+
 def test_read_model_rejects_repeated_target_id(wing, tmp_path):
     def second_target(model, rows, n_modes):
         return (rows * n_modes + model.singular_values.size
@@ -716,3 +797,19 @@ def test_model_rejects_repeated_control_id():
     with pytest.raises(ValueError, match="control_ids contain duplicates"):
         mk.PodModel(np.ones((1, 1)), np.ones(1), 1, 0.0, "plain",
                     np.ones((1, 2)), [2, 2], [5], 1)
+
+
+# ---------------------------------------------------------------------------
+# library use, as the README shows it
+
+def test_readme_library_use_runs():
+    # the block ends by printing the largest deviation of the reduced
+    # morph from the direct one
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    code = re.search(r"^## Library use\n+```python\n(.*?)^```",
+                     readme.read_text(), re.M | re.S).group(1)
+    src = os.path.dirname(os.path.dirname(mk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert float(out.split()[-1]) <= 1e-10

@@ -420,9 +420,9 @@ def test_params_validation():
         with pytest.raises(ValueError, match=f"{name} must be a finite "
                                              "number, got None"):
             SelectionParams((region,), **{name: None})
-    for bad in (7.9, None, "7"):
-        with pytest.raises(ValueError, match=f"seed must be an integer, "
-                                             f"got {bad!r}"):
+    for bad in (7.9, None, "7", -1):
+        with pytest.raises(ValueError, match=f"seed must be an integer "
+                                             f">= 0, got {bad!r}"):
             SelectionParams((region,), seed=bad)
     params = SelectionParams((("left", 1),), b=2, seed=7.0)
     assert (type(params.regions[0].radius), type(params.b)) == (float, float)
@@ -455,6 +455,29 @@ def test_select_random_bounds():
         select_random(np.arange(5), 0, seed=0)
     with pytest.raises(ValueError):
         select_random(np.arange(5), 6, seed=0)
+    for k in (2.5, True, "3"):  # a count, not truncated or cast
+        with pytest.raises(ValueError, match=f"k must be an integer >= 1, "
+                                             f"got {k!r}"):
+            select_random(np.arange(5), k, seed=0)
+
+
+# every seed passes one gate, an integer >= 0, whatever the strategy
+_SEEDED = {
+    "select": lambda mesh, seed: select(mesh, mesh.boundary_ids, 2.1,
+                                        seed=seed),
+    "select-farthest": lambda mesh, seed: select(
+        mesh, mesh.boundary_ids, 2.1, strategy="farthest_point", seed=seed),
+    "select-random": lambda mesh, seed: select_random(mesh.boundary_ids, 3,
+                                                      seed),
+}
+
+
+@pytest.mark.parametrize("seed", [7.9, -1, None])
+@pytest.mark.parametrize("call", list(_SEEDED))
+def test_seeds_are_integers_no_less_than_zero(lattice11, call, seed):
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, "
+                                         f"got {seed!r}"):
+        _SEEDED[call](lattice11, seed)
 
 
 def test_baseline_stats_hand_case():
@@ -471,6 +494,9 @@ def test_baseline_stats_errors():
         random_baseline_stats([1.0])
     with pytest.raises(DegenerateSampleError):
         random_baseline_stats([1.0, 1.0, 1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            random_baseline_stats([0.1, bad, 0.3])
 
 
 @settings(max_examples=25, deadline=None)
