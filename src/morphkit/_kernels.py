@@ -14,7 +14,16 @@ tests' oracle), with NumPy alone. They are transformed there in place:
 and odd p takes one root of the ratio. Rows go in chunks so that a chunk
 and the one scratch block reused by all chunks stay in cache between
 passes.
+
+Both entry points run under a small NumPy ufunc buffer. The passes that
+broadcast a per-row column against a chunk (c - t, d²_min / d², the row
+sums) go through NumPy's buffered inner loop, which under the default
+8,192-element buffer is slow on rows narrower than about 8,192 / 3
+entries. The arithmetic is the same elementwise IEEE operations, so the
+bits do not depend on the buffer.
 """
+
+import functools
 
 import numpy as np
 
@@ -23,11 +32,12 @@ import numpy as np
 # in-place passes
 _CHUNK_BUDGET = 65_536
 
-# controls per row from which one broadcast subtraction c - t beats
-# copy-then-subtract. Scan of one pass over ~65k entries (NumPy 2.4, one
-# core): broadcast 1.1-1.5 ns/entry up to 2,730 controls, 0.26-0.32 ns
-# from 2,800 to 8,192; copy-then-subtract 0.5-1.1 ns at every width
-_WIDE_ROW = 3_000
+# elements of NumPy's ufunc buffer while a kernel entry point runs. The
+# distance step over ~65k entries (NumPy 2.4, one core) costs 2.5-4.4
+# ns/entry under 256 against 4.6-5.5 under the default 8,192 at 100 to
+# 2,000 controls per row, and the same at 20 to 50 and at 3,676; 64 is as
+# fast from 100 controls on and up to 40 % slower below
+_BUFSIZE = 256
 
 
 def backend_name():
@@ -38,6 +48,20 @@ def backend_name():
 def compiled_available():
     """Whether a compiled kernel is importable; there is none."""
     return False
+
+
+def _small_buffer(kernel):
+    """``kernel`` run with NumPy's ufunc buffer at _BUFSIZE elements, the
+    caller's size restored on every exit: an ``np.errstate`` block would
+    restore it only on NumPy >= 2."""
+    @functools.wraps(kernel)
+    def scoped(*args, **kwargs):
+        old = np.setbufsize(_BUFSIZE)
+        try:
+            return kernel(*args, **kwargs)
+        finally:
+            np.setbufsize(old)
+    return scoped
 
 
 def _ratio_power(ratio, p):
@@ -57,20 +81,12 @@ def _squared_distances(targets, controls_t, block, scratch):
     """Squared distances of ``targets`` to the columns of ``controls_t``
     (dim, m), written into ``block``; ``scratch`` has the block's shape.
 
-    Each coordinate difference is taken as c - t, which rounds to exactly
-    -(t - c), in one of two forms that give the same bits: one broadcast
-    subtraction on rows of at least ``_WIDE_ROW`` controls, and on
-    narrower rows, where the broadcast is the slower one, a copy of the
-    control row with the target column subtracted in place.
+    Each coordinate difference is taken as c - t, one broadcast
+    subtraction, which rounds to exactly -(t - c).
     """
-    wide = controls_t.shape[1] >= _WIDE_ROW
     for k in range(controls_t.shape[0]):
         diff = block if k == 0 else scratch
-        if wide:
-            np.subtract(controls_t[k], targets[:, k:k + 1], out=diff)
-        else:
-            np.copyto(diff, controls_t[k])
-            np.subtract(diff, targets[:, k:k + 1], out=diff)
+        np.subtract(controls_t[k], targets[:, k:k + 1], out=diff)
         np.multiply(diff, diff, out=diff)
         if k:
             block += scratch
@@ -112,6 +128,7 @@ def _operands(targets, controls):
     return targets, np.ascontiguousarray(controls.T), chunk
 
 
+@_small_buffer
 def assemble_weight_matrix(targets, controls, p, tol, backend=None):
     """Dense (n_targets, n_controls) inverse-distance weight matrix.
 
@@ -134,6 +151,7 @@ def assemble_weight_matrix(targets, controls, p, tol, backend=None):
     return out
 
 
+@_small_buffer
 def apply_weights(targets, controls, values, p, tol):
     """(n_targets, dim) product of the inverse-distance weight matrix with
     ``values`` (n_controls, dim), streamed: only one chunk of weights

@@ -52,8 +52,21 @@ def _number(section, key, default=None, where="", integral=False,
     return _scalar(section[key], repr(where + key), integral, minimum)
 
 
+def _section(value, what, kind=dict):
+    """``value``, a config section read under the key ``what``: a JSON
+    object, or an array with ``kind=list``. An absent or null section reads
+    as an empty one; anything else raises ValueError naming the key."""
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ValueError(f"{what!r} must be a JSON "
+                         f"{'object' if kind is dict else 'array'}, "
+                         f"got {value!r}")
+    return value
+
+
 def build_mesh(cfg):
-    spec = cfg.get("mesh")
+    spec = _section(cfg.get("mesh"), "mesh")
     if not spec:
         raise ValueError("config has no 'mesh' section")
     if "path" in spec:
@@ -68,12 +81,13 @@ def build_mesh(cfg):
 
 
 def build_law(cfg, mesh):
-    spec = cfg.get("law")
+    spec = _section(cfg.get("law"), "law")
     if not spec:
         raise ValueError("config has no 'law' section")
     kind = spec.get("kind")
     domain = tuple(spec["domain"])
-    clamp = tuple(spec.get("clamp_groups", ()))
+    clamp = tuple(_section(spec.get("clamp_groups"), "law.clamp_groups",
+                           list))
     control_ids = mesh.boundary_ids  # laws act on the full control set
     if kind == "bend":
         return laws.bend_law(control_ids, domain, clamp)
@@ -104,12 +118,14 @@ def selection_params(cfg, args):
     Region entries carry an absolute "radius" or a "radius_factor"
     applied to the section-level "radius".
     """
-    sel = cfg.get("selection")
+    sel = _section(cfg.get("selection"), "selection")
     if not sel:
         return None
     base = _number(sel, "radius", where="selection.")
     regions = []
-    for i, entry in enumerate(sel.get("regions", ())):
+    for i, entry in enumerate(_section(sel.get("regions"),
+                                       "selection.regions", list)):
+        entry = _section(entry, f"selection.regions[{i}]")
         where = f"selection.regions[{i}]."
         if "radius" in entry:
             radius = _number(entry, "radius", where=where)
@@ -128,7 +144,8 @@ def selection_params(cfg, args):
         b=_number(sel, "b", 1.3, "selection."),
         strategy=sel.get("strategy", "random"),
         seed=_seed(sel, "seed", "selection.", args),
-        seed_points=sel.get("seed_points", {}),
+        seed_points=_section(sel.get("seed_points"),
+                             "selection.seed_points"),
     )
 
 
@@ -141,7 +158,10 @@ def run_selection(mesh, cfg, args, params=None):
     if params is None:
         return mesh.boundary_ids, "idw", None, None
     result = selection.select_multi(mesh, params)
-    enrichment = cfg.get("enrichment", ())
+    enrichment = _section(cfg.get("enrichment"), "enrichment", list)
+    if not all(isinstance(name, str) for name in enrichment):
+        raise ValueError(f"'enrichment' must list group names, got "
+                         f"{enrichment!r}")
     if enrichment:
         result = replace(result, selected=selection.enrich(
             result.selected, mesh, enrichment))
@@ -160,7 +180,7 @@ def _setup(args):
 
 
 def _idw_config(cfg):
-    return idw.IdwConfig(p=cfg.get("idw", {}).get("p", 4))
+    return idw.IdwConfig(p=_section(cfg.get("idw"), "idw").get("p", 4))
 
 
 def _repeat(cfg, args):
@@ -283,7 +303,7 @@ def cmd_morph(args):
 
 def cmd_pod_offline(args):
     cfg, out, mesh = _setup(args)
-    pod_cfg = cfg.get("pod", {})
+    pod_cfg = _section(cfg.get("pod"), "pod")
     n_train = _number(pod_cfg, "n_train", 50, "pod.", True)
     pod_seed = _seed(pod_cfg, "seed", "pod.", args)
     epsilon = _number(pod_cfg, "epsilon", 1e-5, "pod.")
@@ -354,7 +374,8 @@ def cmd_sweep(args):
     base = selection_params(cfg, args)
     if args.axis != "mu" and base is None:
         raise ValueError(f"{args.axis} sweep needs a 'selection' section")
-    radius = _number(cfg.get("selection", {}), "radius", where="selection.")
+    radius = _number(_section(cfg.get("selection"), "selection"), "radius",
+                     where="selection.")
     if args.axis == "R" and not radius:
         raise ValueError("R sweep needs a base 'radius' in the selection section")
     law, config = build_law(cfg, mesh), _idw_config(cfg)

@@ -82,9 +82,8 @@ class IdwOperator:
     config: IdwConfig
 
     def __post_init__(self):
-        # the fresh, frozen kernel output ``assemble`` hands over is taken
-        # as is; anything that some other reference may still write is
-        # copied
+        # a frozen array that owns its data is taken as is; anything that
+        # some other reference may still write is copied
         mat = _own(self.matrix, np.float64)
         tgt = _node_ids(self.target_ids, "target_ids")
         ctl = _node_ids(self.control_ids, "control_ids")
@@ -94,6 +93,17 @@ class IdwOperator:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "target_ids", tgt)
         object.__setattr__(self, "control_ids", ctl)
+
+    @classmethod
+    def _built(cls, matrix, target_ids, control_ids, config):
+        """Operator over a fresh kernel output ``matrix`` and id arrays
+        checked at their source; nothing is copied or checked again."""
+        matrix.setflags(write=False)
+        built = object.__new__(cls)
+        for name, value in (("matrix", matrix), ("target_ids", target_ids),
+                            ("control_ids", control_ids), ("config", config)):
+            object.__setattr__(built, name, value)
+        return built
 
     @property
     def n_targets(self):
@@ -143,11 +153,14 @@ def _validated(mesh, control_ids, target_ids, config):
     target_ids = _node_ids(target_ids, "target_ids", mesh.node_count)
     if control_ids.size == 0:
         raise ValueError("need at least one control point")
-    # the mesh's own tolerance is resolve_tol(mesh.nodes), computed once
-    tol = (mesh.coincidence_tolerance if config.coincidence_tol is None
-           else float(config.coincidence_tol))
     controls = np.ascontiguousarray(mesh.nodes[control_ids])
-    _check_distinct_controls(controls, tol)
+    own = config.coincidence_tol is None
+    # the mesh's own tolerance is resolve_tol(mesh.nodes), computed once; a
+    # mesh that passed validate() has swept every node pair at it, and the
+    # control ids are unique
+    tol = mesh.coincidence_tolerance if own else float(config.coincidence_tol)
+    if not (own and mesh._valid):
+        _check_distinct_controls(controls, tol)
     return control_ids, target_ids, controls, tol
 
 
@@ -163,9 +176,8 @@ def assemble(mesh, control_ids, target_ids, config=IdwConfig()):
         mesh, control_ids, target_ids, config)
     matrix = _kernels.assemble_weight_matrix(mesh.nodes[target_ids], controls,
                                              config.p, tol)
-    matrix.setflags(write=False)  # hand the fresh output over uncopied
-    return IdwOperator(matrix, target_ids, control_ids,
-                       IdwConfig(config.p, tol))
+    return IdwOperator._built(matrix, target_ids, control_ids,
+                              IdwConfig(config.p, tol))
 
 
 def interpolate(mesh, displacement, target_ids, config=IdwConfig()):

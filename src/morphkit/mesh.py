@@ -371,6 +371,10 @@ class Mesh:
     interior_ids: np.ndarray
     groups: dict = field(default_factory=dict)
 
+    # set on the instance by a validate() that passed: every node pair is
+    # then farther apart than coincidence_tolerance
+    _valid = False
+
     def __post_init__(self):
         nodes = _own(np.atleast_2d(self.nodes), np.float64)
         # a frozen owned array, as every Mesh holds, is shared: deformed
@@ -455,6 +459,7 @@ class Mesh:
             if pair is not None:
                 i, j = pair
                 raise ValueError(f"nodes {i} and {j} coincide within {tol:.3e}")
+        object.__setattr__(self, "_valid", True)
         return self
 
     def with_nodes(self, nodes):

@@ -1,9 +1,19 @@
-"""Shared fixtures: small generated meshes and a 2D lattice builder."""
+"""Shared fixtures: small generated meshes, a 2D lattice builder and a
+check that no test leaks a NumPy setting."""
 
 import numpy as np
 import pytest
 
 from morphkit import Mesh, generate_box_wing, generate_tunnel
+
+
+@pytest.fixture(autouse=True)
+def numpy_settings_are_restored():
+    """Fail the test that leaves NumPy's ufunc buffer size or its
+    floating-point error handling other than it found them."""
+    before = np.getbufsize(), np.geterr()
+    yield
+    assert (np.getbufsize(), np.geterr()) == before, "a NumPy setting leaked"
 
 
 def make_lattice2d(nx, ny, lengths=(1.0, 1.0)):

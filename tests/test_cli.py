@@ -523,6 +523,28 @@ def test_select_rejects_a_seed_point_naming_no_region(tmp_path, capsys):
      "domain bound must be a finite number, got None"),
     (["pod-offline"], {"pod": {"n_train": 5, "seed": -1}},
      "'pod.seed' must be an integer >= 0, got -1"),
+    # config sections that are not JSON objects (or arrays)
+    (["mesh-gen"], {"mesh": "path/to/m.json"},
+     "error: 'mesh' must be a JSON object, got 'path/to/m.json'"),
+    (["morph"], {"law": "bend"}, "error: 'law' must be a JSON object, got 'bend'"),
+    (["morph"], {"law": {"kind": "bend", "domain": [0.0, 0.02],
+                         "clamp_groups": "left"}},
+     "error: 'law.clamp_groups' must be a JSON array, got 'left'"),
+    (["morph"], {"idw": 4}, "error: 'idw' must be a JSON object, got 4"),
+    (["pod-offline"], {"pod": [1]}, "error: 'pod' must be a JSON object, got [1]"),
+    (["select"], {"selection": "left"},
+     "error: 'selection' must be a JSON object, got 'left'"),
+    (["select"], {"selection": {"radius": 0.3, "regions": {"group": "left"}}},
+     "error: 'selection.regions' must be a JSON array, got {'group': 'left'}"),
+    (["select"], {"selection": {"radius": 0.3, "regions": ["left"]}},
+     "error: 'selection.regions[0]' must be a JSON object, got 'left'"),
+    (["select"], {"selection": {"radius": 0.3, "regions": [{"group": "left"}],
+                                "seed_points": [3]}},
+     "error: 'selection.seed_points' must be a JSON object, got [3]"),
+    (["morph"], {"enrichment": "obstacle_edges"},
+     "error: 'enrichment' must be a JSON array, got 'obstacle_edges'"),
+    (["morph"], {"enrichment": ["left", 5]},
+     "error: 'enrichment' must list group names, got ['left', 5]"),
 ])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_command_leaves_no_directory_it_made(

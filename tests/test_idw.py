@@ -137,6 +137,46 @@ def test_assemble_rejects_coincident_controls():
         assemble(mesh, [0, 1, 2, 3], [4])
 
 
+@pytest.mark.parametrize("build", ["direct", "with_nodes"])
+def test_meshes_not_validated_still_refuse_coincident_controls(tiny_wing,
+                                                               build):
+    # only a mesh whose validate() passed has its node pairs swept; one
+    # built directly, or by with_nodes with node 3 moved onto node 1, has
+    # its controls checked by assemble and interpolate themselves
+    if build == "direct":
+        nodes = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                 [1.0, 1e-15, 0.0], [0.5, 0.5, 0.5]]
+        mesh = mk.Mesh(3, nodes, np.empty((0, 4), dtype=np.int64),
+                       [0, 1, 2, 3], [4])
+    else:
+        nodes = tiny_wing.nodes.copy()
+        nodes[3] = nodes[1]
+        mesh = tiny_wing.with_nodes(nodes)
+    assert tiny_wing._valid and not mesh._valid
+    d = DisplacementField(mesh.boundary_ids,
+                          np.ones((mesh.boundary_ids.size, 3)))
+    with pytest.raises(ValueError, match="control points 1 and 3 coincide"):
+        assemble(mesh, mesh.boundary_ids, mesh.interior_ids)
+    with pytest.raises(ValueError, match="control points 1 and 3 coincide"):
+        interpolate(mesh, d, mesh.interior_ids)
+
+
+def test_validated_mesh_skips_only_its_own_sweep(wing, monkeypatch):
+    checked = []
+    monkeypatch.setattr(idw, "_check_distinct_controls",
+                        lambda controls, tol: checked.append(tol))
+    d = DisplacementField(wing.boundary_ids,
+                          np.ones((wing.boundary_ids.size, 3)))
+    assemble(wing, wing.boundary_ids, wing.interior_ids)
+    interpolate(wing, d, wing.interior_ids)
+    assert checked == []
+    # a tolerance of the caller's is not the one validate() swept at
+    config = IdwConfig(coincidence_tol=1e-3)
+    assemble(wing, wing.boundary_ids, wing.interior_ids, config)
+    interpolate(wing, d, wing.interior_ids, config)
+    assert checked == [1e-3, 1e-3]
+
+
 def test_assemble_resolves_tolerance(wing):
     op = assemble(wing, wing.boundary_ids, wing.interior_ids)
     assert op.config.coincidence_tol == pytest.approx(
@@ -227,10 +267,8 @@ def test_interpolate_matches_dense_deform(wing, p):
 
 
 @pytest.mark.parametrize("p", range(1, 8))
-def test_interpolate_wide_form_matches_dense_deform(wing, monkeypatch, p):
-    # the wing's rows are narrow; force the broadcast distance form that
-    # the kernel takes on rows of at least _WIDE_ROW controls
-    monkeypatch.setattr(_kernels, "_WIDE_ROW", 1)
+def test_interpolate_wide_form_matches_dense_deform(wing, p):
+    # every p from 1 to 7, with one target on a control
     config = IdwConfig(p=p)
     d = random_field(wing.boundary_ids, 20 + p)
     on_control = wing.boundary_ids[7]

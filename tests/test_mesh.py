@@ -544,6 +544,16 @@ def test_validate_catches_coincident_nodes():
     mesh = Mesh(3, nodes, [[0, 1, 2, 3]], [0, 1, 2, 3, 4], [])
     with pytest.raises(ValueError, match="coincide"):
         mesh.validate()
+    assert not mesh._valid  # idw trusts only a validate() that passed
+
+
+def test_a_validate_that_passes_marks_only_its_mesh():
+    nodes = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+             [0.0, 0.0, 1.0]]
+    mesh = Mesh(3, nodes, [[0, 1, 2, 3]], [0, 1, 2, 3], [])
+    assert not mesh._valid
+    assert mesh.validate() is mesh and mesh._valid
+    assert not mesh.with_nodes(mesh.nodes)._valid
 
 
 def test_validate_catches_nonpartition():

@@ -122,6 +122,15 @@ def test_pseudo_inverse_rank_deficient():
     assert max(penrose_residuals(A, X)) < 1e-12
 
 
+def test_pseudo_inverse_keeps_a_value_at_the_tolerance():
+    # s_2 = RANK_TOL * s_1 exactly is inverted, like every value above it,
+    # so X A is the identity; dropping it would leave diag(1, 0)
+    A = np.diag([1.0, mk.pod.RANK_TOL])
+    X = pseudo_inverse(A)
+    np.testing.assert_allclose(X @ A, np.eye(2), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(X[1, 1], 1.0 / mk.pod.RANK_TOL, rtol=1e-15)
+
+
 def test_pseudo_inverse_zero_matrix():
     X = pseudo_inverse(np.zeros((3, 4)))
     np.testing.assert_array_equal(X, np.zeros((4, 3)))
@@ -531,6 +540,18 @@ def test_rank_guard_threshold(wing):
     assert not guard(_wide_wing(wing, None)[1].matrix)
     assert not guard(np.zeros((5, 3)))
     assert not guard(np.zeros((5, 0)))
+
+
+def test_rank_guard_certifies_only_above_its_threshold():
+    # Wt W = diag(1, 1e-8) exactly, so lambda_min = GRAM_TOL * lambda_max:
+    # not certified; one ulp more in the small column is
+    guard = mk.pod._full_column_rank
+    at = np.array([[1.0, 0.0], [0.0, 1e-4], [0.0, 0.0]])
+    assert np.linalg.eigvalsh(at.T @ at).tolist() == [mk.pod.GRAM_TOL, 1.0]
+    assert not guard(at)
+    above = at.copy()
+    above[1, 1] = np.nextafter(1e-4, 1.0)
+    assert guard(above)
 
 
 def test_plain_mode_skips_the_guard(wing, monkeypatch):
