@@ -127,15 +127,19 @@ def selection_params(cfg, args):
                                        "selection.regions", list)):
         entry = _section(entry, f"selection.regions[{i}]")
         where = f"selection.regions[{i}]."
+        group = entry.get("group")
+        if not isinstance(group, str):
+            raise ValueError(f"{where + 'group'!r} must name a node group, "
+                             f"got {group!r}")
         if "radius" in entry:
             radius = _number(entry, "radius", where=where)
         elif base is not None:
             radius = _number(entry, "radius_factor", 1.0, where) * base
         else:
             raise ValueError(
-                f"region {entry.get('group')!r} has no radius and the "
+                f"region {group!r} has no radius and the "
                 "selection section sets no base 'radius'")
-        regions.append(selection.RegionParams(entry["group"], radius))
+        regions.append(selection.RegionParams(group, radius))
     if not regions:
         raise ValueError("selection section lists no regions")
     return selection.SelectionParams(

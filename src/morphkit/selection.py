@@ -6,7 +6,16 @@ last pick and knocking out everything an influence ball covers. The
 result is a subset where selected points are pairwise at least R apart
 (separation) while every candidate stays within R of some selected point
 (covering). Shrinking R below the minimum candidate spacing therefore
-returns the whole candidate set.
+returns the whole candidate set, at no extra cost: the number of annuli
+is taken in closed form, and an exhausted ring hands over straight to the
+lowest ring still holding a candidate. A radius so small that the count
+is not finite or reaches 2**53 raises ValueError naming the radius.
+
+A walk compares only the distance rows of the points it picks against R
+and b*R; no n x n mask is built for a radius. Past a generator for the
+random strategy and a few NumPy calls on the first pick's row, it costs
+about six NumPy calls on candidate-length arrays per pick and per ring
+hand-over.
 
 :func:`select_multi` runs one selection per named boundary region with a
 per-region radius; :func:`enrich` unions in whole feature groups (edge
@@ -18,6 +27,7 @@ random subsets.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +55,10 @@ STRATEGIES = ("random", "centroid_nearest", "farthest_point")
 # a candidate set of n points gets its n x n distance matrix memoized on
 # the mesh when n * n fits this many entries (512 KiB, one chunk of the
 # weight kernel): the wing's faces and the tunnel's obstacle do, the
-# tunnel's outer faces do not
+# tunnel's outer faces do not. A walk then reads one row per pick as a
+# view, where a set past the budget computes it (four NumPy calls); both
+# compare that row alone against R and b*R, and no other n x n array is
+# built, for any radius
 _MEMO_BUDGET = 65_536
 # bytes one mesh's memo may hold: three 3-D sets of 256 points with their
 # coordinates (530,432 B each); a fourth would take it to 2,121,728 B
@@ -254,17 +267,54 @@ def _pick_from(beta_positions, coords, strategy, rng, min_dist_to_selected):
     return int(beta_positions[min_dist_to_selected[beta_positions].argmax()])
 
 
+# ring indices are floats, exact below 2**53
+_MAX_ANNULI = 2.0**53
+
+
+def _annulus_count(radius, step, r_omega):
+    """The least n >= 0 with ``radius + n * step > r_omega``: the number of
+    annuli (R + (j-1)aR, R + j*aR], j = 1..n, with ``step`` = aR, that
+    reach the farthest candidate at ``r_omega``. It is the count of the
+    loop ``while radius + n * step <= r_omega: n += 1``, in closed form:
+    the estimate is moved onto the loop's own test, which is monotone in
+    n. ValueError names the radius when the count is not finite (aR
+    underflowing to 0 is one case) or reaches 2**53."""
+    if not radius <= r_omega:
+        return 0
+    count = (r_omega - radius) / step if step else math.inf
+    if not count < _MAX_ANNULI:
+        raise ValueError(f"radius {radius!r} is too small: annuli of "
+                         f"thickness {step!r} up to {r_omega!r} number "
+                         f"{count!r}, not fewer than 2**53")
+    n = int(count) + 1
+    while n and radius + (n - 1) * step > r_omega:
+        n -= 1
+    while radius + n * step <= r_omega:
+        n += 1
+    return n
+
+
 def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
            seed=0, seed_point=None):
     """Single-region selection over ``candidates`` (node ids) of ``mesh``.
 
     The first point comes from ``seed_point`` when given, otherwise from
     the strategy (seeded RNG for "random"). Annuli of thickness a*R are
-    laid out from radius R up to the farthest candidate; each subsequent
-    pick is drawn from the current annulus restricted to distances
-    (R, b*R] from the previous pick, every pick removes the closed ball
-    of radius R around itself, and an exhausted ring hands over to the
-    next one. ``seed`` must be an integer >= 0 for every strategy.
+    laid out from radius R up to the farthest candidate; their number is
+    taken in closed form, and a radius so small that the count is not
+    finite or reaches 2**53 (a*R underflowing to 0, say) raises
+    ValueError naming the radius. Each subsequent pick is drawn from the
+    current annulus restricted to distances (R, b*R] from the previous
+    pick, every pick removes the closed ball of radius R around itself,
+    and an exhausted ring hands over to the lowest ring still holding a
+    candidate, without visiting the empty rings between. ``seed`` must be
+    an integer >= 0 for every strategy.
+
+    The arguments are checked here. The walk then compares only the
+    distance rows of its picks against R and b*R, so it builds no n x n
+    mask for the radius: it costs a generator for the random strategy, a
+    few NumPy calls on the first pick's row, and about six calls on
+    candidate-length arrays per pick and per ring hand-over.
     """
     seed = _scalar(seed, "seed", True, 0)
     candidates = np.sort(_node_ids(candidates, "candidate ids", mesh.node_count))
@@ -273,84 +323,110 @@ def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
     radius, a, b = (_walk_number(name, value) for name, value in
                     (("radius", radius), ("a", a), ("b", b)))
     _check_strategy(strategy)
+    return _walk(mesh, candidates, radius, a, b, strategy, seed, seed_point)
 
-    nc = candidates.size
-    outer = b * radius
-    # rows(i): distances of every candidate to candidate i, the closed-ball
-    # knockout (> R) and the reach of the next pick (<= b*R)
+
+def _walk(mesh, candidates, radius, a, b, strategy, seed, seed_point):
+    """:func:`select` over sorted unique in-range ``candidates`` with
+    checked walk numbers, strategy and seed."""
+    # row(i): distances of every candidate to candidate i, a view of the
+    # memoized matrix or one computed row; the knockout (> R) and the
+    # reach (<= b*R) are compared on the rows the walk picks only
     memo = _memoized(mesh, candidates)
     if memo is None:
         coords = mesh.nodes[candidates]
 
-        def rows(i):
-            d = _distances(coords, coords[i])
-            return d, d > radius, d <= outer
+        def row(i):
+            return _distances(coords, coords[i])
     else:
         coords, dist = memo
-        far, near = dist > radius, dist <= outer
-
-        def rows(i):
-            return dist[i], far[i], near[i]
+        row = dist.__getitem__
     # only the random strategy draws
     rng = np.random.default_rng(seed) if strategy == "random" else None
 
     first = _pick_first(coords, strategy, rng, candidates, seed_point)
     order = [int(candidates[first])]
-    trace = [(order[0], nc)]
+    trace = [(order[0], candidates.size)]
+    d_last = row(first)
+    step = a * radius
+    n_annuli = _annulus_count(radius, step, float(d_last.max()))
+    if n_annuli:
+        # the bounds as 0-d arrays: a comparison then converts no Python
+        # float, ~0.15 us of each ~0.5 us call
+        inner, outer = np.array(radius), np.array(b * radius)
+        # ring j holds the candidates at (R + (j-1)aR, R + j*aR] from the
+        # first pick; only those outside its closed ball (ring >= 1) are
+        # ever read
+        ring = np.ceil((d_last - radius) / step)
+        np.minimum(ring, n_annuli, out=ring)  # clip float spill at the rim
+        alive = d_last > inner  # closed influence ball of the first pick
+        # running min distance to the selected set, read by farthest_point only
+        min_dist = d_last.copy() if strategy == "farthest_point" else None
 
-    d_first, far_first, near_last = rows(first)
-    r_omega = float(d_first.max())
+        # alive always lies outside the ball of the last pick, so a
+        # candidate of the ring m is alive, in the ring (live) and within
+        # b*R of that pick
+        m = 1
+        live = alive & (ring == m)
+        near = d_last <= outer
+        while True:
+            pool = (live & near).nonzero()[0]
+            if not pool.size:
+                # ring m may still hold points unreachable from the last pick
+                pool = live.nonzero()[0]
+            if not pool.size:
+                # rings up to m are exhausted and ring 0 lies in the first
+                # ball, so the next ring to walk is the lowest one still
+                # alive: most often m + 1, else found by one reduction
+                live = alive & (ring == m + 1)
+                if live.nonzero()[0].size:
+                    m += 1
+                    continue
+                later = ring[alive]
+                if not later.size:
+                    break
+                m = later.min()
+                live = alive & (ring == m)
+                continue
+            pick = _pick_from(pool, coords, strategy, rng, min_dist)
+            order.append(int(candidates[pick]))
+            trace.append((order[-1], pool.size))
+            d_last = row(pick)
+            far = d_last > inner  # closed ball knockout, removes the pick too
+            alive &= far
+            live &= far
+            near = d_last <= outer
+            if min_dist is not None:
+                np.minimum(min_dist, d_last, out=min_dist)
 
-    # annuli (R + (j-1)aR, R + j*aR], j = 1..n; the last ring may reach
-    # past r_omega so every candidate lands in one
-    n_annuli = 0
-    while radius + n_annuli * (a * radius) <= r_omega:
-        n_annuli += 1
-
-    if n_annuli == 0:
-        return SelectionResult._built(np.array(order, dtype=np.int64),
-                                      order, trace, annulus_count=0)
-
-    ring = np.ceil(np.maximum(d_first - radius, 0.0) / (a * radius)).astype(np.int64)
-    np.minimum(ring, n_annuli, out=ring)  # clip float spill at the rim
-
-    alive = far_first.copy()  # closed influence ball of the first pick
-    alive[first] = False
-    # running min distance to the selected set, read by farthest_point only
-    min_dist = d_first.copy() if strategy == "farthest_point" else None
-
-    # alive always lies outside the ball of the last pick, so a candidate
-    # of the ring m is alive, in the ring (live) and within b*R of that pick
-    m = 1
-    live = alive & (ring == m)
-    beta = live & near_last
-    while True:
-        beta_positions = beta.nonzero()[0]
-        if not beta_positions.size:
-            # ring m may still hold points unreachable from the last pick
-            beta_positions = live.nonzero()[0]
-        if not beta_positions.size:
-            # rings up to m are exhausted and ring 0 lies in the first
-            # ball, so the next ring to walk is the lowest one still alive
-            later = ring[alive]
-            if not later.size:
-                break
-            m = int(later.min())
-            live = alive & (ring == m)
-            beta = live & near_last
-            continue
-        pick = _pick_from(beta_positions, coords, strategy, rng, min_dist)
-        order.append(int(candidates[pick]))
-        trace.append((order[-1], beta_positions.size))
-        d_last, far_last, near_last = rows(pick)
-        alive &= far_last  # closed ball knockout, removes the pick too
-        live &= far_last
-        beta = live & near_last
-        if min_dist is not None:
-            np.minimum(min_dist, d_last, out=min_dist)
-
+    # order and trace grow pick by pick: built in one go from the pick
+    # positions at the end they ran no faster, and a long R sweep then
+    # kept ~175 B more of fragmented heap per point
     sel = np.array(sorted(order), dtype=np.int64)
     return SelectionResult._built(sel, order, trace, annulus_count=n_annuli)
+
+
+def _check_regions(mesh, names, groups):
+    """Refuse an empty region group, a node id out of range, one repeated
+    inside a group or one shared by two groups; each group is sorted, as
+    :class:`Mesh` keeps them, so its ends bound its ids, and one count of
+    the regions' ids finds both kinds of repeat."""
+    for name, ids in zip(names, groups):
+        if ids.size == 0:
+            raise ValueError(f"region group {name!r} is empty")
+        if ids[0] < 0 or ids[-1] >= mesh.node_count:
+            raise ValueError(f"region group {name!r} holds node ids out of "
+                             f"range [0, {mesh.node_count})")
+    if np.bincount(np.concatenate(groups)).max() == 1:
+        return
+    for name, ids in zip(names, groups):
+        if not (ids[1:] > ids[:-1]).all():
+            raise ValueError(f"region group {name!r} repeats a node id")
+    for j, ids in enumerate(groups):
+        for name, other in zip(names, groups[:j]):
+            if np.intersect1d(ids, other).size:
+                raise ValueError(
+                    f"region groups {name!r} and {names[j]!r} overlap")
 
 
 def select_multi(mesh, params):
@@ -358,31 +434,22 @@ def select_multi(mesh, params):
 
     Regions must be pairwise disjoint node groups; each region r gets the
     seed ``params.seed + r`` so runs stay deterministic yet independent.
+    The groups are checked once here, and every region walks with the
+    numbers ``params`` has already checked.
     """
     if not params.regions:
         raise ValueError("no regions given")
-    seen = {}
-    taken = np.zeros(mesh.node_count, dtype=bool)  # nodes of earlier regions
-    for region in params.regions:
-        ids = mesh.group(region.group)
-        if ids.size == 0:
-            raise ValueError(f"region group {region.group!r} is empty")
-        if taken[ids].any():
-            other = next(name for name, other_ids in seen.items()
-                         if np.intersect1d(ids, other_ids).size)
-            raise ValueError(
-                f"region groups {other!r} and {region.group!r} overlap")
-        taken[ids] = True
-        seen[region.group] = ids
+    names = [region.group for region in params.regions]
+    groups = [mesh.group(name) for name in names]
+    _check_regions(mesh, names, groups)
 
     per_region = {}
     order = []
     trace = []
-    for r, region in enumerate(params.regions):
-        result = select(mesh, seen[region.group], region.radius,
-                        a=params.a, b=params.b, strategy=params.strategy,
-                        seed=params.seed + r,
-                        seed_point=params.seed_points.get(region.group))
+    for r, (region, ids) in enumerate(zip(params.regions, groups)):
+        result = _walk(mesh, ids, region.radius, params.a, params.b,
+                       params.strategy, params.seed + r,
+                       params.seed_points.get(region.group))
         per_region[region.group] = result
         order.extend(result.order)
         trace.extend(result.trace)

@@ -545,6 +545,16 @@ def test_select_rejects_a_seed_point_naming_no_region(tmp_path, capsys):
      "error: 'enrichment' must be a JSON array, got 'obstacle_edges'"),
     (["morph"], {"enrichment": ["left", 5]},
      "error: 'enrichment' must list group names, got ['left', 5]"),
+    # region entries that name no group
+    (["select"], {"selection": {"radius": 0.3, "regions": [{"radius": 0.3}]}},
+     "error: 'selection.regions[0].group' must name a node group, got None"),
+    (["select"], {"selection": {"radius": 0.3,
+                                "regions": [{"group": "left"}, None]}},
+     "error: 'selection.regions[1].group' must name a node group, got None"),
+    (["morph"], {"selection": {"regions": [{"group": None}]}},
+     "error: 'selection.regions[0].group' must name a node group, got None"),
+    (["select"], {"selection": {"radius": 0.3, "regions": [{"group": 3}]}},
+     "error: 'selection.regions[0].group' must name a node group, got 3"),
 ])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_command_leaves_no_directory_it_made(

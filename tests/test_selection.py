@@ -1,7 +1,9 @@
 """Annulus-walk thinning: invariants, determinism, and the random baseline."""
 
+import contextlib
 import hashlib
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -232,6 +234,285 @@ def test_moved_mesh_gets_its_own_distances(lattice11, monkeypatch):
     monkeypatch.setattr(selection, "_MEMO_BUDGET", 0)
     again = select(moved, ids, 2.1, seed=4)
     assert (again.order, again.trace) == (res.order, res.trace)
+
+
+# ---------------------------------------------------------------------------
+# a frozen reference walk: the walk as it stood before picks were compared
+# on their rows only, with one distance row per pick, the annulus loop and
+# a hand-over by reduction; every walk must repeat it
+
+def reference_distances(coords, point):
+    diff = coords - point
+    np.multiply(diff, diff, out=diff)
+    dist = np.add.reduce(diff, axis=1)
+    return np.sqrt(dist, out=dist)
+
+
+def reference_pick_first(coords, strategy, rng, candidate_ids, seed_point):
+    if seed_point is not None:
+        return int(np.nonzero(candidate_ids == seed_point)[0][0])
+    if strategy == "random":
+        return int(rng.integers(0, len(coords)))
+    dist = reference_distances(coords, coords.mean(axis=0))
+    if strategy == "centroid_nearest":
+        return int(dist.argmin())
+    return int(dist.argmax())
+
+
+def reference_pick_from(beta_positions, coords, strategy, rng, min_dist):
+    if beta_positions.size == 1:
+        return int(beta_positions[0])
+    if strategy == "random":
+        return int(beta_positions[rng.integers(beta_positions.size)])
+    pts = coords[beta_positions]
+    if strategy == "centroid_nearest":
+        local = reference_distances(pts, pts.mean(axis=0))
+        return int(beta_positions[local.argmin()])
+    return int(beta_positions[min_dist[beta_positions].argmax()])
+
+
+def reference_select(mesh, candidates, radius, a=0.8, b=1.3,
+                     strategy="random", seed=0, seed_point=None):
+    """(order, trace, annulus_count) of the reference walk."""
+    candidates = np.sort(np.asarray(candidates, dtype=np.int64))
+    nc = candidates.size
+    outer = b * radius
+    coords = mesh.nodes[candidates]
+
+    def rows(i):
+        d = reference_distances(coords, coords[i])
+        return d, d > radius, d <= outer
+    rng = np.random.default_rng(seed) if strategy == "random" else None
+
+    first = reference_pick_first(coords, strategy, rng, candidates,
+                                 seed_point)
+    order = [int(candidates[first])]
+    trace = [(order[0], nc)]
+    d_first, far_first, near_last = rows(first)
+    r_omega = float(d_first.max())
+    n_annuli = 0
+    while radius + n_annuli * (a * radius) <= r_omega:
+        n_annuli += 1
+    if n_annuli == 0:
+        return tuple(order), tuple(trace), 0
+
+    ring = np.ceil(np.maximum(d_first - radius, 0.0)
+                   / (a * radius)).astype(np.int64)
+    np.minimum(ring, n_annuli, out=ring)
+    alive = far_first.copy()
+    alive[first] = False
+    min_dist = d_first.copy() if strategy == "farthest_point" else None
+    m = 1
+    live = alive & (ring == m)
+    beta = live & near_last
+    while True:
+        beta_positions = beta.nonzero()[0]
+        if not beta_positions.size:
+            beta_positions = live.nonzero()[0]
+        if not beta_positions.size:
+            later = ring[alive]
+            if not later.size:
+                break
+            m = int(later.min())
+            live = alive & (ring == m)
+            beta = live & near_last
+            continue
+        pick = reference_pick_from(beta_positions, coords, strategy, rng,
+                                   min_dist)
+        order.append(int(candidates[pick]))
+        trace.append((order[-1], beta_positions.size))
+        d_last, far_last, near_last = rows(pick)
+        alive &= far_last
+        live &= far_last
+        beta = live & near_last
+        if min_dist is not None:
+            np.minimum(min_dist, d_last, out=min_dist)
+    return tuple(order), tuple(trace), n_annuli
+
+
+def assert_walks_repeat_the_reference(mesh, split, radius, a, b, strategy,
+                                      seed, seed_point, memoized):
+    """select over every candidate and select_multi over the two regions
+    ids[:split] and ids[split:] against the reference walk, on the memo
+    path or the row path; the mesh is rebuilt with those groups, so it
+    starts with an empty memo."""
+    ids = mesh.boundary_ids
+    halves = {"lo": ids[:split], "hi": ids[split:]}
+    mesh = mk.Mesh(mesh.dim, mesh.nodes, mesh.elements, ids,
+                   mesh.interior_ids, {"all": ids, **halves})
+    regions = [RegionParams("lo", radius), RegionParams("hi", 2 * radius)]
+    pins = {} if seed_point is None else {"lo": int(ids[seed_point % split])}
+    with pytest.MonkeyPatch.context() as patch:
+        if not memoized:
+            patch.setattr(selection, "_MEMO_BUDGET", 0)
+        res = select(mesh, ids, radius, a, b, strategy, seed,
+                     None if seed_point is None else int(ids[seed_point]))
+        multi = select_multi(mesh, SelectionParams(
+            regions, a, b, strategy, seed, pins))
+    assert (mesh._memo != {}) == memoized
+    expected = reference_select(
+        mesh, ids, radius, a, b, strategy, seed,
+        None if seed_point is None else int(ids[seed_point]))
+    assert (res.order, res.trace, res.annulus_count) == expected
+    np.testing.assert_array_equal(res.selected, sorted(expected[0]))
+    order, trace = [], []
+    for r, region in enumerate(regions):
+        want = reference_select(mesh, halves[region.group], region.radius,
+                                a, b, strategy, seed + r,
+                                pins.get(region.group))
+        got = multi.per_region[region.group]
+        assert (got.order, got.trace, got.annulus_count) == want
+        order += want[0]
+        trace += want[1]
+    assert (multi.order, multi.trace) == (tuple(order), tuple(trace))
+    np.testing.assert_array_equal(multi.selected, sorted(order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), nx=st.integers(2, 9),
+       ny=st.integers(2, 9), radius=st.floats(0.2, 6.0),
+       a=st.floats(0.05, 0.95), b=st.floats(1.01, 3.0),
+       strategy=st.sampled_from(STRATEGIES),
+       seed_point=st.none() | st.integers(0, 10_000),
+       memoized=st.booleans())
+def test_walks_repeat_the_reference_on_jittered_grids(
+        seed, nx, ny, radius, a, b, strategy, seed_point, memoized):
+    mesh = make_lattice2d(nx, ny, (float(nx), float(ny)))
+    rng = np.random.default_rng(seed)
+    mesh = mesh.with_nodes(
+        mesh.nodes + rng.uniform(-0.2, 0.2, size=mesh.nodes.shape))
+    n = mesh.boundary_ids.size
+    assert_walks_repeat_the_reference(
+        mesh, 1 + seed % (n - 1), radius, a, b, strategy, seed,
+        None if seed_point is None else seed_point % n, memoized)
+
+
+# unit-lattice radii where distances hit R, b*R and the ring bounds
+# R + j*aR exactly (a*R is 1, 0.5 or 0.25; or R = sqrt 2, b*R = sqrt 8)
+@pytest.mark.parametrize("radius, a, b", [
+    (1.0, 0.5, 2.0), (2.0, 0.5, 1.5), (2.0, 0.25, 2.5), (3.0, 0.5, 2.0),
+    (4.0, 0.25, 1.25), (np.sqrt(2.0), 0.5, 2.0)])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("memoized", [True, False])
+def test_walks_repeat_the_reference_on_lattice_ties(
+        lattice11, radius, a, b, strategy, memoized):
+    for seed, seed_point in ((0, None), (3, 60), (8, 0)):
+        assert_walks_repeat_the_reference(lattice11, 55, radius, a, b,
+                                          strategy, seed, seed_point,
+                                          memoized)
+
+
+# ---------------------------------------------------------------------------
+# the annulus count and the ring hand-over
+
+def loop_count(radius, a, r_omega):
+    n = 0
+    while radius + n * (a * radius) <= r_omega:
+        n += 1
+    return n
+
+
+@settings(max_examples=200, deadline=None)
+@given(radius=st.floats(1e-3, 1e3), a=st.floats(0.01, 0.99),
+       j=st.integers(0, 2_000), nudge=st.integers(-2, 2))
+# just below R and on it, a lattice bound, the float spill past the last
+# ring (r_omega = 0.84), 99,991 annuli, and bounds the closed form's first
+# estimate puts one above and one below the loop's count
+@example(radius=0.5, a=0.8, j=0, nudge=-1)
+@example(radius=0.5, a=0.8, j=0, nudge=0)
+@example(radius=2.0, a=0.5, j=8, nudge=0)
+@example(radius=0.3, a=0.6, j=3, nudge=-1)
+@example(radius=1.0, a=0.1, j=99_990, nudge=0)
+@example(radius=0.05, a=0.8, j=9, nudge=-1)
+@example(radius=0.4, a=0.1, j=10, nudge=0)
+def test_annulus_count_is_the_loops(radius, a, j, nudge):
+    # r_omega on a ring bound R + j*aR exactly, or a few ulps off it
+    r_omega = radius + j * (a * radius)
+    for _ in range(abs(nudge)):
+        r_omega = np.nextafter(r_omega, np.inf if nudge > 0 else 0.0)
+    r_omega = float(r_omega)
+    assert (selection._annulus_count(radius, a * radius, r_omega)
+            == loop_count(radius, a, r_omega))
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test whose body runs past ``seconds`` instead of hanging."""
+    def alarm(signum, frame):
+        raise TimeoutError("the walk did not return in time")
+
+    @contextlib.contextmanager
+    def within(seconds):
+        old = signal.signal(signal.SIGALRM, alarm)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+    return within
+
+
+@pytest.mark.parametrize("memoized", [True, False])
+def test_tiny_radius_selects_every_candidate_promptly(study_wing, deadline,
+                                                      memoized):
+    # 4.8e12 annuli on the top face: the hand-over must jump to the lowest
+    # live ring, never step through the empty ones
+    top = study_wing.group("top")
+    with pytest.MonkeyPatch.context() as patch, deadline(20.0):
+        if not memoized:
+            patch.setattr(selection, "_MEMO_BUDGET", 0)
+        res = select(study_wing.with_nodes(study_wing.nodes), top, 1e-12)
+    np.testing.assert_array_equal(res.selected, top)
+    assert res.cardinality == 216
+    assert res.annulus_count > 10**12
+
+
+@pytest.mark.parametrize("radius, a", [(5e-324, 0.1), (1e-300, 0.5)])
+def test_radius_too_small_for_its_annuli_raises(lattice11, deadline, radius,
+                                                a):
+    # a*R underflows to 0 (the loop would never end), or the count
+    # (about 2.8e301) is past 2**53
+    with pytest.raises(ValueError, match=r"^radius .* is too small"), \
+            deadline(20.0):
+        select(lattice11, lattice11.boundary_ids, radius, a=a)
+
+
+def test_rim_candidate_stays_in_the_last_ring():
+    # seen from the first pick at the origin, B at 0.84 lies past the last
+    # of 3 annuli by float spill (0.84 - 0.3) / 0.18 = 3.0000000000000004;
+    # clipped into ring 3 it shares a pool with A at 0.75
+    nodes = np.array([[0.0, 0.0], [0.0, 0.75], [0.84, 0.0]])
+    ids = np.arange(3)
+    mesh = mk.Mesh(2, nodes, np.empty((0, 3), dtype=np.int64), ids,
+                   np.array([], dtype=np.int64), {"all": ids})
+    for memoized in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not memoized:
+                patch.setattr(selection, "_MEMO_BUDGET", 0)
+            res = select(mesh.with_nodes(nodes), ids, 0.3, a=0.6,
+                         seed_point=0)
+        assert res.annulus_count == 3
+        assert [pool for _, pool in res.trace] == [3, 2, 1]
+        assert res.trace == reference_select(mesh, ids, 0.3, a=0.6,
+                                             seed_point=0)[1]
+
+
+@pytest.mark.parametrize("groups, message", [
+    ({"twice": [3, 3, 5]}, "'twice' repeats a node id"),
+    ({"past": [5, 121]}, r"'past' holds node ids out of range \[0, 121\)"),
+    ({"below": [-1, 5]}, r"'below' holds node ids out of range \[0, 121\)"),
+    ({"lo": [3, 4, 5], "hi": [5, 6]}, "'lo' and 'hi' overlap"),
+])
+def test_select_multi_checks_groups_of_meshes_never_validated(
+        lattice11, groups, message):
+    # Mesh keeps its groups sorted; repeats and range are left to
+    # validate(), which this mesh never ran
+    mesh = mk.Mesh(2, lattice11.nodes, lattice11.elements,
+                   lattice11.boundary_ids, lattice11.interior_ids, groups)
+    params = SelectionParams([(name, 1.5) for name in groups])
+    with pytest.raises(ValueError, match=message):
+        select_multi(mesh, params)
 
 
 def test_one_way_random_pick_draws_nothing():
