@@ -275,23 +275,38 @@ def _annulus_count(radius, step, r_omega):
     """The least n >= 0 with ``radius + n * step > r_omega``: the number of
     annuli (R + (j-1)aR, R + j*aR], j = 1..n, with ``step`` = aR, that
     reach the farthest candidate at ``r_omega``. It is the count of the
-    loop ``while radius + n * step <= r_omega: n += 1``, in closed form:
-    the estimate is moved onto the loop's own test, which is monotone in
-    n. ValueError names the radius when the count is not finite (aR
-    underflowing to 0 is one case) or reaches 2**53."""
+    loop ``while radius + n * step <= r_omega: n += 1``, found without
+    stepping through it: the loop's test is monotone in n, so the estimate
+    (r_omega - R) / aR is bracketed and the bracket bisected. Rounding
+    puts the estimate at most a step or two above the count, so the
+    bracket steps down by ones; it can lie far below the count when aR is
+    finer than the float spacing at r_omega (R + n*aR then rounds to one
+    float for many n), so the bracket steps up by doubling. That is two
+    tests in the common case and about a hundred at worst. ValueError
+    names the radius when the count is not finite (aR underflowing to 0
+    is one case) or reaches 2**53."""
     if not radius <= r_omega:
         return 0
     count = (r_omega - radius) / step if step else math.inf
+    if count < _MAX_ANNULI:
+        # lo passes the loop's test (or is 0, which does), hi fails it
+        lo, hi, gap = int(count), int(count) + 1, 1
+        while radius + hi * step <= r_omega:
+            lo, hi, gap = hi, hi + gap, 2 * gap
+        while lo and radius + lo * step > r_omega:
+            lo, hi = lo - 1, lo
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if radius + mid * step > r_omega:
+                hi = mid
+            else:
+                lo = mid
+        count = hi
     if not count < _MAX_ANNULI:
         raise ValueError(f"radius {radius!r} is too small: annuli of "
                          f"thickness {step!r} up to {r_omega!r} number "
                          f"{count!r}, not fewer than 2**53")
-    n = int(count) + 1
-    while n and radius + (n - 1) * step > r_omega:
-        n -= 1
-    while radius + n * step <= r_omega:
-        n += 1
-    return n
+    return count
 
 
 def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
@@ -377,11 +392,7 @@ def _walk(mesh, candidates, radius, a, b, strategy, seed, seed_point):
             if not pool.size:
                 # rings up to m are exhausted and ring 0 lies in the first
                 # ball, so the next ring to walk is the lowest one still
-                # alive: most often m + 1, else found by one reduction
-                live = alive & (ring == m + 1)
-                if live.nonzero()[0].size:
-                    m += 1
-                    continue
+                # alive, found by one reduction
                 later = ring[alive]
                 if not later.size:
                     break

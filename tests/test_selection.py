@@ -435,6 +435,20 @@ def test_annulus_count_is_the_loops(radius, a, j, nudge):
             == loop_count(radius, a, r_omega))
 
 
+@settings(max_examples=100, deadline=None)
+@given(radius=st.floats(1e-3, 1e3), e=st.integers(53, 60),
+       k=st.integers(0, 8))
+def test_annulus_count_is_the_loops_below_the_float_spacing(radius, e, k):
+    # aR below the spacing of floats at r_omega, k ulps past R: R + n*aR
+    # rounds to one float for many n, so the first estimate is far off
+    a = 2.0**-e
+    r_omega = float(radius)
+    for _ in range(k):
+        r_omega = float(np.nextafter(r_omega, np.inf))
+    assert (selection._annulus_count(radius, a * radius, r_omega)
+            == loop_count(radius, a, r_omega))
+
+
 @pytest.fixture
 def deadline():
     """Fail a test whose body runs past ``seconds`` instead of hanging."""
@@ -476,6 +490,23 @@ def test_radius_too_small_for_its_annuli_raises(lattice11, deadline, radius,
     with pytest.raises(ValueError, match=r"^radius .* is too small"), \
             deadline(20.0):
         select(lattice11, lattice11.boundary_ids, radius, a=a)
+
+
+def test_annuli_finer_than_floats_count_promptly(deadline):
+    # aR = 2**-104 against one ulp (2**-52) from R = 1 to r_omega: the
+    # estimate reads 2**52 annuli, while 1 + n * 2**-104 first rounds past
+    # r_omega at n = 3 * 2**51 (1.5 ulp, a tie rounded to even), 2**51
+    # steps beyond the estimate
+    far = 1.0 + 2.0**-52
+    with deadline(20.0):
+        assert selection._annulus_count(1.0, 2.0**-104, far) == 3 * 2**51
+        nodes = np.array([[0.0, 0.0], [far, 0.0]])
+        ids = np.arange(2)
+        mesh = mk.Mesh(2, nodes, np.empty((0, 3), dtype=np.int64), ids,
+                       np.array([], dtype=np.int64), {"all": ids})
+        res = select(mesh, ids, 1.0, a=2.0**-104, seed_point=0)
+    assert res.annulus_count == 3 * 2**51
+    assert res.order == (0, 1)
 
 
 def test_rim_candidate_stays_in_the_last_ring():
