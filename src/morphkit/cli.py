@@ -21,15 +21,15 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import idw, laws, metrics, pod, selection
-from .mesh import (_scalar, apply_deformation, generate_box_wing,
-                   generate_tunnel, merge_fields, mesh_quality, read_mesh,
-                   write_mesh)
+from .mesh import (_scalar, _write_artifact, apply_deformation,
+                   generate_box_wing, generate_tunnel, merge_fields,
+                   mesh_quality, read_mesh, write_mesh)
 from .metrics import ComparisonReport
 
 DEFAULT_REPEAT = 100
@@ -85,17 +85,21 @@ def build_law(cfg, mesh):
     if not spec:
         raise ValueError("config has no 'law' section")
     kind = spec.get("kind")
-    domain = tuple(spec["domain"])
     clamp = tuple(_section(spec.get("clamp_groups"), "law.clamp_groups",
                            list))
     control_ids = mesh.boundary_ids  # laws act on the full control set
+    if kind == "tabulated":  # over its file's domain, which law.domain repeats
+        law = laws.read_tabulated(spec["path"], control_ids, clamp)
+        if spec.get("domain", list(law.domain)) != list(law.domain):
+            raise ValueError(f"'law.domain' {spec['domain']!r} differs from "
+                             f"the domain {list(law.domain)} of {spec['path']}")
+        return law
+    domain = tuple(spec["domain"])
     if kind == "bend":
         return laws.bend_law(control_ids, domain, clamp)
     if kind == "rotation":
         return laws.rotation_law(control_ids, domain, spec["pivot"],
                                  axis=spec.get("axis", "z"), clamp_groups=clamp)
-    if kind == "tabulated":
-        return laws.read_tabulated(spec["path"], control_ids, clamp)
     raise ValueError(f"unknown law kind {kind!r}")
 
 
@@ -340,9 +344,7 @@ def cmd_pod_online(args):
     mu = _mu(cfg, args)
     repeat = _repeat(cfg, args)
     model = pod.read_model(args.model or (out / "pod_model.bin"))
-    law = build_law(cfg, mesh)
-
-    d_boundary = laws.evaluate(law, mesh, mu)
+    d_boundary = laws.evaluate(build_law(cfg, mesh), mesh, mu)
     d_hat = d_boundary.restrict(model.control_ids)
     d_interior = pod.online_solve(model, d_hat)
     t_online = metrics.time_mean(lambda: pod.online_solve(model, d_hat),
@@ -350,9 +352,8 @@ def cmd_pod_online(args):
 
     deformed, quality = _quality(mesh, d_boundary, d_interior)
     write_mesh(deformed, out / "deformed.json")
-    method = "pod"
-    if model.selection_params and "method" in model.selection_params:
-        method = f"pod-{model.selection_params['method']}"
+    sel = model.selection_params or {}
+    method = f"pod-{sel['method']}" if "method" in sel else "pod"
     row = ComparisonReport(
         method=method, card_C_hat=int(model.control_ids.size),
         N_modes=model.n_modes, **quality, t_online_s=t_online)
@@ -396,9 +397,8 @@ def cmd_sweep(args):
     for value in values:
         params = base
         if args.axis == "R":
-            scale = value / radius
             params = replace(base, regions=tuple(
-                selection.RegionParams(r.group, r.radius * scale)
+                selection.RegionParams(r.group, r.radius * (value / radius))
                 for r in base.regions))
         elif args.axis == "a":
             params = replace(base, a=value,
@@ -446,13 +446,10 @@ def cmd_random_baseline(args):
                                         rel_error=errors[-1]))
     stats = selection.random_baseline_stats(errors)
     doc = {"draws": args.draws, "master_seed": master, "cardinality": k,
-           "mean": stats.mean, "std": stats.std,
-           "delta_min": stats.delta_min, "delta_max": stats.delta_max,
-           "selected_method": method, "selected_error": err_selected}
+           **asdict(stats), "selected_method": method,
+           "selected_error": err_selected}
     metrics.write_reports_csv(reports, out / "random_baseline.csv")
-    with open(out / "random_baseline_stats.json", "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_artifact(doc, out / "random_baseline_stats.json")
     print(f"{method} error {err_selected:.4e} vs {args.draws} random draws: "
           f"mean {stats.mean:.4e} std {stats.std:.4e} "
           f"delta_min {stats.delta_min:+.2f} delta_max {stats.delta_max:+.2f}")
@@ -541,11 +538,9 @@ def _join_values(argv):
     an option, so ``--values -0.01,-0.005`` would be refused.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
-    i = 0
-    while i < len(argv) - 1:
-        if argv[i] == "--values":
-            argv[i:i + 2] = ["--values=" + argv[i + 1]]
-        i += 1
+    while "--values" in argv[:-1]:
+        i = argv.index("--values")
+        argv[i:i + 2] = ["--values=" + argv[i + 1]]
     return argv
 
 

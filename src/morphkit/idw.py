@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .mesh import (COINCIDENCE_FACTOR, DisplacementField, _node_ids, _own,
-                   _scalar, coincident_pair)
+from .mesh import (COINCIDENCE_FACTOR, DisplacementField, _bbox_diagonal,
+                   _node_ids, _own, _scalar, coincident_pair)
 
 __all__ = [
     "IdwConfig",
@@ -61,8 +61,7 @@ class IdwConfig:
     def resolve_tol(self, points):
         if self.coincidence_tol is not None:
             return float(self.coincidence_tol)
-        span = np.asarray(points).max(axis=0) - np.asarray(points).min(axis=0)
-        return COINCIDENCE_FACTOR * float(np.linalg.norm(span))
+        return COINCIDENCE_FACTOR * _bbox_diagonal(points)
 
 
 @dataclass(frozen=True, eq=False)

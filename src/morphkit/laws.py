@@ -7,7 +7,7 @@ field over a fixed set of control node ids. Three kinds exist:
   distance from the clamped side (the generators' "left" face, z = 0;
   for 2D meshes s is the x coordinate).
 * ``rotation``: rigid rotation by mu degrees (right-handed) about a
-  coordinate axis through a pivot.
+  coordinate axis through a pivot, accurate to rounding also as mu → 0.
 * ``tabulated``: explicit fields at discrete mu values.
 
 Nodes of ``clamp_groups`` are forced to zero displacement for every mu.
@@ -16,13 +16,14 @@ Nodes of ``clamp_groups`` are forced to zero displacement for every mu.
 from __future__ import annotations
 
 import json
+import math
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .mesh import DisplacementField, _node_ids, _scalar
+from .mesh import DisplacementField, _node_ids, _own, _scalar
 
 __all__ = [
     "DisplacementLaw",
@@ -49,7 +50,7 @@ class DisplacementLaw:
     axis: str = "z"                 # rotation only
     pivot: np.ndarray | None = None  # rotation only
     table: dict | None = None        # tabulated only: mu -> DisplacementField
-    # _resolve's cache: (weakref to the last mesh met, (free, flat, rows))
+    # _resolve's cache: (weakref to the last mesh met, its answer)
     _resolved: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -65,17 +66,15 @@ class DisplacementLaw:
         if self.kind == "rotation":
             if self.axis not in _AXES:
                 raise ValueError(f"axis must be one of {sorted(_AXES)}")
-            pivot = np.array(np.atleast_1d(self.pivot), dtype=np.float64, copy=True)
+            pivot = _own(np.atleast_1d(self.pivot), np.float64)
             if not np.all(np.isfinite(pivot)):
                 raise ValueError(f"pivot {pivot.tolist()} is not finite")
-            pivot.setflags(write=False)
             object.__setattr__(self, "pivot", pivot)
         if self.kind == "tabulated":
             if not self.table:
                 raise ValueError("tabulated law needs a non-empty table")
-            object.__setattr__(self, "table",
-                               {_scalar(k, "tabulated mu"): v
-                                for k, v in self.table.items()})
+            object.__setattr__(self, "table", {_scalar(k, "tabulated mu"): v
+                                               for k, v in self.table.items()})
 
 
 def bend_law(control_ids, domain, clamp_groups=()):
@@ -92,32 +91,27 @@ def tabulated_law(control_ids, domain, table, clamp_groups=()):
                            table=table)
 
 
-def _rotation_transpose(dim, axis, radians):
-    """Rᵀ of the right-handed rotation by ``radians`` about ``axis``, as
-    one C-contiguous array, so that ``rows @ Rᵀ`` rotates row vectors.
-    A 2D rotation is about "z"; :func:`_resolve` checks that."""
-    c, s = np.cos(radians), np.sin(radians)
-    if dim == 2:
-        return np.array([[c, s], [-s, c]])
-    if axis == "x":
-        return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
-    if axis == "y":
-        return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+def _step(dim, axis, radians):
+    """S = Rᵀ − I of the right-handed rotation by ``radians`` about ``axis``
+    (2D is the "z" case), so that ``rows @ S`` moves row vectors. cos θ − 1
+    is −2 sin²(θ/2), which does not cancel as θ → 0."""
+    i, j = (_AXES[axis] + 1) % 3, (_AXES[axis] + 2) % 3
+    half, sin = math.sin(0.5 * radians), math.sin(radians)
+    step = np.zeros((dim, dim))
+    step[i, i] = step[j, j] = -2.0 * half * half
+    step[i, j], step[j, i] = sin, -sin
+    return step
 
 
 def _resolve(law, mesh):
-    """``law`` against ``mesh``, independent of mu: (free, flat, rows, r).
+    """``law`` against ``mesh``, independent of mu: (free_ids, flat, rows, r).
 
-    ``free`` holds the positions in ``law.control_ids`` outside every
-    clamp group, or is None when the law has no clamp groups (every
-    position is free). ``flat`` holds the same free entries as positions
-    in the node-major flattening of a (n_controls, dim) field, or is None
-    with ``free``. ``rows`` holds, for the free ids in that order,
-    the squared span coordinate (bend) or the coordinates relative to
-    the pivot (rotation); it is None for a tabulated law. ``r`` is
-    max|rows| as a Python float, 0.0 without rows; NaN or inf rows make
-    it NaN or inf.
+    ``free_ids`` are the control ids outside every clamp group, in the
+    law's order; ``flat`` their entries' positions in the node-major
+    flattening of a (n_controls, dim) field; ``rows`` their squared span
+    coordinate (bend), coordinates relative to the pivot (rotation) or
+    None (tabulated); ``r`` max|rows| as a Python float, 0.0 without
+    rows, NaN or inf with NaN or inf rows.
 
     Both the law and the mesh are immutable, so the answer is cached on
     the law for the last mesh it met, keyed by that mesh's identity
@@ -127,14 +121,13 @@ def _resolve(law, mesh):
     if cached is not None and cached[0]() is mesh:
         return cached[1]
     ids = _node_ids(law.control_ids, "law control ids", mesh.node_count)
-    free = flat = None
-    if law.clamp_groups:
-        clamped = np.zeros(mesh.node_count, dtype=bool)
-        for g in law.clamp_groups:
-            clamped[mesh.group(g)] = True
-        free = np.flatnonzero(~clamped[ids])
-        flat = (free[:, None] * mesh.dim + np.arange(mesh.dim)).ravel()
-    free_ids = ids if free is None else ids[free]
+    clamped = np.zeros(mesh.node_count, dtype=bool)
+    for g in law.clamp_groups:
+        clamped[mesh.group(g)] = True
+    free = np.flatnonzero(~clamped[ids])
+    flat = (free[:, None] * mesh.dim + np.arange(mesh.dim)).ravel()
+    free_ids = ids[free]
+    free_ids.setflags(write=False)
     if law.kind == "bend":
         span_axis = 2 if mesh.dim == 3 else 0
         rows = mesh.nodes[free_ids, span_axis] ** 2
@@ -148,7 +141,7 @@ def _resolve(law, mesh):
     else:
         rows = None
     r = float(np.abs(rows).max()) if rows is not None and rows.size else 0.0
-    resolved = (free, flat, rows, r)
+    resolved = (free_ids, flat, rows, r)
     object.__setattr__(law, "_resolved", (weakref.ref(mesh), resolved))
     return resolved
 
@@ -166,39 +159,31 @@ def evaluate(law, mesh, mu):
     lo, hi = law.domain
     if not lo <= mu <= hi:
         raise DomainError(f"mu={mu} outside domain [{lo}, {hi}]")
-    free, flat, rows, r = _resolve(law, mesh)
-    ids = law.control_ids
+    free_ids, flat, rows, r = _resolve(law, mesh)
 
-    # bound on every |entry|: |mu| * max|rows| for the bend, and for the
-    # rotation dim * max|rows| for rows @ Rᵀ (|Rᵀ entries| <= 1) plus
-    # max|rows| for the subtraction; table rows are finite fields' rows
+    # bound on every |entry|: |mu| * max|rows| for the bend; for the
+    # rotation 3 * max|rows| <= (dim + 1) * max|rows|, as a column of S
+    # holds |cos θ − 1| <= 2 and |sin θ|; table rows are finite fields'
     if law.kind == "bend":
         moved = np.zeros((rows.size, mesh.dim))
         moved[:, 1] = mu * rows
         bound = abs(mu) * r
     elif law.kind == "rotation":
         # a row's result does not depend on the others
-        moved = rows @ _rotation_transpose(mesh.dim, law.axis,
-                                           np.deg2rad(mu)) - rows
+        moved = rows @ _step(mesh.dim, law.axis, math.radians(mu))
         bound = (mesh.dim + 1) * r
     else:
-        try:
-            entry = law.table[mu]
-        except KeyError:
-            raise KeyError(f"tabulated law has no entry for mu={mu}") from None
-        moved = entry.restrict(ids).vectors
+        if mu not in law.table:
+            raise KeyError(f"tabulated law has no entry for mu={mu}")
+        moved = law.table[mu].restrict(free_ids).vectors
         if moved.shape[1] != mesh.dim:
             raise ValueError(f"tabulated entry for mu={mu} has dim "
                              f"{moved.shape[1]}, mesh has {mesh.dim}")
-        if free is not None:
-            moved = moved[free]
         bound = 0.0
 
-    if free is None:
-        vec = moved
-    else:
-        vec = np.zeros((ids.size, mesh.dim))
-        vec.reshape(-1)[flat] = moved.ravel()
+    ids = law.control_ids
+    vec = np.zeros((ids.size, mesh.dim))
+    vec.reshape(-1)[flat] = moved.ravel()
     return DisplacementField._built(ids, vec, bound)
 
 
@@ -213,11 +198,24 @@ def sample_domain(domain, n, seed):
 
 
 def read_tabulated(path, control_ids, clamp_groups=()):
-    """Tabulated law from JSON: {"domain": [lo, hi], "entries":
-    [{"mu": m, "indices": [...], "vectors": [[...]]}, ...]}."""
+    """Tabulated law over the domain of the JSON file ``path``, {"domain":
+    [lo, hi], "entries": [{"mu": m, "indices": [...], "vectors": [[...]]},
+    ...]}; ValueError names the file, entry and key of a bad one."""
     with open(path) as fh:
         doc = json.load(fh)
-    table = {_scalar(e["mu"], "tabulated mu"):
-             DisplacementField(e["indices"], e["vectors"])
-             for e in doc["entries"]}
-    return tabulated_law(control_ids, tuple(doc["domain"]), table, clamp_groups)
+    where, table = "the document", {}
+    try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"not a JSON object but {type(doc).__name__}")
+        for i, entry in enumerate(doc["entries"]):
+            where = f"entries[{i}]"
+            if not isinstance(entry, dict):
+                raise TypeError(f"not a JSON object but {type(entry).__name__}")
+            table[_scalar(entry["mu"], "tabulated mu")] = DisplacementField(
+                entry["indices"], entry["vectors"])
+        where = "the document"
+        return tabulated_law(control_ids, doc["domain"], table, clamp_groups)
+    except KeyError as exc:
+        raise ValueError(f"{path}: {where} has no {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {where}: {exc}") from None

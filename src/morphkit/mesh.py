@@ -58,6 +58,11 @@ _EPS = np.finfo(np.float64).eps
 _FINITE_BOUND = 2.0**1000
 
 
+def _bbox_diagonal(points):
+    """Bounding-box diagonal of ``points`` (n, dim), 0.0 without points."""
+    return float(np.linalg.norm(np.ptp(points, axis=0))) if len(points) else 0.0
+
+
 def coincident_pair(points, tol):
     """Lowest index pair (i, j), i < j, of ``points`` at most ``tol`` apart.
 
@@ -403,9 +408,7 @@ class Mesh:
     # once
     @functools.cached_property
     def bbox_diagonal(self):
-        if self.node_count == 0:
-            return 0.0
-        return float(np.linalg.norm(self.nodes.max(axis=0) - self.nodes.min(axis=0)))
+        return _bbox_diagonal(self.nodes)
 
     @functools.cached_property
     def coincidence_tolerance(self):
@@ -751,6 +754,13 @@ def write_mesh(mesh, path, format="native-json"):
         _write_vtk(mesh, path)
     else:
         raise ValueError(f"unknown mesh format {format!r}")
+
+
+def _write_artifact(doc, path):
+    """Write ``doc`` as a JSON artifact: one-space indents, a newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def _write_json(mesh, path):

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroReferenceError
-from .mesh import _scalar
+from .mesh import _scalar, _write_artifact
 from .mesh import mesh_quality  # noqa: F401 -- perfbench/tracing.py wraps metrics.mesh_quality
 
 __all__ = [
@@ -98,6 +97,4 @@ def write_reports_csv(reports, path):
 
 
 def write_reports_json(reports, path):
-    with open(path, "w") as fh:
-        json.dump([dataclasses.asdict(r) for r in reports], fh, indent=1)
-        fh.write("\n")
+    _write_artifact([dataclasses.asdict(r) for r in reports], path)

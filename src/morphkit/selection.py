@@ -34,7 +34,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateSampleError
-from .mesh import _int_ids, _node_ids, _scalar, sorted_unique
+from .mesh import (_int_ids, _node_ids, _scalar, _write_artifact,
+                   sorted_unique)
 
 __all__ = [
     "RegionParams",
@@ -541,9 +542,7 @@ def write_selection(result, params, path):
         },
         "trace": [list(entry) for entry in result.trace],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_artifact(doc, path)
 
 
 def read_selection(path):

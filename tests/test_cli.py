@@ -159,6 +159,53 @@ def test_mu_flag_overrides_config(tmp_path):
     assert not np.array_equal(a.nodes, b.nodes)
 
 
+def test_morph_rotation_is_the_library_path(tmp_path):
+    # the config's axis and pivot reach the law; the deformed mesh is
+    # evaluate -> select_multi -> assemble -> deform, bit for bit
+    cfg = write_cfg(tmp_path, law={
+        "kind": "rotation", "domain": [-30.0, 0.0], "axis": "x",
+        "pivot": [0.5, 0.125, 1.0], "clamp_groups": ["left"]})
+    out = tmp_path / "out"
+    assert main(["morph", "--config", str(cfg), "--out", str(out),
+                 "--mu", "-12.5"]) == 0
+    mesh = cli_mesh()
+    law = mk.rotation_law(mesh.boundary_ids, (-30.0, 0.0),
+                          pivot=(0.5, 0.125, 1.0), axis="x",
+                          clamp_groups=("left",))
+    d_b = mk.evaluate(law, mesh, -12.5)
+    params = mk.SelectionParams(tuple(mk.RegionParams(g, 0.3) for g in FACES),
+                                a=0.8, b=1.3, seed=1)
+    ids = mk.select_multi(mesh, params).selected
+    op = idw.assemble(mesh, ids, mesh.interior_ids, idw.IdwConfig(p=4))
+    d_i = idw.deform(op, d_b.restrict(ids))
+    expected = mk.apply_deformation(mesh, mk.merge_fields(d_b, d_i))
+    got = read_mesh(out / "deformed.json")
+    assert got.nodes.tobytes() == expected.nodes.tobytes()
+    assert np.any(got.nodes[:, 0] == mesh.nodes[:, 0])   # x stays put
+    assert not np.array_equal(got.nodes, mesh.nodes)
+
+
+def test_morph_tabulated_bend_fields_is_the_bend_morph(tmp_path):
+    # a file of unclamped bend fields under the config's clamp is the
+    # clamped bend law; the file's domain applies, as the config has none
+    mesh = cli_mesh()
+    bend = mk.bend_law(mesh.boundary_ids, (0.0, 0.02))
+    entries = []
+    for mu in (0.0, 0.01, 0.02):
+        d = mk.evaluate(bend, mesh, mu)
+        entries.append({"mu": mu, "indices": d.indices.tolist(),
+                        "vectors": d.vectors.tolist()})
+    table = tmp_path / "bend_table.json"
+    table.write_text(json.dumps({"domain": [0.0, 0.02], "entries": entries}))
+    tab = write_cfg(tmp_path, name="tab.json", law={
+        "kind": "tabulated", "path": str(table), "clamp_groups": ["left"]})
+    for cfg, out in ((write_cfg(tmp_path), "bend"), (tab, "tab")):
+        assert main(["morph", "--config", str(cfg),
+                     "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "tab" / "deformed.json").read_bytes() \
+        == (tmp_path / "bend" / "deformed.json").read_bytes()
+
+
 def test_pod_offline_then_online(tmp_path, monkeypatch):
     seen = []
     build_online = pod.build_online
@@ -483,6 +530,20 @@ def test_select_rejects_a_seed_point_naming_no_region(tmp_path, capsys):
     assert not (out / "selection.json").exists()
 
 
+# a tabulated law's file, and files that break it one way each
+ENTRY = {"mu": 0.5, "indices": [0], "vectors": [[0.0, 0.0, 0.0]]}
+TABLES = {
+    "table": {"domain": [0.0, 1.0], "entries": [ENTRY]},
+    "t_array": [ENTRY],
+    "t_entry": {"domain": [0.0, 1.0], "entries": [ENTRY, 3]},
+    "t_no_domain": {"entries": [ENTRY]},
+    "t_no_entries": {"domain": [0.0, 1.0]},
+    **{f"t_no_{key}": {"domain": [0.0, 1.0], "entries": [
+        {k: v for k, v in ENTRY.items() if k != key}]}
+       for key in ("mu", "indices", "vectors")},
+}
+
+
 @pytest.mark.parametrize("command, overrides, message", [
     (["mesh-gen"], {"mesh": {"path": "missing.json"}}, "missing.json"),
     (["select"], {"selection": {"radius": 0.3, "regions": [{"group": "left"}],
@@ -555,6 +616,21 @@ def test_select_rejects_a_seed_point_naming_no_region(tmp_path, capsys):
      "error: 'selection.regions[0].group' must name a node group, got None"),
     (["select"], {"selection": {"radius": 0.3, "regions": [{"group": 3}]}},
      "error: 'selection.regions[0].group' must name a node group, got 3"),
+    # a tabulated law's domain is its file's, and a file that is not one
+    (["morph"], {"law": {"kind": "tabulated", "path": "table.json",
+                         "domain": [5, 6]}},
+     "error: 'law.domain' [5, 6] differs from the domain [0.0, 1.0] "
+     "of table.json"),
+    *[(["morph"], {"law": {"kind": "tabulated", "path": f"{name}.json"}},
+       f"error: {name}.json: {message}")
+      for name, message in [
+          ("t_array", "the document: not a JSON object but list"),
+          ("t_entry", "entries[1]: not a JSON object but int"),
+          ("t_no_domain", "the document has no 'domain'"),
+          ("t_no_entries", "the document has no 'entries'"),
+          ("t_no_mu", "entries[0] has no 'mu'"),
+          ("t_no_indices", "entries[0] has no 'indices'"),
+          ("t_no_vectors", "entries[0] has no 'vectors'")]],
 ])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_command_leaves_no_directory_it_made(
@@ -565,6 +641,8 @@ def test_failed_command_leaves_no_directory_it_made(
     doc = json.loads((tmp_path / "bad_mesh.json").read_text())
     doc["elements"][0][1] = 0.4
     (tmp_path / "bad_mesh.json").write_text(json.dumps(doc))
+    for name, table in TABLES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(table))
     cfg = write_cfg(tmp_path, **overrides)
     out = tmp_path / "made" / "out"
     if existing:

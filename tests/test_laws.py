@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import re
 import weakref
 
@@ -70,20 +71,19 @@ def test_clamp_overlapping_groups_and_foreign_nodes(tiny_wing):
 OUTER_FACES = ("left", "right", "top", "bottom", "front", "rear")
 
 
-def rotation_matrix(dim, axis, radians):
-    """R written out element by element: the reference for the Rᵀ that
-    laws._rotation_transpose builds as one array."""
-    c, s = np.cos(radians), np.sin(radians)
+def step_matrix(dim, axis, radians):
+    """S = Rᵀ − I written out axis by axis, cos θ − 1 as −2 sin²(θ/2):
+    the reference for the S that laws._step builds by one rule."""
+    s = math.sin(radians)
+    half = math.sin(0.5 * radians)
+    c1 = -2.0 * half * half
     if dim == 2:
-        return np.array([[c, -s], [s, c]])
-    k = "xyz".index(axis)
-    rot = np.eye(3)
-    i, j = (k + 1) % 3, (k + 2) % 3
-    rot[i, i] = c
-    rot[j, j] = c
-    rot[j, i] = s
-    rot[i, j] = -s
-    return rot
+        return np.array([[c1, s], [-s, c1]])
+    if axis == "x":
+        return np.array([[0.0, 0.0, 0.0], [0.0, c1, s], [0.0, -s, c1]])
+    if axis == "y":
+        return np.array([[c1, 0.0, -s], [0.0, 0.0, 0.0], [s, 0.0, c1]])
+    return np.array([[c1, s, 0.0], [-s, c1, 0.0], [0.0, 0.0, 0.0]])
 
 
 def explicit_field(kind, mesh, ids, mu):
@@ -94,7 +94,7 @@ def explicit_field(kind, mesh, ids, mu):
         return vec
     if kind == "rotation":
         rel = mesh.nodes[ids] - np.array([2.0, 2.0, 2.0])
-        return rel @ rotation_matrix(3, "z", np.deg2rad(mu)).T - rel
+        return rel @ step_matrix(3, "z", math.radians(mu))
     return np.sin(mesh.nodes[ids] * mu)
 
 
@@ -265,21 +265,50 @@ def test_rotation_preserves_distance_to_pivot(wing):
     np.testing.assert_allclose(after, before, rtol=1e-12)
 
 
-@pytest.mark.parametrize("dim, axis", [(3, "x"), (3, "y"), (3, "z"),
-                                       (2, "z")], ids=["x", "y", "z", "2d"])
+ROTATIONS = pytest.mark.parametrize(
+    "dim, axis", [(3, "x"), (3, "y"), (3, "z"), (2, "z")],
+    ids=["x", "y", "z", "2d"])
+
+
+@ROTATIONS
 def test_rotation_is_bitwise_the_explicit_form(wing, lattice11, dim, axis):
-    # Rᵀ built as one array gives the element-wise R's field bit for bit
+    # S built by one rule for every axis gives the written-out S's field,
+    # rows @ S, bit for bit
     mesh = wing if dim == 3 else lattice11
     pivot = np.array([0.5, 0.125, 1.0][:dim])
     law = rotation_law(mesh.boundary_ids, (-36.0, 36.0), pivot=pivot,
                        axis=axis)
     rel = mesh.nodes[mesh.boundary_ids] - pivot
     for mu in (-36.0, -17.3, -1e-9, 0.0, 2.5, 30.0, 36.0):
-        rot = rotation_matrix(dim, axis, np.deg2rad(mu))
-        assert laws._rotation_transpose(dim, axis, np.deg2rad(mu)).tobytes() \
-            == np.ascontiguousarray(rot.T).tobytes()
+        step = step_matrix(dim, axis, math.radians(mu))
+        assert laws._step(dim, axis, math.radians(mu)).tobytes() \
+            == step.tobytes()
         got = evaluate(law, mesh, mu).vectors
-        assert got.tobytes() == (rel @ rot.T - rel).tobytes()
+        assert got.tobytes() == (rel @ step).tobytes()
+
+
+@ROTATIONS
+def test_rotation_keeps_its_accuracy_near_zero(wing, lattice11, dim, axis):
+    # at |θ| <= 4e-8 rad the field is θ·(rows @ J) − (θ²/2)·(rows in the
+    # rotated plane) to a relative 1e-15; rows @ Rᵀ − rows would carry a
+    # rounding of about eps·|rows|, a relative error of eps/|θ|
+    mesh = wing if dim == 3 else lattice11
+    pivot = np.array([0.5, 0.125, 1.0][:dim])
+    law = rotation_law(mesh.boundary_ids, (-36.0, 36.0), pivot=pivot,
+                       axis=axis)
+    rel = mesh.nodes[mesh.boundary_ids] - pivot
+    i = ("xyz".index(axis) + 1) % 3
+    j = (i + 1) % 3
+    gen = np.zeros((dim, dim))   # d/dθ of Rᵀ at θ = 0
+    gen[i, j], gen[j, i] = 1.0, -1.0
+    plane = np.zeros(dim)
+    plane[[i, j]] = 1.0
+    for mu in (1e-9, -1e-7, -2.13e-6):
+        theta = math.radians(mu)
+        expected = theta * (rel @ gen) - 0.5 * theta**2 * (rel * plane)
+        got = evaluate(law, mesh, mu).vectors
+        assert np.linalg.norm(got - expected) \
+            <= 1e-14 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("node, pivot", [

@@ -242,6 +242,27 @@ def test_online_on_thinned_operator_reproduces_its_morph(wing):
                           deform(op, d_hat)) < 1e-10
 
 
+@pytest.mark.parametrize("mu", [-1e-9, -2.1326070651639384e-06, -1e-4, -20.0])
+def test_online_rotation_reproduces_its_morph_near_zero(mu):
+    # criterion 7's scenario on a coarser tunnel: the clamped rotation's
+    # field lies in the two-mode span at every angle, also as mu -> 0,
+    # where a rounding of about eps·|x − pivot| would leave it
+    mesh = mk.generate_tunnel((5.0, 5.0, 5.0), (1.0, 1.0, 1.0), 8)
+    faces = ("left", "right", "top", "bottom", "front", "rear")
+    law = rotation_law(mesh.boundary_ids, (-36.0, 0.0), pivot=(2.5, 2.5, 2.5),
+                       clamp_groups=faces)
+    regions = tuple([mk.RegionParams("obstacle", 0.3)]
+                    + [mk.RegionParams(g, 1.0) for g in faces])
+    res = mk.select_multi(mesh, mk.SelectionParams(regions, seed=7))
+    esidw = mk.enrich(res.selected, mesh, ("obstacle_edges",))
+    op = assemble(mesh, esidw, mesh.interior_ids)
+    model = build_pod_model(op, law, mesh, sample_domain(law.domain, 8, seed=3),
+                            epsilon=1e-5)
+    d_hat = evaluate(law, mesh, mu).restrict(esidw)
+    assert relative_error(online_solve(model, d_hat),
+                          deform(op, d_hat)) <= 1e-13
+
+
 def test_online_solve_checks_ids(wing):
     op = assemble(wing, wing.boundary_ids, wing.interior_ids)
     law = bend_law(wing.boundary_ids, (0.0, 0.02))
