@@ -88,13 +88,13 @@ def build_law(cfg, mesh):
     clamp = tuple(_section(spec.get("clamp_groups"), "law.clamp_groups",
                            list))
     control_ids = mesh.boundary_ids  # laws act on the full control set
-    if kind == "tabulated":  # over its file's domain, which law.domain repeats
+    if kind == "tabulated":  # the file's domain; law.domain may only repeat it
         law = laws.read_tabulated(spec["path"], control_ids, clamp)
         if spec.get("domain", list(law.domain)) != list(law.domain):
             raise ValueError(f"'law.domain' {spec['domain']!r} differs from "
                              f"the domain {list(law.domain)} of {spec['path']}")
         return law
-    domain = tuple(spec["domain"])
+    domain = tuple(_section(spec["domain"], "law.domain", list))
     if kind == "bend":
         return laws.bend_law(control_ids, domain, clamp)
     if kind == "rotation":
@@ -344,7 +344,9 @@ def cmd_pod_online(args):
     mu = _mu(cfg, args)
     repeat = _repeat(cfg, args)
     model = pod.read_model(args.model or (out / "pod_model.bin"))
-    d_boundary = laws.evaluate(build_law(cfg, mesh), mesh, mu)
+    law = build_law(cfg, mesh)
+
+    d_boundary = laws.evaluate(law, mesh, mu)
     d_hat = d_boundary.restrict(model.control_ids)
     d_interior = pod.online_solve(model, d_hat)
     t_online = metrics.time_mean(lambda: pod.online_solve(model, d_hat),
@@ -352,8 +354,9 @@ def cmd_pod_online(args):
 
     deformed, quality = _quality(mesh, d_boundary, d_interior)
     write_mesh(deformed, out / "deformed.json")
-    sel = model.selection_params or {}
-    method = f"pod-{sel['method']}" if "method" in sel else "pod"
+    method = "pod"
+    if model.selection_params and "method" in model.selection_params:
+        method = f"pod-{model.selection_params['method']}"
     row = ComparisonReport(
         method=method, card_C_hat=int(model.control_ids.size),
         N_modes=model.n_modes, **quality, t_online_s=t_online)
@@ -397,8 +400,9 @@ def cmd_sweep(args):
     for value in values:
         params = base
         if args.axis == "R":
+            scale = value / radius
             params = replace(base, regions=tuple(
-                selection.RegionParams(r.group, r.radius * (value / radius))
+                selection.RegionParams(r.group, r.radius * scale)
                 for r in base.regions))
         elif args.axis == "a":
             params = replace(base, a=value,
@@ -538,9 +542,11 @@ def _join_values(argv):
     an option, so ``--values -0.01,-0.005`` would be refused.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
-    while "--values" in argv[:-1]:
-        i = argv.index("--values")
-        argv[i:i + 2] = ["--values=" + argv[i + 1]]
+    i = 0
+    while i < len(argv) - 1:
+        if argv[i] == "--values":
+            argv[i:i + 2] = ["--values=" + argv[i + 1]]
+        i += 1
     return argv
 
 

@@ -616,6 +616,8 @@ TABLES = {
      "error: 'selection.regions[0].group' must name a node group, got None"),
     (["select"], {"selection": {"radius": 0.3, "regions": [{"group": 3}]}},
      "error: 'selection.regions[0].group' must name a node group, got 3"),
+    (["morph"], {"law": {"kind": "bend", "domain": 5}},
+     "error: 'law.domain' must be a JSON array, got 5"),
     # a tabulated law's domain is its file's, and a file that is not one
     (["morph"], {"law": {"kind": "tabulated", "path": "table.json",
                          "domain": [5, 6]}},

@@ -289,9 +289,9 @@ def test_rotation_is_bitwise_the_explicit_form(wing, lattice11, dim, axis):
 
 @ROTATIONS
 def test_rotation_keeps_its_accuracy_near_zero(wing, lattice11, dim, axis):
-    # at |θ| <= 4e-8 rad the field is θ·(rows @ J) − (θ²/2)·(rows in the
-    # rotated plane) to a relative 1e-15; rows @ Rᵀ − rows would carry a
-    # rounding of about eps·|rows|, a relative error of eps/|θ|
+    # at |θ| <= 4e-8 rad the field is within a relative 1e-14 of
+    # θ·(rows @ J) − (θ²/2)·(rows in the rotated plane); a field formed
+    # as R x − x would be off by about eps/|θ| relative
     mesh = wing if dim == 3 else lattice11
     pivot = np.array([0.5, 0.125, 1.0][:dim])
     law = rotation_law(mesh.boundary_ids, (-36.0, 36.0), pivot=pivot,
