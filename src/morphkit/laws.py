@@ -39,6 +39,14 @@ KINDS = ("bend", "rotation", "tabulated")
 _AXES = {"x": 0, "y": 1, "z": 2}
 
 
+def _domain(domain):
+    """(lo, hi) of ``domain`` as floats; an empty one raises ValueError."""
+    lo, hi = (_scalar(v, "domain bound") for v in domain)
+    if not lo <= hi:
+        raise ValueError(f"domain [{lo}, {hi}] is empty")
+    return lo, hi
+
+
 # compared and hashed by identity, like Mesh and DisplacementField: a
 # field-wise == would compare arrays
 @dataclass(frozen=True, eq=False)
@@ -58,10 +66,7 @@ class DisplacementLaw:
             raise ValueError(f"kind must be one of {KINDS}")
         object.__setattr__(self, "control_ids",
                            _node_ids(self.control_ids, "control_ids"))
-        lo, hi = (_scalar(v, "domain bound") for v in self.domain)
-        if not lo <= hi:
-            raise ValueError(f"domain [{lo}, {hi}] is empty")
-        object.__setattr__(self, "domain", (lo, hi))
+        object.__setattr__(self, "domain", _domain(self.domain))
         object.__setattr__(self, "clamp_groups", tuple(self.clamp_groups))
         if self.kind == "rotation":
             if self.axis not in _AXES:
@@ -109,7 +114,7 @@ def _resolve(law, mesh):
 
     ``free_ids`` are the control ids outside every clamp group, in the
     law's order; ``flat`` their entries' positions in the node-major
-    flattening of a (n_controls, dim) field, as an index array or a slice;
+    flattening of a (n_controls, dim) field, as an index array;
     ``rows`` their squared span coordinate (bend), coordinates relative to
     the pivot (rotation) or None (tabulated); ``r`` max|rows| as a Python
     float, 0.0 without rows, NaN or inf with NaN or inf rows.
@@ -126,9 +131,7 @@ def _resolve(law, mesh):
     for g in law.clamp_groups:
         clamped[mesh.group(g)] = True
     free = np.flatnonzero(~clamped[ids])
-    # with every id free, a slice: its copy runs ~4x faster than a scatter
-    flat = ((free[:, None] * mesh.dim + np.arange(mesh.dim)).ravel()
-            if free.size < ids.size else slice(None))
+    flat = (free[:, None] * mesh.dim + np.arange(mesh.dim)).ravel()
     free_ids = ids[free]
     free_ids.setflags(write=False)
     if law.kind == "bend":
@@ -193,9 +196,7 @@ def evaluate(law, mesh, mu):
 def sample_domain(domain, n, seed):
     """n uniform draws from [lo, hi]; a point domain repeats its value.
     ``seed`` must be an integer >= 0."""
-    lo, hi = (_scalar(v, "domain bound") for v in domain)
-    if not lo <= hi:
-        raise ValueError(f"domain [{lo}, {hi}] is empty")
+    lo, hi = _domain(domain)
     return np.random.default_rng(_scalar(seed, "seed", True, 0)).uniform(
         lo, hi, size=_scalar(n, "sample count", True, 1))
 
@@ -208,18 +209,15 @@ def read_tabulated(path, control_ids, clamp_groups=()):
     with open(path) as fh:
         doc = json.load(fh)
     where, table = "the document", {}
-    try:
-        if not isinstance(doc, dict):
-            raise TypeError(f"not a JSON object but {type(doc).__name__}")
+    try:  # only what comes from the file
         for i, entry in enumerate(doc["entries"]):
             where = f"entries[{i}]"
-            if not isinstance(entry, dict):
-                raise TypeError(f"not a JSON object but {type(entry).__name__}")
             table[_scalar(entry["mu"], "tabulated mu")] = DisplacementField(
                 entry["indices"], entry["vectors"])
         where = "the document"
-        return tabulated_law(control_ids, doc["domain"], table, clamp_groups)
+        domain = _domain(doc["domain"])
     except KeyError as exc:
         raise ValueError(f"{path}: {where} has no {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {where}: {exc}") from None
+    return tabulated_law(control_ids, domain, table, clamp_groups)

@@ -626,8 +626,8 @@ TABLES = {
     *[(["morph"], {"law": {"kind": "tabulated", "path": f"{name}.json"}},
        f"error: {name}.json: {message}")
       for name, message in [
-          ("t_array", "the document: not a JSON object but list"),
-          ("t_entry", "entries[1]: not a JSON object but int"),
+          ("t_array", "the document: list indices must be integers"),
+          ("t_entry", "entries[1]: 'int' object is not subscriptable"),
           ("t_no_domain", "the document has no 'domain'"),
           ("t_no_entries", "the document has no 'entries'"),
           ("t_no_mu", "entries[0] has no 'mu'"),

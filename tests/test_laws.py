@@ -120,13 +120,20 @@ def test_evaluate_is_bitwise_with_and_without_clamps(small_tunnel, kind):
     clamped = make_law(kind, mesh, ids, OUTER_FACES, mus)
     mask = np.isin(ids, np.concatenate([mesh.group(g) for g in OUTER_FACES]))
     assert 0 < np.count_nonzero(~mask) < mask.sum()
+    clamped_laws = [clamped]
+    if kind == "tabulated":  # an entry need cover only the free ids
+        clamped_laws.append(tabulated_law(
+            ids, clamped.domain, {mu: v.restrict(ids[~mask])
+                                  for mu, v in clamped.table.items()},
+            clamp_groups=OUTER_FACES))
     for mu in mus:
         expected = explicit_field(kind, mesh, ids, mu)
         assert evaluate(free, mesh, mu).vectors.tobytes() == expected.tobytes()
         expected[mask] = 0.0
-        got = evaluate(clamped, mesh, mu)
-        np.testing.assert_array_equal(got.indices, ids)
-        assert got.vectors.tobytes() == expected.tobytes()
+        for law in clamped_laws:
+            got = evaluate(law, mesh, mu)
+            np.testing.assert_array_equal(got.indices, ids)
+            assert got.vectors.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["bend", "rotation"])
@@ -442,6 +449,15 @@ def test_read_tabulated(tiny_wing, tmp_path):
     d = evaluate(law, tiny_wing, 1.0)
     assert d.vectors.shape == (3, 3)
     np.testing.assert_allclose(d.vectors[:, 0], 0.1)
+    # the caller's ids are not the file's fault; the file's domain is
+    with pytest.raises(ValueError, match="^control_ids contain duplicates$"):
+        read_tabulated(path, [0, 0])
+    doc["domain"] = [2.0, 0.0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"table\.json: the document: "
+                                         r"domain \[2\.0, 0\.0\] is empty"):
+        read_tabulated(path, ids)
+    doc["domain"] = [0.0, 2.0]
     for mu in (None, "1.0", [1.0]):
         doc["entries"][0]["mu"] = mu
         path.write_text(json.dumps(doc))
