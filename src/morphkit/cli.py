@@ -32,7 +32,40 @@ from .mesh import (_scalar, _write_artifact, apply_deformation,
                    mesh_quality, read_mesh, write_mesh)
 from .metrics import ComparisonReport
 
-DEFAULT_REPEAT = 100
+# Every key the commands read, at every depth: a dict is a section, a
+# one-dict list an array of sections, and a key holds its kind (see _value)
+# or (kind, default). An absent key reads as its default, checked as a given
+# value is (None as a JSON null), or without one stays absent. A default a
+# library constructor has (SelectionParams' a, b and strategy, IdwConfig's
+# p, a rotation's axis) stays there only. README describes every key.
+CONFIG = {
+    "out": ("string", "."), "repeat": ("integer", 100), "mu": "number",
+    "baseline_seed": ("seed", 0),
+    "mesh": {"path": "string", "generator": "string", **dict.fromkeys(
+        ("nx", "ny", "nz", "lengths", "outer", "inner", "resolution"), "any")},
+    "law": {"kind": "string", "domain": "array", "pivot": "any",
+            "clamp_groups": ("array", None), "axis": "string",
+            "path": "string"},
+    "selection": {"radius": "number", "a": "number", "b": "number",
+                  "strategy": "string", "seed": ("seed", 0),
+                  "regions": [{"group": ("group", None), "radius": "number",
+                               "radius_factor": ("number", 1.0)}],
+                  "seed_points": "object"},
+    "enrichment": ("groups", None),
+    "pod": {"n_train": ("integer", 50), "seed": ("seed", 0),
+            "epsilon": ("number", 1e-5), "projection": ("string", "weighted")},
+    "idw": {"p": "any"},
+}
+# Sections that read as {}, without their defaults, when absent, null or
+# {}: no selection means every boundary node is a control point.
+_OPTIONAL = ("law", "selection")
+# Per section: the key naming its generator or law kind, the keys each one
+# needs, and the key that stands in for them all (a mesh file's 'path').
+_NEEDS = {"mesh.": ("generator", {"box_wing": ("nx", "ny", "nz", "lengths"),
+                                  "tunnel": ("outer", "inner", "resolution")},
+                    "path"),
+          "law.": ("kind", {"bend": ("domain",), "rotation": ("domain", "pivot"),
+                            "tabulated": ("path",)}, None)}
 
 
 def load_config(path):
@@ -43,69 +76,107 @@ def load_config(path):
     return cfg
 
 
-def _number(section, key, default=None, where="", integral=False,
-            minimum=None):
-    """``section[key]`` through ``mesh._scalar``, its errors naming the key
-    ``where + key`` (e.g. 'pod.n_train'); ``default`` if the key is absent."""
-    if key not in section:
-        return default
-    return _scalar(section[key], repr(where + key), integral, minimum)
+def check_config(section, table=CONFIG, where=""):
+    """The config ``section`` (at ``where``, e.g. 'pod.') checked against
+    its ``table``, as the new dict the commands read: a key the table does
+    not list, a value of the wrong kind and a key the chosen generator or
+    law kind needs but lacks raise ValueError naming the key."""
+    for key in section:
+        if key not in table:
+            import difflib  # here only: a cold command does not load it
+            near = difflib.get_close_matches(key, table, n=1, cutoff=0)[0]
+            raise ValueError(f"{where + key!r} is not a config key; did you "
+                             f"mean {where + near!r}?")
+    out = {}
+    for key, spec in table.items():
+        what = where + key
+        if isinstance(spec, dict):
+            given = _value("object", section.get(key), what)
+            out[key] = (check_config(given, spec, what + ".")
+                        if given or key not in _OPTIONAL else {})
+        elif isinstance(spec, list):
+            out[key] = [check_config(_value("object", entry, f"{what}[{i}]"),
+                                     spec[0], f"{what}[{i}].") for i, entry
+                        in enumerate(_value("array", section.get(key), what))]
+        elif key in section or isinstance(spec, tuple):
+            kind, default = (spec, None) if isinstance(spec, str) else spec
+            out[key] = _value(kind, section.get(key, default), what)
+    selector, needs, instead = _NEEDS.get(where, (None, None, None))
+    if needs and out and instead not in out:
+        if out.get(selector) not in needs:
+            raise ValueError(f"{where + selector!r} must be one of "
+                             f"{sorted(needs)}, got {out.get(selector)!r}")
+        for key in needs[out[selector]]:
+            if key not in out:
+                raise ValueError(f"{where + key!r} is required by a "
+                                 f"{out[selector]} {where[:-1]}")
+    return out
 
 
-def _section(value, what, kind=dict):
-    """``value``, a config section read under the key ``what``: a JSON
-    object, or an array with ``kind=list``. An absent or null section reads
-    as an empty one; anything else raises ValueError naming the key."""
-    if value is None:
-        return kind()
-    if not isinstance(value, kind):
-        raise ValueError(f"{what!r} must be a JSON "
-                         f"{'object' if kind is dict else 'array'}, "
-                         f"got {value!r}")
+# the type each kind but the numbers takes, and the words of its error
+_TYPES = {"object": (dict, "be a JSON object"),
+          "array": (list, "be a JSON array"),
+          "groups": (list, "be a JSON array"), "any": (object, ""),
+          "string": (str, "be a string"), "group": (str, "name a node group")}
+
+
+def _value(kind, value, key):
+    """``value`` of ``key`` checked as ``kind``: "number", "integer" and
+    "seed" (an integer >= 0) through mesh._scalar; an "object", "array" or
+    "groups" (an array of group names) reads null as empty; "any" is handed
+    on, to the generator, law or IdwConfig that checks it."""
+    what = repr(key)
+    if kind in ("number", "integer", "seed"):
+        return _scalar(value, what, kind != "number",
+                       0 if kind == "seed" else None)
+    cls, rule = _TYPES[kind]
+    value = cls() if value is None and cls in (dict, list) else value
+    if not isinstance(value, cls):
+        raise ValueError(f"{what} must {rule}, got {value!r}")
+    if kind == "groups" and not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must list group names, got {value!r}")
     return value
 
 
+def _given(spec, *keys):
+    """The entries of ``spec`` at ``keys`` it holds."""
+    return {key: spec[key] for key in keys if key in spec}
+
+
 def build_mesh(cfg):
-    spec = _section(cfg.get("mesh"), "mesh")
+    spec = cfg["mesh"]
     if not spec:
         raise ValueError("config has no 'mesh' section")
     if "path" in spec:
         return read_mesh(spec["path"])
-    gen = spec.get("generator")
-    if gen == "box_wing":
+    if spec["generator"] == "box_wing":
         return generate_box_wing(spec["nx"], spec["ny"], spec["nz"],
                                  spec["lengths"])
-    if gen == "tunnel":
-        return generate_tunnel(spec["outer"], spec["inner"], spec["resolution"])
-    raise ValueError(f"unknown mesh generator {gen!r}")
+    return generate_tunnel(spec["outer"], spec["inner"], spec["resolution"])
 
 
 def build_law(cfg, mesh):
-    spec = _section(cfg.get("law"), "law")
+    spec = cfg["law"]
     if not spec:
         raise ValueError("config has no 'law' section")
-    kind = spec.get("kind")
-    clamp = tuple(_section(spec.get("clamp_groups"), "law.clamp_groups",
-                           list))
+    clamp = tuple(spec["clamp_groups"])
     control_ids = mesh.boundary_ids  # laws act on the full control set
-    if kind == "tabulated":  # the file's domain; law.domain may only repeat it
+    if spec["kind"] == "tabulated":  # the file's domain; law.domain may only repeat it
         law = laws.read_tabulated(spec["path"], control_ids, clamp)
         if spec.get("domain", list(law.domain)) != list(law.domain):
             raise ValueError(f"'law.domain' {spec['domain']!r} differs from "
                              f"the domain {list(law.domain)} of {spec['path']}")
         return law
-    domain = tuple(_section(spec["domain"], "law.domain", list))
-    if kind == "bend":
+    domain = tuple(spec["domain"])
+    if spec["kind"] == "bend":
         return laws.bend_law(control_ids, domain, clamp)
-    if kind == "rotation":
-        return laws.rotation_law(control_ids, domain, spec["pivot"],
-                                 axis=spec.get("axis", "z"), clamp_groups=clamp)
-    raise ValueError(f"unknown law kind {kind!r}")
+    return laws.rotation_law(control_ids, domain, spec["pivot"],
+                             clamp_groups=clamp, **_given(spec, "axis"))
 
 
-def _seed(section, key, where, args):
-    """--seed, else MORPHKIT_SEED, else the config's ``section[key]``
-    (default 0): an integer >= 0, its errors naming where it came from."""
+def _seed(value, args):
+    """--seed, else MORPHKIT_SEED, else ``value``, the config's seed: an
+    integer >= 0, its errors naming where it came from."""
     if getattr(args, "seed", None) is not None:
         return _scalar(args.seed, "--seed", True, 0)
     env = os.environ.get("MORPHKIT_SEED")
@@ -113,48 +184,33 @@ def _seed(section, key, where, args):
         with contextlib.suppress(ValueError):  # else refused as a string
             env = int(env)
         return _scalar(env, "MORPHKIT_SEED", True, 0)
-    return _number(section, key, 0, where, integral=True, minimum=0)
+    return value
 
 
 def selection_params(cfg, args):
     """SelectionParams from the config's 'selection' section, or None.
-
     Region entries carry an absolute "radius" or a "radius_factor"
-    applied to the section-level "radius".
-    """
-    sel = _section(cfg.get("selection"), "selection")
+    applied to the section-level "radius"."""
+    sel = cfg["selection"]
     if not sel:
         return None
-    base = _number(sel, "radius", where="selection.")
+    base = sel.get("radius")
     regions = []
-    for i, entry in enumerate(_section(sel.get("regions"),
-                                       "selection.regions", list)):
-        entry = _section(entry, f"selection.regions[{i}]")
-        where = f"selection.regions[{i}]."
-        group = entry.get("group")
-        if not isinstance(group, str):
-            raise ValueError(f"{where + 'group'!r} must name a node group, "
-                             f"got {group!r}")
+    for entry in sel["regions"]:
         if "radius" in entry:
-            radius = _number(entry, "radius", where=where)
+            radius = entry["radius"]
         elif base is not None:
-            radius = _number(entry, "radius_factor", 1.0, where) * base
+            radius = entry["radius_factor"] * base
         else:
             raise ValueError(
-                f"region {group!r} has no radius and the "
+                f"region {entry['group']!r} has no radius and the "
                 "selection section sets no base 'radius'")
-        regions.append(selection.RegionParams(group, radius))
+        regions.append(selection.RegionParams(entry["group"], radius))
     if not regions:
         raise ValueError("selection section lists no regions")
     return selection.SelectionParams(
-        regions=tuple(regions),
-        a=_number(sel, "a", 0.8, "selection."),
-        b=_number(sel, "b", 1.3, "selection."),
-        strategy=sel.get("strategy", "random"),
-        seed=_seed(sel, "seed", "selection.", args),
-        seed_points=_section(sel.get("seed_points"),
-                             "selection.seed_points"),
-    )
+        regions=tuple(regions), seed=_seed(sel["seed"], args),
+        **_given(sel, "a", "b", "strategy", "seed_points"))
 
 
 def run_selection(mesh, cfg, args, params=None):
@@ -166,10 +222,7 @@ def run_selection(mesh, cfg, args, params=None):
     if params is None:
         return mesh.boundary_ids, "idw", None, None
     result = selection.select_multi(mesh, params)
-    enrichment = _section(cfg.get("enrichment"), "enrichment", list)
-    if not all(isinstance(name, str) for name in enrichment):
-        raise ValueError(f"'enrichment' must list group names, got "
-                         f"{enrichment!r}")
+    enrichment = cfg["enrichment"]
     if enrichment:
         result = replace(result, selected=selection.enrich(
             result.selected, mesh, enrichment))
@@ -178,9 +231,12 @@ def run_selection(mesh, cfg, args, params=None):
 
 def _setup(args):
     """(config, output directory, made if missing, mesh) of a subcommand."""
-    cfg = load_config(args.config)
-    _repeat(cfg, args)  # a bad repeat count fails before anything is built
-    out = Path(getattr(args, "out", None) or cfg.get("out", "."))
+    cfg = check_config(load_config(args.config))
+    if args.repeat is None:  # the count the commands time with
+        args.repeat = cfg["repeat"]
+    if args.repeat < 1:  # fails before anything is built
+        raise ValueError("repeat must be at least 1")
+    out = Path(getattr(args, "out", None) or cfg["out"])
     # deepest first; main removes them again if the command fails
     args.made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
@@ -188,23 +244,14 @@ def _setup(args):
 
 
 def _idw_config(cfg):
-    return idw.IdwConfig(p=_section(cfg.get("idw"), "idw").get("p", 4))
-
-
-def _repeat(cfg, args):
-    repeat = (_number(cfg, "repeat", DEFAULT_REPEAT, integral=True)
-              if args.repeat is None else args.repeat)
-    if repeat < 1:
-        raise ValueError("repeat must be at least 1")
-    return repeat
+    return idw.IdwConfig(**cfg["idw"])
 
 
 def _mu(cfg, args):
-    if getattr(args, "mu", None) is not None:
-        return args.mu
-    if "mu" in cfg:
-        return _number(cfg, "mu")
-    raise ValueError("no parameter value: pass --mu or set 'mu' in the config")
+    mu = cfg.get("mu") if getattr(args, "mu", None) is None else args.mu
+    if mu is None:
+        raise ValueError("no parameter value: pass --mu or set 'mu' in the config")
+    return mu
 
 
 def _selection_fields(params):
@@ -247,7 +294,6 @@ def morph_once(mesh, cfg, args, d_boundary, reference=None, params=None):
     returns (deformed mesh, report row). ``params`` replaces the config's
     selection (sweeps). The row's ``rel_error`` is measured against
     ``reference``, the full IDW morph's interior field, when one is given."""
-    repeat = _repeat(cfg, args)
     control_ids, method, params, _ = run_selection(mesh, cfg, args, params)
 
     start = time.perf_counter()
@@ -256,7 +302,8 @@ def morph_once(mesh, cfg, args, d_boundary, reference=None, params=None):
 
     d_hat = d_boundary.restrict(control_ids)
     d_interior = idw.deform(op, d_hat)
-    t_deform = metrics.time_mean(lambda: idw.deform(op, d_hat), repeat=repeat)
+    t_deform = metrics.time_mean(lambda: idw.deform(op, d_hat),
+                                 repeat=args.repeat)
 
     deformed, quality = _quality(mesh, d_boundary, d_interior)
     row = ComparisonReport(
@@ -311,11 +358,10 @@ def cmd_morph(args):
 
 def cmd_pod_offline(args):
     cfg, out, mesh = _setup(args)
-    pod_cfg = _section(cfg.get("pod"), "pod")
-    n_train = _number(pod_cfg, "n_train", 50, "pod.", True)
-    pod_seed = _seed(pod_cfg, "seed", "pod.", args)
-    epsilon = _number(pod_cfg, "epsilon", 1e-5, "pod.")
-    mode = args.projection or pod_cfg.get("projection", "weighted")
+    pod_cfg = cfg["pod"]
+    n_train, epsilon = pod_cfg["n_train"], pod_cfg["epsilon"]
+    pod_seed = _seed(pod_cfg["seed"], args)
+    mode = args.projection or pod_cfg["projection"]
     law = build_law(cfg, mesh)
     control_ids, method, params, _ = run_selection(mesh, cfg, args)
     start = time.perf_counter()
@@ -342,7 +388,6 @@ def cmd_pod_offline(args):
 def cmd_pod_online(args):
     cfg, out, mesh = _setup(args)
     mu = _mu(cfg, args)
-    repeat = _repeat(cfg, args)
     model = pod.read_model(args.model or (out / "pod_model.bin"))
     law = build_law(cfg, mesh)
 
@@ -350,7 +395,7 @@ def cmd_pod_online(args):
     d_hat = d_boundary.restrict(model.control_ids)
     d_interior = pod.online_solve(model, d_hat)
     t_online = metrics.time_mean(lambda: pod.online_solve(model, d_hat),
-                                 repeat=repeat)
+                                 repeat=args.repeat)
 
     deformed, quality = _quality(mesh, d_boundary, d_interior)
     write_mesh(deformed, out / "deformed.json")
@@ -382,8 +427,7 @@ def cmd_sweep(args):
     base = selection_params(cfg, args)
     if args.axis != "mu" and base is None:
         raise ValueError(f"{args.axis} sweep needs a 'selection' section")
-    radius = _number(_section(cfg.get("selection"), "selection"), "radius",
-                     where="selection.")
+    radius = cfg["selection"].get("radius")
     if args.axis == "R" and not radius:
         raise ValueError("R sweep needs a base 'radius' in the selection section")
     law, config = build_law(cfg, mesh), _idw_config(cfg)
@@ -439,7 +483,7 @@ def cmd_random_baseline(args):
         return metrics.relative_error(d_int, d_ref)
 
     err_selected = morph_error(control_ids)
-    master = _seed(cfg, "baseline_seed", "", args)
+    master = _seed(cfg["baseline_seed"], args)
     reports = [ComparisonReport(method=method, **_selection_fields(params),
                                 card_C_hat=k, rel_error=err_selected)]
     errors = []
@@ -469,15 +513,19 @@ def build_parser():
                     "reduced online stage.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mu=False, reference=False, projection=False, model=False,
-               vtk=False):
+    def common(name, fn, text, mu=False, reference=False, projection=False,
+               model=False, vtk=False):
+        """The subcommand ``name`` running ``fn``, with the options every
+        subcommand takes and the ones its flags ask for."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(fn=fn)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="output directory (default: config 'out')")
         p.add_argument("--seed", type=int,
                        help="override selection/POD seeds (beats MORPHKIT_SEED)")
         p.add_argument("--repeat", type=int,
                        help="timing repeat count (default: config or "
-                            f"{DEFAULT_REPEAT})")
+                            f"{CONFIG['repeat'][1]})")
         if mu:
             p.add_argument("--mu", type=float,
                            help="parameter value (default: config 'mu')")
@@ -487,51 +535,37 @@ def build_parser():
                            help="compare against the full-operator morph")
         if projection:
             p.add_argument("--projection", choices=("weighted", "plain"),
-                           help="online projection (default: config or weighted)")
+                           help="online projection (default: config or "
+                                f"{CONFIG['pod']['projection'][1]})")
         if model:
             p.add_argument("--model", help="POD artifact path "
                                            "(default: <out>/pod_model.bin)")
         if vtk:
             p.add_argument("--vtk", action="store_true",
                            help="also write legacy ASCII VTK")
+        return p
 
-    p = sub.add_parser("mesh-gen", help="generate and write the config's mesh")
-    common(p, vtk=True)
-    p.set_defaults(fn=cmd_mesh_gen)
-
-    p = sub.add_parser("select", help="thin the boundary into control points")
-    common(p)
-    p.set_defaults(fn=cmd_select)
-
-    p = sub.add_parser("morph", help="deform the mesh at one parameter value")
-    common(p, mu=True, reference=True, vtk=True)
-    p.set_defaults(fn=cmd_morph)
-
-    p = sub.add_parser("pod-offline", help="train the reduced model")
-    common(p, projection=True)
-    p.set_defaults(fn=cmd_pod_offline)
-
-    p = sub.add_parser("pod-online", help="evaluate the reduced model")
-    common(p, mu=True, reference=True, model=True)
-    p.set_defaults(fn=cmd_pod_online)
-
-    p = sub.add_parser("sweep", help="scan R, a, b or mu into a CSV table")
-    common(p, mu=True, reference=True)
+    common("mesh-gen", cmd_mesh_gen, "generate and write the config's mesh",
+           vtk=True)
+    common("select", cmd_select, "thin the boundary into control points")
+    common("morph", cmd_morph, "deform the mesh at one parameter value",
+           mu=True, reference=True, vtk=True)
+    common("pod-offline", cmd_pod_offline, "train the reduced model",
+           projection=True)
+    common("pod-online", cmd_pod_online, "evaluate the reduced model",
+           mu=True, reference=True, model=True)
+    p = common("sweep", cmd_sweep, "scan R, a, b or mu into a CSV table",
+               mu=True, reference=True)
     p.add_argument("--axis", choices=("R", "a", "b", "mu"), required=True)
     p.add_argument("--values", required=True,
                    help="comma-separated values for the chosen axis; the "
                         "list may start with a negative number")
     p.add_argument("--couple-b", action="store_true",
                    help="with --axis a, set b = 1/a per value")
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("random-baseline",
-                       help="compare selection against random draws")
-    common(p, mu=True)
+    p = common("random-baseline", cmd_random_baseline,
+               "compare selection against random draws", mu=True)
     p.add_argument("--draws", type=int, default=100,
                    help="number of random draws (default 100)")
-    p.set_defaults(fn=cmd_random_baseline)
-
     return parser
 
 

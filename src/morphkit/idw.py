@@ -201,7 +201,8 @@ def deform(op, displacement):
 
     ``displacement`` must cover exactly ``op.control_ids``, in order.
     """
-    if not np.array_equal(displacement.indices, op.control_ids):
+    if not (displacement.indices is op.control_ids
+            or np.array_equal(displacement.indices, op.control_ids)):
         raise ValueError("displacement indices must equal op.control_ids in order")
     out = op.matrix @ displacement.vectors
     out.setflags(write=False)  # frozen, so the field keeps it uncopied

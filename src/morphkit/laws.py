@@ -204,16 +204,19 @@ def sample_domain(domain, n, seed):
 def read_tabulated(path, control_ids, clamp_groups=()):
     """Tabulated law from the JSON file ``path``, over the file's domain:
     {"domain": [lo, hi], "entries": [{"mu": m, "indices": [...],
-    "vectors": [[...]]}, ...]}. A file of another shape raises ValueError
-    naming the file, the entry and the key."""
+    "vectors": [[...]]}, ...]}. A file of another shape, or one whose
+    entries repeat a mu, raises ValueError naming the file, the entry and
+    the key or the mu."""
     with open(path) as fh:
         doc = json.load(fh)
     where, table = "the document", {}
     try:  # only what comes from the file
         for i, entry in enumerate(doc["entries"]):
             where = f"entries[{i}]"
-            table[_scalar(entry["mu"], "tabulated mu")] = DisplacementField(
-                entry["indices"], entry["vectors"])
+            mu = _scalar(entry["mu"], "tabulated mu")
+            if mu in table:
+                raise ValueError(f"repeats mu {mu!r}")
+            table[mu] = DisplacementField(entry["indices"], entry["vectors"])
         where = "the document"
         domain = _domain(doc["domain"])
     except KeyError as exc:

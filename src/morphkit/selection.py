@@ -471,22 +471,28 @@ def select_multi(mesh, params):
 
 
 def enrich(selected, mesh, group_names):
-    """Union ``selected`` with every node of the named groups, sorted."""
+    """Union ``selected`` with every node of the named groups, sorted, as a
+    read-only int64 array that owns its data."""
     parts = [_node_ids(selected, "selected ids", mesh.node_count)]
     for name in group_names:
         parts.append(mesh.group(name))
-    return sorted_unique(np.concatenate(parts))
+    ids = sorted_unique(np.concatenate(parts))
+    ids.setflags(write=False)
+    return ids
 
 
 def select_random(candidates, k, seed):
-    """Uniform sample of k distinct candidates, sorted; k and seed go
-    through ``mesh._scalar`` as integers, k >= 1 and seed >= 0."""
+    """Uniform sample of k distinct candidates, sorted, as a read-only int64
+    array that owns its data; k and seed go through ``mesh._scalar`` as
+    integers, k >= 1 and seed >= 0."""
     candidates = _node_ids(candidates, "candidate ids")
     k = _scalar(k, "k", True, 1)
     if k > candidates.size:
         raise ValueError(f"k must lie in [1, {candidates.size}], got {k}")
     rng = np.random.default_rng(_scalar(seed, "seed", True, 0))
-    return np.sort(rng.choice(candidates, size=k, replace=False))
+    ids = np.sort(rng.choice(candidates, size=k, replace=False))
+    ids.setflags(write=False)
+    return ids
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,7 +108,8 @@ def test_select_enrichment_makes_esidw(tmp_path, capsys):
     docs = [json.loads((o / "selection.json").read_text())
             for o in (out_a, out_b)]
     assert docs[1]["trace"] == docs[0]["trace"]
-    runs = [cli.run_selection(mesh, cli.load_config(c), None)
+    runs = [cli.run_selection(mesh, cli.check_config(cli.load_config(c)),
+                              None)
             for c in (cfg, rich)]
     assert runs[1][1] == "esidw"
     np.testing.assert_array_equal(runs[1][3].selected, rich_ids)
@@ -258,7 +261,7 @@ def test_pod_offline_then_online(tmp_path, monkeypatch):
     row = json.loads((out / "online_report.json").read_text())[0]
     assert row["N_modes"] == 1 and np.isfinite(row["mean_Q"])
     # the model read back answers as the thinned morph it reduces
-    conf = cli.load_config(tall)
+    conf = cli.check_config(cli.load_config(tall))
     mesh = cli.build_mesh(conf)
     law = cli.build_law(conf, mesh)
     op = idw.assemble(mesh, model.control_ids, model.target_ids,
@@ -541,7 +544,13 @@ TABLES = {
     **{f"t_no_{key}": {"domain": [0.0, 1.0], "entries": [
         {k: v for k, v in ENTRY.items() if k != key}]}
        for key in ("mu", "indices", "vectors")},
+    "t_repeat": {"domain": [0.0, 1.0], "entries": [ENTRY, ENTRY]},
 }
+WING = {"generator": "box_wing", "nx": 3, "ny": 2, "nz": 6,
+        "lengths": [1.0, 0.25, 2.0]}
+TUNNEL = {"generator": "tunnel", "outer": [4, 4, 4], "inner": [1.2, 1.2, 1.2],
+          "resolution": 4}
+LEFT = {"radius": 0.3, "regions": [{"group": "left"}]}
 
 
 @pytest.mark.parametrize("command, overrides, message", [
@@ -633,6 +642,43 @@ TABLES = {
           ("t_no_mu", "entries[0] has no 'mu'"),
           ("t_no_indices", "entries[0] has no 'indices'"),
           ("t_no_vectors", "entries[0] has no 'vectors'")]],
+    (["morph"], {"law": {"kind": "tabulated", "path": "t_repeat.json"}},
+     "error: t_repeat.json: entries[1]: repeats mu 0.5"),
+    # a key the config table does not list, one at each depth
+    (["mesh-gen"], {"repeet": 2},
+     "error: 'repeet' is not a config key; did you mean 'repeat'?"),
+    (["mesh-gen"], {"mesh": dict(WING, nxx=3)},
+     "error: 'mesh.nxx' is not a config key; did you mean 'mesh.nx'?"),
+    (["morph"], {"law": {"kind": "bend", "domain": [0.0, 0.02],
+                         "clamp_group": ["left"]}},
+     "error: 'law.clamp_group' is not a config key; "
+     "did you mean 'law.clamp_groups'?"),
+    (["select"], {"selection": dict(LEFT, stratgy="centroid_nearest")},
+     "error: 'selection.stratgy' is not a config key; "
+     "did you mean 'selection.strategy'?"),
+    (["select"], {"selection": {"radius": 0.3, "regions": [
+        {"group": "left", "radius_factr": 2.0}]}},
+     "error: 'selection.regions[0].radius_factr' is not a config key; "
+     "did you mean 'selection.regions[0].radius_factor'?"),
+    (["pod-offline"], {"pod": {"n_trian": 4}},
+     "error: 'pod.n_trian' is not a config key; did you mean 'pod.n_train'?"),
+    (["morph"], {"idw": {"P": 2}},
+     "error: 'idw.P' is not a config key; did you mean 'idw.p'?"),
+    # a key the chosen generator or law kind needs
+    (["mesh-gen"], {"mesh": {k: v for k, v in WING.items() if k != "nx"}},
+     "error: 'mesh.nx' is required by a box_wing mesh"),
+    (["mesh-gen"],
+     {"mesh": {k: v for k, v in TUNNEL.items() if k != "resolution"}},
+     "error: 'mesh.resolution' is required by a tunnel mesh"),
+    (["morph"], {"law": {"domain": [0.0, 0.02]}},
+     "error: 'law.kind' must be one of ['bend', 'rotation', 'tabulated'], "
+     "got None"),
+    (["morph"], {"law": {"kind": "bend", "clamp_groups": ["left"]}},
+     "error: 'law.domain' is required by a bend law"),
+    (["morph"], {"law": {"kind": "rotation", "domain": [-30.0, 0.0]}},
+     "error: 'law.pivot' is required by a rotation law"),
+    (["morph"], {"law": {"kind": "tabulated", "domain": [0.0, 1.0]}},
+     "error: 'law.path' is required by a tabulated law"),
 ])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_command_leaves_no_directory_it_made(
@@ -655,6 +701,55 @@ def test_failed_command_leaves_no_directory_it_made(
     assert (tmp_path / "made").exists() == existing
     if existing:
         assert not any(out.iterdir())
+
+
+def readme_config_section():
+    """README's text from "A complete config:" to "Typical flow:"."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return text[text.index("A complete config:"):text.index("Typical flow:")]
+
+
+def table_keys(table, where=""):
+    """Every key of a config table, as its dotted path."""
+    for key, spec in table.items():
+        yield where + key
+        if isinstance(spec, dict):
+            yield from table_keys(spec, f"{where}{key}.")
+        elif isinstance(spec, list):
+            yield from table_keys(spec[0], f"{where}{key}[i].")
+
+
+def test_readme_config_passes_the_table_and_names_every_key():
+    section = readme_config_section()
+    block = section[section.index("```json") + 7:section.index("```\n\n")]
+    cfg = cli.check_config(json.loads(block))
+    assert cfg["selection"]["regions"][2]["radius_factor"] == 2.0
+    assert cfg["selection"]["regions"][0]["radius_factor"] == 1.0
+    missing = [key for key in table_keys(cli.CONFIG)
+               if f"`{key}`" not in section]
+    assert missing == []
+    # and every key a bullet of the list starts with is one of the table's
+    listed = set(re.findall(r"^- `([^`]+)`", section, re.M))
+    assert listed <= set(table_keys(cli.CONFIG))
+
+
+def test_checked_config_fills_only_the_clis_defaults():
+    cfg = cli.check_config({"mesh": {"path": "m.json"}})
+    assert cfg == {"out": ".", "repeat": 100, "baseline_seed": 0,
+                   "mesh": {"path": "m.json"}, "law": {}, "selection": {},
+                   "enrichment": [],
+                   "pod": {"n_train": 50, "seed": 0, "epsilon": 1e-5,
+                           "projection": "weighted"},
+                   "idw": {}}
+    # a given selection gets its seed and each region its factor; the
+    # library's defaults (a, b, strategy, p, axis) are not written here
+    cfg = cli.check_config({"selection": {"regions": [{"group": "left"}]},
+                            "law": {"kind": "rotation", "domain": [0, 1],
+                                    "pivot": [0, 0, 0]}})
+    assert cfg["selection"] == {"seed": 0, "regions": [
+        {"group": "left", "radius_factor": 1.0}]}
+    assert cfg["law"] == {"kind": "rotation", "domain": [0, 1],
+                          "pivot": [0, 0, 0], "clamp_groups": []}
 
 
 def test_mesh_gen_reads_no_selection_section(tmp_path):
@@ -800,9 +895,10 @@ def test_pod_online_without_model(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # the package runs on NumPy alone; SciPy is only a test oracle
+    # the package runs on NumPy alone; SciPy is only a test oracle. difflib
+    # is imported only to name the key closest to an unknown one
     code = ("import sys, morphkit.cli; print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m in ('scipy', 'difflib') or m.startswith('scipy.')))")
     src = os.path.dirname(os.path.dirname(mk.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

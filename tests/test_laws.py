@@ -463,6 +463,13 @@ def test_read_tabulated(tiny_wing, tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="tabulated mu must be a finite"):
             read_tabulated(path, ids)
+    # a second entry at one mu is refused, not kept in place of the first
+    first = dict(doc["entries"][0], mu=0.5)
+    doc["entries"] = [first, dict(first, vectors=[[0.2, 0.0, 0.0]] * 26)]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"table\.json: entries\[1\]: "
+                                         r"repeats mu 0\.5$"):
+        read_tabulated(path, ids)
 
 
 # ---------------------------------------------------------------------------

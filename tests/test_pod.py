@@ -396,6 +396,33 @@ def test_online_output_is_frozen(wing):
         out.vectors.setflags(write=True)
 
 
+def test_ids_frozen_where_made_are_kept_by_identity(wing):
+    # enrich and select_random hand out read-only ids that own their data,
+    # so the operator, a restriction and the model keep the caller's object
+    params = mk.SelectionParams([("left", 0.3), ("top", 0.6)], seed=1)
+    picked = mk.select_multi(wing, params).selected
+    random_ids = mk.select_random(wing.boundary_ids, 12, 3)
+    for ids in (mk.enrich(picked, wing, ["left_edge"]), random_ids):
+        assert ids.dtype == np.int64 and ids.flags.owndata
+        with pytest.raises(ValueError):
+            ids[0] = ids[1]
+        op = assemble(wing, ids, wing.interior_ids)
+        law = bend_law(wing.boundary_ids, (0.0, 0.02), ("left",))
+        d_hat = evaluate(law, wing, 0.01).restrict(ids)
+        model = build_pod_model(op, law, wing, (0.01, 0.02), epsilon=1e-5)
+        assert op.control_ids is ids
+        assert d_hat.indices is ids
+        assert evaluate(law, wing, 0.015).restrict(ids).indices is ids
+        assert model.control_ids is ids
+        # deform and online_solve take the ids by identity, and an equal
+        # copy still passes by value
+        copy = DisplacementField(ids.copy(), d_hat.vectors)
+        np.testing.assert_array_equal(deform(op, copy).vectors,
+                                      deform(op, d_hat).vectors)
+        np.testing.assert_array_equal(online_solve(model, copy).vectors,
+                                      online_solve(model, d_hat).vectors)
+
+
 def test_rank_deficient_basis_rejected():
     nodes = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]]
     mesh = mk.Mesh(2, nodes, np.empty((0, 3), dtype=np.int64), [0, 1], [2])
