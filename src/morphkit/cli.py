@@ -113,22 +113,25 @@ def check_config(section, table=CONFIG, where=""):
     return out
 
 
-# the type each kind but the numbers takes, and the words of its error
+# the type each kind of value takes, and the words of its error
 _TYPES = {"object": (dict, "be a JSON object"),
           "array": (list, "be a JSON array"),
-          "groups": (list, "be a JSON array"), "any": (object, ""),
+          "groups": (list, "be a JSON array"),
           "string": (str, "be a string"), "group": (str, "name a node group")}
 
 
-def _value(kind, value, key):
-    """``value`` of ``key`` checked as ``kind``: "number", "integer" and
-    "seed" (an integer >= 0) through mesh._scalar; an "object", "array" or
-    "groups" (an array of group names) reads null as empty; "any" is handed
-    on, to the generator, law or IdwConfig that checks it."""
-    what = repr(key)
+def _value(kind, value, path):
+    """``value`` of the key at ``path`` checked as ``kind``: "number",
+    "integer" and "seed" (an integer >= 0) through mesh._scalar; an
+    "object", "array" or "groups" (an array of group names) reads null as
+    empty; "any" is handed on, to the generator, law or IdwConfig that
+    checks it."""
+    what = repr(path)
     if kind in ("number", "integer", "seed"):
         return _scalar(value, what, kind != "number",
                        0 if kind == "seed" else None)
+    if kind == "any":
+        return value
     cls, rule = _TYPES[kind]
     value = cls() if value is None and cls in (dict, list) else value
     if not isinstance(value, cls):
