@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, replace
@@ -53,19 +54,27 @@ CONFIG = {
                   "seed_points": "object"},
     "enrichment": ("groups", None),
     "pod": {"n_train": ("integer", 50), "seed": ("seed", 0),
-            "epsilon": ("number", 1e-5), "projection": ("string", "weighted")},
+            "epsilon": ("number", 1e-5), "projection": (pod.MODES, "weighted")},
     "idw": {"p": "any"},
 }
 # Sections that read as {}, without their defaults, when absent, null or
 # {}: no selection means every boundary node is a control point.
 _OPTIONAL = ("law", "selection")
-# Per section: the key naming its generator or law kind, the keys each one
-# needs, and the key that stands in for them all (a mesh file's 'path').
-_NEEDS = {"mesh.": ("generator", {"box_wing": ("nx", "ny", "nz", "lengths"),
-                                  "tunnel": ("outer", "inner", "resolution")},
-                    "path"),
-          "law.": ("kind", {"bend": ("domain",), "rotation": ("domain", "pivot"),
-                            "tabulated": ("path",)}, None)}
+# Per section: the key whose value names its kind, and per kind the keys
+# it needs and the ones it may also take. A kind named after a key (a mesh
+# file's 'path', a region's own 'radius') is the one that key's presence
+# picks. A given key that its kind neither needs nor takes is not read.
+_NEEDS = {
+    "mesh.": ("generator", {
+        "path": ((), ("path",)),
+        "box_wing": (("generator", "nx", "ny", "nz", "lengths"), ()),
+        "tunnel": (("generator", "outer", "inner", "resolution"), ())}),
+    "law.": ("kind", {
+        "bend": (("kind", "domain"), ("clamp_groups",)),
+        "rotation": (("kind", "domain", "pivot"), ("clamp_groups", "axis")),
+        "tabulated": (("kind", "path"), ("clamp_groups", "domain"))}),
+    "selection.regions[i].": (None, {"radius": ((), ("group", "radius"))}),
+}
 
 
 def load_config(path):
@@ -79,8 +88,9 @@ def load_config(path):
 def check_config(section, table=CONFIG, where=""):
     """The config ``section`` (at ``where``, e.g. 'pod.') checked against
     its ``table``, as the new dict the commands read: a key the table does
-    not list, a value of the wrong kind and a key the chosen generator or
-    law kind needs but lacks raise ValueError naming the key."""
+    not list, a value of the wrong kind, and a key the section's kind
+    (its generator, law kind or region radius; see _NEEDS) needs but lacks
+    or does not read raise ValueError naming the key."""
     for key in section:
         if key not in table:
             import difflib  # here only: a cold command does not load it
@@ -101,15 +111,22 @@ def check_config(section, table=CONFIG, where=""):
         elif key in section or isinstance(spec, tuple):
             kind, default = (spec, None) if isinstance(spec, str) else spec
             out[key] = _value(kind, section.get(key, default), what)
-    selector, needs, instead = _NEEDS.get(where, (None, None, None))
-    if needs and out and instead not in out:
-        if out.get(selector) not in needs:
+    selector, kinds = _NEEDS.get(re.sub(r"\[\d+\]", "[i]", where), (None, {}))
+    kind = next((name for name in kinds if name in section), out.get(selector))
+    if kind not in kinds:
+        if selector and out:
             raise ValueError(f"{where + selector!r} must be one of "
-                             f"{sorted(needs)}, got {out.get(selector)!r}")
-        for key in needs[out[selector]]:
-            if key not in out:
-                raise ValueError(f"{where + key!r} is required by a "
-                                 f"{out[selector]} {where[:-1]}")
+                             f"{sorted(set(kinds) - set(table))}, got {kind!r}")
+        return out
+    needs, takes = kinds[kind]
+    by = (f"beside {where + kind!r}" if kind in section
+          else f"by a {kind} {where[:-1]}")
+    for key in needs:
+        if key not in out:
+            raise ValueError(f"{where + key!r} is required {by}")
+    for key in section:
+        if key not in needs + takes:
+            raise ValueError(f"{where + key!r} is not read {by}")
     return out
 
 
@@ -124,9 +141,13 @@ def _value(kind, value, path):
     """``value`` of the key at ``path`` checked as ``kind``: "number",
     "integer" and "seed" (an integer >= 0) through mesh._scalar; an
     "object", "array" or "groups" (an array of group names) reads null as
-    empty; "any" is handed on, to the generator, law or IdwConfig that
-    checks it."""
+    empty; a tuple of strings holds the choices; "any" is handed on, to
+    the generator, law or IdwConfig that checks it."""
     what = repr(path)
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"{what} must be one of {list(kind)}, got {value!r}")
+        return value
     if kind in ("number", "integer", "seed"):
         return _scalar(value, what, kind != "number",
                        0 if kind == "seed" else None)
@@ -537,7 +558,7 @@ def build_parser():
                            default="idw",
                            help="compare against the full-operator morph")
         if projection:
-            p.add_argument("--projection", choices=("weighted", "plain"),
+            p.add_argument("--projection", choices=pod.MODES,
                            help="online projection (default: config or "
                                 f"{CONFIG['pod']['projection'][1]})")
         if model:

@@ -287,7 +287,10 @@ def build_pod_model(op, law, mesh, train_params, epsilon, mode="weighted",
 
     In weighted mode K Z comes from the snapshot SVD when W passes
     :func:`_full_column_rank`, else from :func:`build_online`'s solve.
+    ``mode`` is checked before the snapshots are built.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     S, F = build_snapshots(op, law, mesh, train_params)
     Z, sigma, n_modes, Vt = compute_pod(S, epsilon)
     kz = None

@@ -64,8 +64,6 @@ _MEMO_BUDGET = 65_536
 # bytes one mesh's memo may hold: three 3-D sets of 256 points with their
 # coordinates (530,432 B each); a fourth would take it to 2,121,728 B
 _MEMO_BYTES = 2 * 2**20
-# row blocks that build such a matrix stay within this many entries
-_BUILD_BLOCK = 16_384
 
 
 # each walk number's range: its test and the words of its error
@@ -201,17 +199,10 @@ def _distances(coords, point):
 def _pairwise(coords):
     """The n x n distances between the rows of ``coords``, row i bitwise
     ``_distances(coords, coords[i])``: the squares are summed one
-    coordinate at a time, in the order ``add.reduce`` sums them. Built in
-    row blocks, so the only n x n array is the result."""
-    n = coords.shape[0]
-    cols = np.ascontiguousarray(coords.T)
-    dist = np.empty((n, n))
-    step = max(1, _BUILD_BLOCK // n)
-    scratch = np.empty((step, n))
-    for lo in range(0, n, step):
-        block = dist[lo:lo + step]
-        _kernels._squared_distances(coords[lo:lo + step], cols, block,
-                                    scratch[:block.shape[0]])
+    coordinate at a time, in the order ``add.reduce`` sums them, in the
+    weight kernel's row blocks."""
+    dist = np.empty((coords.shape[0],) * 2)
+    for _, block in _kernels._row_blocks(coords, coords.T.copy(), out=dist):
         np.sqrt(block, out=block)
     return dist
 

@@ -679,6 +679,34 @@ LEFT = {"radius": 0.3, "regions": [{"group": "left"}]}
      "error: 'law.pivot' is required by a rotation law"),
     (["morph"], {"law": {"kind": "tabulated", "domain": [0.0, 1.0]}},
      "error: 'law.path' is required by a tabulated law"),
+    # a key the chosen generator, law kind or region does not read
+    (["morph"], {"law": {"kind": "bend", "domain": [0.0, 0.02], "axis": "x"}},
+     "error: 'law.axis' is not read by a bend law"),
+    (["morph"], {"law": {"kind": "bend", "domain": [0.0, 0.02],
+                         "pivot": [0.0, 0.0, 0.0]}},
+     "error: 'law.pivot' is not read by a bend law"),
+    (["morph"], {"law": {"kind": "tabulated", "path": "table.json",
+                         "pivot": [0.0, 0.0, 0.0]}},
+     "error: 'law.pivot' is not read by a tabulated law"),
+    (["morph"], {"law": {"kind": "rotation", "domain": [-30.0, 0.0],
+                         "pivot": [0.0, 0.0, 0.0], "path": "table.json"}},
+     "error: 'law.path' is not read by a rotation law"),
+    (["select"], {"selection": {"regions": [
+        {"group": "left", "radius": 0.5, "radius_factor": 3.0}]}},
+     "error: 'selection.regions[0].radius_factor' is not read beside "
+     "'selection.regions[0].radius'"),
+    (["mesh-gen"], {"mesh": dict(WING, resolution=4)},
+     "error: 'mesh.resolution' is not read by a box_wing mesh"),
+    (["mesh-gen"], {"mesh": dict(TUNNEL, nx=3)},
+     "error: 'mesh.nx' is not read by a tunnel mesh"),
+    (["mesh-gen"], {"mesh": {"path": "bad_mesh.json", "generator": "tunnel"}},
+     "error: 'mesh.generator' is not read beside 'mesh.path'"),
+    (["mesh-gen"], {"mesh": {"path": "bad_mesh.json", "nx": 3}},
+     "error: 'mesh.nx' is not read beside 'mesh.path'"),
+    # a projection that is not one of pod.MODES
+    (["pod-offline"], {"pod": {"n_train": 5, "projection": "wieghted"}},
+     "error: 'pod.projection' must be one of ['weighted', 'plain'], "
+     "got 'wieghted'"),
 ])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_command_leaves_no_directory_it_made(
@@ -750,6 +778,20 @@ def test_checked_config_fills_only_the_clis_defaults():
         {"group": "left", "radius_factor": 1.0}]}
     assert cfg["law"] == {"kind": "rotation", "domain": [0, 1],
                           "pivot": [0, 0, 0], "clamp_groups": []}
+
+
+def test_bad_projection_fails_before_any_assembly(tmp_path, monkeypatch,
+                                                  capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the offline stage started")
+
+    monkeypatch.setattr(idw, "assemble", no_work)
+    monkeypatch.setattr(pod, "build_snapshots", no_work)
+    cfg = write_cfg(tmp_path, pod={"projection": "wieghted"})
+    out = tmp_path / "out"
+    assert main(["pod-offline", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "'pod.projection' must be one of" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mesh_gen_reads_no_selection_section(tmp_path):

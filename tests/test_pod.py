@@ -470,6 +470,18 @@ def test_build_online_validation(wing):
         build_online(np.ones((op.n_targets * 3 + 1, 1)), np.array([1.0]), op)
 
 
+def test_build_pod_model_checks_its_mode_before_the_snapshots(wing,
+                                                              monkeypatch):
+    def no_snapshots(*args):
+        raise AssertionError("the snapshots were built")
+
+    op = assemble(wing, wing.boundary_ids[::4], wing.interior_ids)
+    law = bend_law(wing.boundary_ids, (0.0, 0.02))
+    monkeypatch.setattr(mk.pod, "build_snapshots", no_snapshots)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        build_pod_model(op, law, wing, (0.01, 0.02), 1e-5, mode="wieghted")
+
+
 # ---------------------------------------------------------------------------
 # the two routes to K Z in build_pod_model
 

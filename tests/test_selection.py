@@ -15,7 +15,7 @@ from morphkit import (BaselineStats, DegenerateSampleError, RegionParams,
                       SelectionParams, enrich, random_baseline_stats,
                       read_selection, select, select_multi, select_random,
                       write_selection)
-from morphkit import selection
+from morphkit import _kernels, selection
 from morphkit.selection import STRATEGIES
 from conftest import make_lattice2d
 
@@ -159,7 +159,7 @@ def test_multi_region_walk_golden_row_path(study_wing, r_lr, seed, row_path):
 @pytest.mark.parametrize("block", [None, 1, 50])
 def test_pairwise_rows_are_bitwise_distances(dim, block, monkeypatch):
     if block is not None:   # 1: one row per block; 50: a ragged last block
-        monkeypatch.setattr(selection, "_BUILD_BLOCK", block * 90)
+        monkeypatch.setattr(_kernels, "_CHUNK_BUDGET", block * 90)
     rng = np.random.default_rng(dim)
     coords = rng.standard_normal((90, dim)) * rng.uniform(0.1, 1e3, dim)
     dist = selection._pairwise(coords)
