@@ -119,8 +119,8 @@ def _row_blocks(targets, controls_t, p=None, tol=None, out=None):
     """(rows, block) per chunk of ``_CHUNK_BUDGET // m`` rows of ``targets``
     against the m columns of ``controls_t``: the squared distances, or with
     ``p`` the unnormalized weights, in ``out[rows]`` or else in one buffer
-    reused by every chunk. Iterate inside the caller's ``_small_buffer``
-    scope: a generator would restore the buffer before its first block."""
+    reused by every chunk. Consume it inside the entry point's own
+    ``_small_buffer`` scope, which a decorated generator would leave early."""
     n, m = targets.shape[0], controls_t.shape[1]
     chunk = max(1, _CHUNK_BUDGET // max(m, 1))
     shape = (min(chunk, n), m)
