@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import re
 import sys
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import idw, laws, metrics, pod, selection
-from .mesh import (_scalar, _write_artifact, apply_deformation,
+from .mesh import (_read_json, _scalar, _write_artifact, apply_deformation,
                    generate_box_wing, generate_tunnel, merge_fields,
                    mesh_quality, read_mesh, write_mesh)
 from .metrics import ComparisonReport
@@ -53,8 +52,9 @@ CONFIG = {
                                "radius_factor": ("number", 1.0)}],
                   "seed_points": "object"},
     "enrichment": ("groups", None),
-    "pod": {"n_train": ("integer", 50), "seed": ("seed", 0),
-            "epsilon": ("number", 1e-5), "projection": (pod.MODES, "weighted")},
+    "pod": {"n_train": ("count", 50), "seed": ("seed", 0),
+            "epsilon": ("tolerance", 1e-5),
+            "projection": (pod.MODES, "weighted")},
     "idw": {"p": "any"},
 }
 # Sections that read as {}, without their defaults, when absent, null or
@@ -78,11 +78,8 @@ _NEEDS = {
 
 
 def load_config(path):
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return cfg
+    """The config file ``path`` as read, before check_config."""
+    return _read_json(path)
 
 
 def check_config(section, table=CONFIG, where=""):
@@ -130,7 +127,12 @@ def check_config(section, table=CONFIG, where=""):
     return out
 
 
-# the type each kind of value takes, and the words of its error
+# per numeric kind, through mesh._scalar: whether it is an integer, and its
+# least value. A seed's every refusal names its bound; a count's and a
+# tolerance's only that of a number below it
+_NUMBERS = {"number": (False, None), "integer": (True, None),
+            "seed": (True, 0), "count": (True, 1), "tolerance": (False, 0)}
+# the type each other kind of value takes, and the words of its error
 _TYPES = {"object": (dict, "be a JSON object"),
           "array": (list, "be a JSON array"),
           "groups": (list, "be a JSON array"),
@@ -139,7 +141,8 @@ _TYPES = {"object": (dict, "be a JSON object"),
 
 def _value(kind, value, path):
     """``value`` of the key at ``path`` checked as ``kind``: "number",
-    "integer" and "seed" (an integer >= 0) through mesh._scalar; an
+    "integer", "seed" (an integer >= 0), "count" (an integer >= 1) and
+    "tolerance" (a number >= 0) through mesh._scalar; an
     "object", "array" or "groups" (an array of group names) reads null as
     empty; a tuple of strings holds the choices; "any" is handed on, to
     the generator, law or IdwConfig that checks it."""
@@ -148,9 +151,11 @@ def _value(kind, value, path):
         if value not in kind:
             raise ValueError(f"{what} must be one of {list(kind)}, got {value!r}")
         return value
-    if kind in ("number", "integer", "seed"):
-        return _scalar(value, what, kind != "number",
-                       0 if kind == "seed" else None)
+    if kind in _NUMBERS:
+        integral, least = _NUMBERS[kind]
+        if kind != "seed":
+            _scalar(value, what, integral)
+        return _scalar(value, what, integral, least)
     if kind == "any":
         return value
     cls, rule = _TYPES[kind]
@@ -472,9 +477,10 @@ def cmd_sweep(args):
             params = replace(base, regions=tuple(
                 selection.RegionParams(r.group, r.radius * scale)
                 for r in base.regions))
-        elif args.axis == "a":
-            params = replace(base, a=value,
-                             b=(1.0 / value) if args.couple_b else base.b)
+        elif args.axis == "a":  # a is checked before b = 1/a is formed
+            params = replace(base, a=value)
+            if args.couple_b:
+                params = replace(params, b=1.0 / params.a)
         elif args.axis == "b":
             params = replace(base, b=value)
         d_boundary, d_ref = fields(value) if args.axis == "mu" else fixed
@@ -616,7 +622,9 @@ def main(argv=None):
         for made in getattr(args, "made", ()):  # deepest first
             with contextlib.suppress(OSError):  # rmdir keeps what holds files
                 made.rmdir()
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() would quote its message
+        text = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {text}", file=sys.stderr)
         return 1
 
 

@@ -6,7 +6,7 @@ know the stdlib hierarchy still catch the right category.
 
 
 class MeshFormatError(ValueError):
-    """A mesh file could not be parsed.
+    """A JSON input file (mesh, config, law table, selection) is malformed.
 
     Carries ``line`` and ``offset`` (1-based, when known) pointing at the
     first offending location in the input.

@@ -15,7 +15,6 @@ Nodes of ``clamp_groups`` are forced to zero displacement for every mu.
 
 from __future__ import annotations
 
-import json
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .mesh import DisplacementField, _node_ids, _own, _scalar
+from .mesh import DisplacementField, _node_ids, _own, _read_json, _scalar
 
 __all__ = [
     "DisplacementLaw",
@@ -207,8 +206,7 @@ def read_tabulated(path, control_ids, clamp_groups=()):
     "vectors": [[...]]}, ...]}. A file of another shape, or one whose
     entries repeat a mu, raises ValueError naming the file, the entry and
     the key or the mu."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, ("domain", "entries"))
     where, table = "the document", {}
     try:  # only what comes from the file
         for i, entry in enumerate(doc["entries"]):

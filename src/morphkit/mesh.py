@@ -763,6 +763,32 @@ def _write_artifact(doc, path):
         fh.write("\n")
 
 
+def _read_json(path, keys=()):
+    """The JSON object in the file ``path``, holding each of ``keys``. Each
+    refusal is a MeshFormatError naming the file: not JSON (line and column
+    given), not an object, a key missing or given twice in any one object."""
+    def unique(pairs):  # json.load would keep the last of two equal keys
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise MeshFormatError(f"{path}: key {key!r} is given twice")
+            doc[key] = value
+        return doc
+
+    with open(path) as fh:
+        try:
+            doc = json.load(fh, object_pairs_hook=unique)
+        except json.JSONDecodeError as exc:
+            raise MeshFormatError(f"{path}: invalid JSON: {exc.msg}",
+                                  line=exc.lineno, offset=exc.colno) from None
+    if not isinstance(doc, dict):
+        raise MeshFormatError(f"{path}: top-level value must be an object")
+    for key in keys:
+        if key not in doc:
+            raise MeshFormatError(f"{path}: missing key {key!r}")
+    return doc
+
+
 def _write_json(mesh, path):
     if not np.isfinite(mesh.nodes).all():
         raise ValueError("node coordinates contain non-finite values")
@@ -837,17 +863,8 @@ def _write_vtk(mesh, path):
 
 def read_mesh(path):
     """Read a mesh written by :func:`write_mesh` as 'native-json'."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MeshFormatError(f"invalid JSON: {exc.msg}",
-                                  line=exc.lineno, offset=exc.colno) from None
-    if not isinstance(doc, dict):
-        raise MeshFormatError("top-level value must be an object")
-    for key in ("dim", "nodes", "elements", "boundary", "interior", "groups"):
-        if key not in doc:
-            raise MeshFormatError(f"missing key {key!r}")
+    doc = _read_json(path, ("dim", "nodes", "elements", "boundary",
+                            "interior", "groups"))
     try:
         dim = _scalar(doc["dim"], "dim", True)
         mesh = Mesh(dim, doc["nodes"], doc["elements"], doc["boundary"],

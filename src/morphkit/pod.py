@@ -170,8 +170,7 @@ def compute_pod(S, epsilon):
     E(N) <= epsilon, and Vt_N the first N right ones as rows, so that
     Z = S Vt_N^T / sigma_N.
     """
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    _check_epsilon(epsilon)
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2:
         raise ValueError(f"snapshot matrix must be 2-D, got shape {S.shape}")
@@ -187,6 +186,11 @@ def compute_pod(S, epsilon):
             n_modes = n
             break
     return Z[:, :n_modes], sigma, n_modes, Vt[:n_modes]
+
+
+def _check_epsilon(epsilon):
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
 
 
 def pseudo_inverse(matrix):
@@ -287,10 +291,11 @@ def build_pod_model(op, law, mesh, train_params, epsilon, mode="weighted",
 
     In weighted mode K Z comes from the snapshot SVD when W passes
     :func:`_full_column_rank`, else from :func:`build_online`'s solve.
-    ``mode`` is checked before the snapshots are built.
+    ``mode`` and ``epsilon`` are checked before the snapshots are built.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    _check_epsilon(epsilon)
     S, F = build_snapshots(op, law, mesh, train_params)
     Z, sigma, n_modes, Vt = compute_pod(S, epsilon)
     kz = None
@@ -341,10 +346,13 @@ def write_model(model, path):
 def read_model(path):
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
+    if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: magic {raw[:4]!r} is not POD3; POD1 and "
                          "POD2 dumps of older versions are not read, re-run "
                          "pod-offline")
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path}: truncated model dump ({len(raw)} bytes, "
+                         f"the header alone is {_HEADER.size})")
     (_, rows, n_modes, n_sigma, n_ctl, n_tgt, dim, mode_flag,
      n_trailer) = _HEADER.unpack_from(raw)
     if mode_flag >= len(MODES):

@@ -26,7 +26,6 @@ random subsets.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -34,8 +33,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateSampleError
-from .mesh import (_int_ids, _node_ids, _scalar, _write_artifact,
-                   sorted_unique)
+from .mesh import (_int_ids, _node_ids, _read_json, _scalar,
+                   _write_artifact, sorted_unique)
 
 __all__ = [
     "RegionParams",
@@ -544,9 +543,5 @@ def write_selection(result, params, path):
 
 def read_selection(path):
     """Selected ids and parameter echo from :func:`write_selection` output."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    for key in ("selected", "params", "trace"):
-        if key not in doc:
-            raise ValueError(f"{path}: missing key {key!r}")
+    doc = _read_json(path, ("selected", "params", "trace"))
     return _node_ids(doc["selected"], "selected ids"), doc["params"]

@@ -635,10 +635,10 @@ LEFT = {"radius": 0.3, "regions": [{"group": "left"}]}
     *[(["morph"], {"law": {"kind": "tabulated", "path": f"{name}.json"}},
        f"error: {name}.json: {message}")
       for name, message in [
-          ("t_array", "the document: list indices must be integers"),
+          ("t_array", "top-level value must be an object"),
           ("t_entry", "entries[1]: 'int' object is not subscriptable"),
-          ("t_no_domain", "the document has no 'domain'"),
-          ("t_no_entries", "the document has no 'entries'"),
+          ("t_no_domain", "missing key 'domain'"),
+          ("t_no_entries", "missing key 'entries'"),
           ("t_no_mu", "entries[0] has no 'mu'"),
           ("t_no_indices", "entries[0] has no 'indices'"),
           ("t_no_vectors", "entries[0] has no 'vectors'")]],
