@@ -170,7 +170,7 @@ def compute_pod(S, epsilon):
     E(N) <= epsilon, and Vt_N the first N right ones as rows, so that
     Z = S Vt_N^T / sigma_N.
     """
-    _check_epsilon(epsilon)
+    epsilon = _scalar(epsilon, "epsilon", minimum=0)
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2:
         raise ValueError(f"snapshot matrix must be 2-D, got shape {S.shape}")
@@ -186,11 +186,6 @@ def compute_pod(S, epsilon):
             n_modes = n
             break
     return Z[:, :n_modes], sigma, n_modes, Vt[:n_modes]
-
-
-def _check_epsilon(epsilon):
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
 
 
 def pseudo_inverse(matrix):
@@ -295,7 +290,7 @@ def build_pod_model(op, law, mesh, train_params, epsilon, mode="weighted",
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    _check_epsilon(epsilon)
+    _scalar(epsilon, "epsilon", minimum=0)
     S, F = build_snapshots(op, law, mesh, train_params)
     Z, sigma, n_modes, Vt = compute_pod(S, epsilon)
     kz = None

@@ -707,6 +707,25 @@ LEFT = {"radius": 0.3, "regions": [{"group": "left"}]}
     (["pod-offline"], {"pod": {"n_train": 5, "projection": "wieghted"}},
      "error: 'pod.projection' must be one of ['weighted', 'plain'], "
      "got 'wieghted'"),
+    # a = 0 is refused before b = 1/a is formed
+    (["sweep", "--axis", "a", "--values", "0", "--couple-b"], {},
+     "error: a must lie in (0, 1), got 0.0\n"),
+    # a KeyError's message, without the quotes its str() adds
+    (["morph"], {"law": {"kind": "tabulated", "path": "table.json"},
+                 "mu": 0.25},
+     "error: tabulated law has no entry for mu=0.25\n"),
+    # sections and values a command needs but the config leaves empty
+    (["mesh-gen"], {"mesh": {}}, "error: config has no 'mesh' section\n"),
+    (["morph"], {"law": None}, "error: config has no 'law' section\n"),
+    (["select"], {"selection": None},
+     "error: config has no 'selection' section\n"),
+    (["select"], {"selection": {"radius": 0.3, "regions": []}},
+     "error: selection section lists no regions\n"),
+    (["select"], {"selection": {"regions": [{"group": "left"}]}},
+     "error: region 'left' has no radius and the selection section sets no "
+     "base 'radius'\n"),
+    (["sweep", "--axis", "mu", "--values", ","], {},
+     "error: --values is empty\n"),
 ])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_command_leaves_no_directory_it_made(
@@ -723,7 +742,8 @@ def test_failed_command_leaves_no_directory_it_made(
     out = tmp_path / "made" / "out"
     if existing:
         out.mkdir(parents=True)
-    assert main([command[0], "--config", str(cfg), "--out", str(out)]) == 1
+    assert main([command[0], "--config", str(cfg), "--out", str(out),
+                 *command[1:]]) == 1
     assert message in capsys.readouterr().err
     assert out.exists() == existing
     assert (tmp_path / "made").exists() == existing
@@ -808,6 +828,11 @@ def test_mesh_gen_reads_no_selection_section(tmp_path):
     (["morph"], NULL, "'repeat' must be an integer, got None"),
     (["morph"], 2.5, "'repeat' must be an integer, got 2.5"),
     (["morph"], True, "'repeat' must be an integer, got True"),
+    # a dict holds config overrides in place of the repeat count
+    (["pod-offline"], {"pod": {"n_train": 0}},
+     "error: 'pod.n_train' must be an integer >= 1, got 0\n"),
+    (["pod-offline"], {"pod": {"epsilon": -1}},
+     "error: 'pod.epsilon' must be a finite number >= 0, got -1\n"),
 ])
 def test_bad_counts_fail_before_any_work(tmp_path, monkeypatch, capsys,
                                          command, cfg_repeat, message):
@@ -815,7 +840,8 @@ def test_bad_counts_fail_before_any_work(tmp_path, monkeypatch, capsys,
         raise AssertionError("the mesh was built")
 
     monkeypatch.setattr(cli, "build_mesh", no_mesh)
-    cfg = write_cfg(tmp_path, repeat=cfg_repeat)
+    cfg = write_cfg(tmp_path, **(cfg_repeat if isinstance(cfg_repeat, dict)
+                                 else {"repeat": cfg_repeat}))
     out = tmp_path / "out"
     assert main([command[0], "--config", str(cfg), "--out", str(out),
                  *command[1:]]) == 1
@@ -907,6 +933,24 @@ def test_equal_seeds_give_byte_identical_artifacts(tmp_path):
 def test_unknown_subcommand():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("text, words", [
+    ('{"mesh": {"path": "m.json"},\n "repeat": }',
+     "invalid JSON: Expecting value (line 2, column 12)"),
+    ('[{"mesh": {"path": "m.json"}}]', "top-level value must be an object"),
+    ('{"mu": 0.01, "mu": 0.5}', "key 'mu' is given twice"),
+    ('{"selection": {"regions": [{"group": "left", "group": "top"}]}}',
+     "key 'group' is given twice"),
+])
+def test_a_config_file_that_is_not_one_object_exits_1(tmp_path, capsys, text,
+                                                      words):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["morph", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {words}\n"
+    assert not out.exists()
 
 
 def test_missing_config(tmp_path, capsys):

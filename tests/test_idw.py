@@ -53,6 +53,16 @@ def test_weights_reject_coincident_controls():
         weights_at([0.5, 0.5], [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("x, controls, match", [
+    ([0.5, 0.5], np.empty((0, 2)), "^need at least one control point$"),
+    ([0.5, 0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]],
+     "^point has dim 3, controls have dim 2$"),
+])
+def test_weights_reject_missing_or_mismatched_controls(x, controls, match):
+    with pytest.raises(ValueError, match=match):
+        weights_at(x, controls)
+
+
 def test_weights_huge_exponent_does_not_overflow():
     # d^(-p) would overflow for p=300; the ratio form must not
     w = weights_at([1e-8, 0.0], [[0.0, 0.0], [1.0, 0.0]],

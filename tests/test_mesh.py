@@ -1,8 +1,10 @@
 """Mesh containers, generators, quality metric, and file formats."""
 
+import ast
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,10 @@ from scipy.spatial.distance import cdist
 
 import morphkit as mk
 from morphkit import (DisplacementField, Mesh, MeshFormatError,
-                      DegenerateElementError, apply_deformation,
+                      DegenerateElementError, apply_deformation, cli,
                       coincident_pair, element_quality, generate_box_wing,
                       generate_tunnel, merge_fields, mesh_quality, read_mesh,
-                      write_mesh)
+                      read_selection, read_tabulated, write_mesh)
 from morphkit import mesh as mesh_module
 from morphkit.mesh import _squared_edges, has_duplicates, sorted_unique
 from conftest import make_lattice2d
@@ -572,6 +574,44 @@ def test_validate_catches_group_outside_boundary():
         mesh.validate()
 
 
+_TET = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("dim, nodes, elements, interior, match", [
+    (4, _TET, [[0, 1, 2, 3, 0]], [], "^dim must be 2 or 3, got 4$"),
+    (2, _TET, [[0, 1, 2]], [], r"^nodes must have shape \(n, 2\)$"),
+    (3, [[np.nan, 0.0, 0.0]] + _TET[1:], [[0, 1, 2, 3]], [],
+     "^node coordinates contain non-finite values$"),
+    (3, _TET, [[0, 1, 2]], [], r"^elements must have shape \(e, 4\)$"),
+    (3, _TET, [[0, 1, 2, 3]], [3], "^boundary and interior ids overlap$"),
+    (3, [[1.0, 2.0, 3.0]] * 4, [[0, 1, 2, 3]], [], "^all nodes coincide$"),
+])
+def test_validate_refuses_each_malformed_part(dim, nodes, elements, interior,
+                                              match):
+    mesh = Mesh(dim, nodes, elements, [0, 1, 2, 3], interior)
+    with pytest.raises(ValueError, match=match):
+        mesh.validate()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda mesh: element_quality(mesh, 1), "^element index 1 out of range$"),
+    (lambda mesh: element_quality(mesh, -1),
+     "^element index -1 out of range$"),
+    (lambda mesh: mesh_quality(Mesh(3, mesh.nodes, [], mesh.boundary_ids, [])),
+     "^mesh has no elements$"),
+    (lambda mesh: apply_deformation(mesh, DisplacementField([0], [[0.1, 0.0]])),
+     "^field dim 2 != mesh dim 3$"),
+    (lambda mesh: merge_fields(), "^nothing to merge$"),
+    (lambda mesh: merge_fields(DisplacementField([0], [[0.0, 0.0]]),
+                               DisplacementField([1], [[0.0, 0.0, 0.0]])),
+     r"^mixed dimensions \[2, 3\]$"),
+])
+def test_mesh_functions_refuse_bad_input(call, match):
+    mesh = Mesh(3, _TET, [[0, 1, 2, 3]], [0, 1, 2, 3], []).validate()
+    with pytest.raises(ValueError, match=match):
+        call(mesh)
+
+
 def test_mesh_equality(tiny_wing):
     again = generate_box_wing(2, 2, 2, (1.0, 1.0, 1.0))
     assert tiny_wing == again
@@ -1041,6 +1081,69 @@ def test_read_mesh_missing_key(tmp_path):
     path.write_text(json.dumps({"dim": 3, "nodes": [[0.0, 0.0, 0.0]]}))
     with pytest.raises(MeshFormatError):
         read_mesh(path)
+
+
+def test_read_mesh_refuses_a_mesh_that_fails_validate(tiny_wing, tmp_path):
+    path = tmp_path / "mesh.json"
+    write_mesh(tiny_wing, path)
+    doc = json.loads(path.read_text())
+    doc["interior"].append(doc["boundary"][0])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MeshFormatError,
+                       match="^boundary and interior ids overlap$"):
+        read_mesh(path)
+
+
+# a file for each refusal of the one JSON reader, mesh._read_json, and its
+# words after the file's name
+BAD_FILES = {
+    "not JSON": ('{"dim": 3,\n  "nodes": [[0, 0, 0],\n',
+                 "invalid JSON: Expecting value (line 3, column 1)"),
+    "not an object": ("[1, 2]", "top-level value must be an object"),
+    "missing key": ("{}", "missing key '{first}'"),
+    "repeated key": ('{"a": [{"k": 1}, {"k": 1, "k": 2}]}',
+                     "key 'k' is given twice"),
+}
+# each reader, and the first key it requires; a config requires none, as
+# cli.check_config names what a command needs
+READERS = {"mesh": (read_mesh, "dim"),
+           "config": (cli.load_config, None),
+           "tabulated law": (lambda path: read_tabulated(path, [0]), "domain"),
+           "selection": (read_selection, "selected")}
+
+
+@pytest.mark.parametrize("reader, defect", [
+    (reader, defect) for reader in READERS for defect in BAD_FILES
+    if (reader, defect) != ("config", "missing key")])
+def test_every_json_reader_refuses_a_bad_file_naming_it(tmp_path, reader,
+                                                        defect):
+    read, first = READERS[reader]
+    text, words = BAD_FILES[defect]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: " + words.format(first=first)
+    assert err.value.line == (3 if defect == "not JSON" else None)
+
+
+def test_only_the_reader_decodes_json():
+    # every JSON input file goes through mesh._read_json; pod.read_model
+    # decodes only its own trailer, from bytes it has checked
+    calls = set()
+    for path in Path(mk.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "json":
+                    calls.add((path.stem, "from json import"))
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "json"
+                      and node.attr in ("load", "loads")):
+                    calls.add((path.stem, getattr(top, "name", None),
+                               node.attr))
+    assert calls == {("mesh", "_read_json", "load"),
+                     ("pod", "read_model", "loads")}
 
 
 def test_write_mesh_unknown_format(tiny_wing, tmp_path):

@@ -100,6 +100,14 @@ def test_zero_snapshots_rejected():
         compute_pod(np.zeros((6, 2)), 0.0)
 
 
+@pytest.mark.parametrize("epsilon", [-1e-9, np.nan, np.inf, "1e-5", None])
+def test_compute_pod_refuses_an_epsilon_that_is_not_a_number_above_zero(
+        epsilon):
+    with pytest.raises(ValueError, match=re.escape(
+            f"epsilon must be a finite number >= 0, got {epsilon!r}")):
+        compute_pod(np.eye(3), epsilon)
+
+
 # ---------------------------------------------------------------------------
 # pseudo-inverse
 
@@ -270,6 +278,10 @@ def test_online_solve_checks_ids(wing):
     wrong = DisplacementField([0, 1], np.zeros((2, 3)))
     with pytest.raises(ValueError, match="control_ids"):
         online_solve(model, wrong)
+    flat = DisplacementField(model.control_ids,
+                             np.zeros((model.control_ids.size, 2)))
+    with pytest.raises(ValueError, match="^field dim 2 != model dim 3$"):
+        online_solve(model, flat)
 
 
 def test_online_solve_rejects_nonfinite_values():
@@ -480,6 +492,19 @@ def test_build_pod_model_checks_its_mode_before_the_snapshots(wing,
     monkeypatch.setattr(mk.pod, "build_snapshots", no_snapshots)
     with pytest.raises(ValueError, match="mode must be one of"):
         build_pod_model(op, law, wing, (0.01, 0.02), 1e-5, mode="wieghted")
+
+
+def test_build_pod_model_checks_its_epsilon_before_the_snapshots(wing,
+                                                                 monkeypatch):
+    def no_snapshots(*args):
+        raise AssertionError("the snapshots were built")
+
+    op = assemble(wing, wing.boundary_ids[::4], wing.interior_ids)
+    law = bend_law(wing.boundary_ids, (0.0, 0.02))
+    monkeypatch.setattr(mk.pod, "build_snapshots", no_snapshots)
+    with pytest.raises(ValueError,
+                       match="^epsilon must be a finite number >= 0, got -1$"):
+        build_pod_model(op, law, wing, (0.01, 0.02), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +825,29 @@ def test_read_model_rejects_truncation(wing, tmp_path):
         assert str(path) in str(err.value)
 
 
+def test_read_model_reports_a_short_header_as_truncated(wing, tmp_path):
+    path = tmp_path / "model.bin"
+    write_model(_small_model(wing), path)
+    path.write_bytes(path.read_bytes()[:20])  # "POD3" and four counts
+    with pytest.raises(ValueError, match=(
+            rf"^{re.escape(str(path))}: truncated model dump "
+            rf"\(20 bytes, the header alone is {mk.pod._HEADER.size}\)$")):
+        read_model(path)
+
+
+def test_read_model_rejects_an_unknown_mode_flag(wing, tmp_path):
+    path = tmp_path / "model.bin"
+    write_model(_small_model(wing), path)
+    raw = path.read_bytes()
+    header = list(mk.pod._HEADER.unpack_from(raw))
+    header[7] = len(mk.pod.MODES)
+    path.write_bytes(mk.pod._HEADER.pack(*header)
+                     + raw[mk.pod._HEADER.size:])
+    with pytest.raises(ValueError, match=(rf"^{re.escape(str(path))}: "
+                                          r"unknown mode flag 2$")):
+        read_model(path)
+
+
 def _with_trailer(path, trailer):
     """Replace the JSON trailer of the model file at ``path``."""
     raw = path.read_bytes()
@@ -872,6 +920,23 @@ def test_read_model_rejects_nan_in_online_map(wing, tmp_path):
     with pytest.raises(ValueError, match="online_map contains non-finite"):
         _patched_model(wing, tmp_path, map_entry,
                        np.array(np.nan, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"mode": "wieghted"}, r"^mode must be one of \('weighted', 'plain'\)$"),
+    ({"basis": np.ones((2, 1))},
+     "^basis shape inconsistent with targets and n_modes$"),
+    ({"online_map": np.ones((1, 2))},
+     r"^online_map must be N x \(n_controls \* dim\)$"),
+])
+def test_model_refuses_inconsistent_parts(change, match):
+    parts = dict(basis=np.ones((1, 1)), singular_values=np.ones(1),
+                 n_modes=1, epsilon=0.0, mode="plain",
+                 online_map=np.ones((1, 1)), control_ids=[2],
+                 target_ids=[5], dim=1)
+    mk.PodModel(**parts)
+    with pytest.raises(ValueError, match=match):
+        mk.PodModel(**{**parts, **change})
 
 
 def test_model_rejects_repeated_control_id():
