@@ -358,6 +358,7 @@ def test_merge_fields_disjoint_union():
 def test_field_max_magnitude():
     f = DisplacementField([0, 1], [[3.0, 4.0], [1.0, 0.0]])
     assert f.max_magnitude() == pytest.approx(5.0)
+    assert DisplacementField.zero([], 2).max_magnitude() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +600,21 @@ def test_validate_refuses_each_malformed_part(dim, nodes, elements, interior,
      "^element index -1 out of range$"),
     (lambda mesh: mesh_quality(Mesh(3, mesh.nodes, [], mesh.boundary_ids, [])),
      "^mesh has no elements$"),
-    (lambda mesh: apply_deformation(mesh, DisplacementField([0], [[0.1, 0.0]])),
+    (lambda mesh: apply_deformation(mesh,
+                                    DisplacementField([0], [[0.1, 0.0]])),
      "^field dim 2 != mesh dim 3$"),
     (lambda mesh: merge_fields(), "^nothing to merge$"),
     (lambda mesh: merge_fields(DisplacementField([0], [[0.0, 0.0]]),
                                DisplacementField([1], [[0.0, 0.0, 0.0]])),
      r"^mixed dimensions \[2, 3\]$"),
+    (lambda mesh: DisplacementField([0, 1], [[0.0, 0.0]]),
+     r"^vectors shape \(1, 2\) does not match 2 indices$"),
+    (lambda mesh: DisplacementField.zero([], 3).restrict([1]),
+     r"^ids not covered by field: \[1\]$"),
+    (lambda mesh: generate_tunnel((4, 4), (1, 1, 1), 4),
+     "^outer must be three positive extents$"),
+    (lambda mesh: generate_tunnel((4, 4, 4), (1, 0, 1), 4),
+     "^inner must be three positive extents$"),
 ])
 def test_mesh_functions_refuse_bad_input(call, match):
     mesh = Mesh(3, _TET, [[0, 1, 2, 3]], [0, 1, 2, 3], []).validate()
@@ -615,6 +625,7 @@ def test_mesh_functions_refuse_bad_input(call, match):
 def test_mesh_equality(tiny_wing):
     again = generate_box_wing(2, 2, 2, (1.0, 1.0, 1.0))
     assert tiny_wing == again
+    assert tiny_wing != "mesh"
     assert tiny_wing != again.with_nodes(again.nodes + 0.5)
 
 
