@@ -192,6 +192,10 @@ def build_law(cfg, mesh):
     control_ids = mesh.boundary_ids  # laws act on the full control set
     if spec["kind"] == "tabulated":  # the file's domain; law.domain may only repeat it
         law = laws.read_tabulated(spec["path"], control_ids, clamp)
+        width = next(iter(law.table.values())).dim
+        if width != mesh.dim:  # before any selection or assembly
+            raise ValueError(f"{spec['path']}: vectors have width {width}, "
+                             f"the mesh has dim {mesh.dim}")
         if spec.get("domain", list(law.domain)) != list(law.domain):
             raise ValueError(f"'law.domain' {spec['domain']!r} differs from "
                              f"the domain {list(law.domain)} of {spec['path']}")
@@ -283,14 +287,6 @@ def _mu(cfg, args):
     return mu
 
 
-def _selection_fields(params):
-    """The report fields R (mean region radius), a and b of ``params``."""
-    if params is None:
-        return {}
-    return {"R": float(np.mean([r.radius for r in params.regions])),
-            "a": params.a, "b": params.b}
-
-
 def _quality(mesh, d_boundary, d_interior):
     """The deformed mesh and its report fields max_Q, mean_Q and
     normalized_quality (mean_Q over the largest boundary displacement)."""
@@ -318,29 +314,37 @@ def _write_reports(reports, out, stem):
     metrics.write_reports_json(reports, out / f"{stem}.json")
 
 
-def morph_once(mesh, cfg, args, d_boundary, reference=None, params=None):
-    """Select, assemble and morph the boundary field ``d_boundary``;
-    returns (deformed mesh, report row). ``params`` replaces the config's
-    selection (sweeps). The row's ``rel_error`` is measured against
-    ``reference``, the full IDW morph's interior field, when one is given."""
+def _thinned(mesh, cfg, args, params=None):
+    """(operator, method name, report fields, assembly seconds) of the
+    selection ``params``, else the config's: the one timed assemble of its
+    control points onto the interior nodes. The fields are R (mean region
+    radius), a and b, or none without a selection."""
     control_ids, method, params, _ = run_selection(mesh, cfg, args, params)
-
     start = time.perf_counter()
     op = idw.assemble(mesh, control_ids, mesh.interior_ids, _idw_config(cfg))
     t_assembly = time.perf_counter() - start
+    fields = {} if params is None else {
+        "R": float(np.mean([r.radius for r in params.regions])),
+        "a": params.a, "b": params.b}
+    return op, method, fields, t_assembly
 
-    d_hat = d_boundary.restrict(control_ids)
+
+def morph_once(mesh, thinned, d_boundary, reference=None, repeat=1):
+    """Morph the boundary field ``d_boundary`` through ``thinned``, a
+    _thinned result, timing ``repeat`` deforms; returns (deformed mesh,
+    report row). The row's ``rel_error`` is measured against
+    ``reference``, the full IDW morph's interior field, when one is given."""
+    op, method, fields, t_assembly = thinned
+    d_hat = d_boundary.restrict(op.control_ids)
     d_interior = idw.deform(op, d_hat)
-    t_deform = metrics.time_mean(lambda: idw.deform(op, d_hat),
-                                 repeat=args.repeat)
+    t_deform = metrics.time_mean(lambda: idw.deform(op, d_hat), repeat=repeat)
 
     deformed, quality = _quality(mesh, d_boundary, d_interior)
     row = ComparisonReport(
-        method=method, **_selection_fields(params),
-        card_C_hat=int(control_ids.size), **quality,
-        t_assembly_s=t_assembly, t_deform_s=t_deform)
+        method=method, **fields, card_C_hat=int(op.control_ids.size),
+        **quality, t_assembly_s=t_assembly, t_deform_s=t_deform)
     if reference is not None:
-        row.rel_error = (0.0 if np.array_equal(control_ids, mesh.boundary_ids)
+        row.rel_error = (0.0 if np.array_equal(op.control_ids, mesh.boundary_ids)
                          else metrics.relative_error(d_interior, reference))
     return deformed, row
 
@@ -374,7 +378,8 @@ def cmd_morph(args):
     d_boundary = laws.evaluate(build_law(cfg, mesh), mesh, _mu(cfg, args))
     d_ref, ref_row = (_reference(mesh, d_boundary, _idw_config(cfg))
                       if args.reference == "idw" else (None, None))
-    deformed, row = morph_once(mesh, cfg, args, d_boundary, d_ref)
+    deformed, row = morph_once(mesh, _thinned(mesh, cfg, args), d_boundary,
+                               d_ref, args.repeat)
     write_mesh(deformed, out / "deformed.json")
     if args.vtk:
         write_mesh(deformed, out / "deformed.vtk", format="vtk-legacy-ascii")
@@ -392,11 +397,7 @@ def cmd_pod_offline(args):
     pod_seed = _seed(pod_cfg["seed"], args)
     mode = args.projection or pod_cfg["projection"]
     law = build_law(cfg, mesh)
-    control_ids, method, params, _ = run_selection(mesh, cfg, args)
-    start = time.perf_counter()
-    op = idw.assemble(mesh, control_ids, mesh.interior_ids, _idw_config(cfg))
-    t_assembly = time.perf_counter() - start
-
+    op, method, fields, t_assembly = _thinned(mesh, cfg, args)
     train = laws.sample_domain(law.domain, n_train, pod_seed)
     start = time.perf_counter()
     model = pod.build_pod_model(op, law, mesh, train, epsilon, mode=mode,
@@ -405,8 +406,8 @@ def cmd_pod_offline(args):
 
     pod.write_model(model, out / "pod_model.bin")
     report = ComparisonReport(
-        method=f"pod-{method}", **_selection_fields(params),
-        card_C_hat=int(control_ids.size), N_modes=model.n_modes,
+        method=f"pod-{method}", **fields,
+        card_C_hat=int(op.control_ids.size), N_modes=model.n_modes,
         t_assembly_s=t_assembly, t_offline_s=t_offline)
     _write_reports([report], out, "offline_report")
     print(f"pod-{method}: {model.n_modes} mode(s) from {n_train} snapshots "
@@ -456,9 +457,6 @@ def cmd_sweep(args):
     base = selection_params(cfg, args)
     if args.axis != "mu" and base is None:
         raise ValueError(f"{args.axis} sweep needs a 'selection' section")
-    radius = cfg["selection"].get("radius")
-    if args.axis == "R" and not radius:
-        raise ValueError("R sweep needs a base 'radius' in the selection section")
     law, config = build_law(cfg, mesh), _idw_config(cfg)
 
     def fields(mu):  # the boundary field and, if asked for, the reference
@@ -472,8 +470,9 @@ def cmd_sweep(args):
     reports = []
     for value in values:
         params = base
-        if args.axis == "R":
-            scale = value / radius
+        if args.axis == "R":  # the base radius, else the mean region radius
+            scale = value / (cfg["selection"].get("radius")
+                             or np.mean([r.radius for r in base.regions]))
             params = replace(base, regions=tuple(
                 selection.RegionParams(r.group, r.radius * scale)
                 for r in base.regions))
@@ -483,8 +482,11 @@ def cmd_sweep(args):
                 params = replace(params, b=1.0 / params.a)
         elif args.axis == "b":
             params = replace(base, b=value)
+        if args.axis != "mu" or not reports:  # mu moves no control point
+            thinned = _thinned(mesh, cfg, args, params)
         d_boundary, d_ref = fields(value) if args.axis == "mu" else fixed
-        reports.append(morph_once(mesh, cfg, args, d_boundary, d_ref, params)[1])
+        reports.append(morph_once(mesh, thinned, d_boundary, d_ref,
+                                  args.repeat)[1])
     _write_reports(reports, out, "sweep")
     print(f"sweep over {args.axis}: {len(reports)} rows -> {out / 'sweep.csv'}")
     return 0
@@ -498,28 +500,28 @@ def cmd_random_baseline(args):
     config = _idw_config(cfg)
     law = build_law(cfg, mesh)
 
-    control_ids, method, params, _ = run_selection(mesh, cfg, args)
-    if method == "idw":
+    if not cfg["selection"]:  # before any operator is assembled
         raise ValueError("random-baseline needs a 'selection' section to "
                          "compare against")
-    k = int(control_ids.size)
+    op, method, fields, _ = _thinned(mesh, cfg, args)
+    k = int(op.control_ids.size)
 
     d_boundary = laws.evaluate(law, mesh, mu)
     d_ref = idw.interpolate(mesh, d_boundary, mesh.interior_ids, config)
 
-    def morph_error(ids):
-        op = idw.assemble(mesh, ids, mesh.interior_ids, config)
-        d_int = idw.deform(op, d_boundary.restrict(ids))
+    def morph_error(op):
+        d_int = idw.deform(op, d_boundary.restrict(op.control_ids))
         return metrics.relative_error(d_int, d_ref)
 
-    err_selected = morph_error(control_ids)
+    err_selected = morph_error(op)
     master = _seed(cfg["baseline_seed"], args)
-    reports = [ComparisonReport(method=method, **_selection_fields(params),
-                                card_C_hat=k, rel_error=err_selected)]
+    reports = [ComparisonReport(method=method, **fields, card_C_hat=k,
+                                rel_error=err_selected)]
     errors = []
     for i in range(args.draws):
         ids = selection.select_random(mesh.boundary_ids, k, master + i)
-        errors.append(morph_error(ids))
+        errors.append(morph_error(
+            idw.assemble(mesh, ids, mesh.interior_ids, config)))
         reports.append(ComparisonReport(method="random", card_C_hat=k,
                                         rel_error=errors[-1]))
     stats = selection.random_baseline_stats(errors)

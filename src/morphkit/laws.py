@@ -204,8 +204,8 @@ def read_tabulated(path, control_ids, clamp_groups=()):
     """Tabulated law from the JSON file ``path``, over the file's domain:
     {"domain": [lo, hi], "entries": [{"mu": m, "indices": [...],
     "vectors": [[...]]}, ...]}. A file of another shape, or one whose
-    entries repeat a mu, raises ValueError naming the file, the entry and
-    the key or the mu."""
+    entries repeat a mu or differ in vector width, raises ValueError naming
+    the file, the entry and the key, the mu or the widths."""
     doc = _read_json(path, ("domain", "entries"))
     where, table = "the document", {}
     try:  # only what comes from the file
@@ -215,6 +215,10 @@ def read_tabulated(path, control_ids, clamp_groups=()):
             if mu in table:
                 raise ValueError(f"repeats mu {mu!r}")
             table[mu] = DisplacementField(entry["indices"], entry["vectors"])
+            first = next(iter(table.values()))
+            if table[mu].dim != first.dim:
+                raise ValueError(f"vectors have width {table[mu].dim}, "
+                                 f"those of entries[0] {first.dim}")
         where = "the document"
         domain = _domain(doc["domain"])
     except KeyError as exc:

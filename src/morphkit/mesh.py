@@ -870,8 +870,8 @@ def read_mesh(path):
         mesh = Mesh(dim, doc["nodes"], doc["elements"], doc["boundary"],
                     doc["interior"], doc["groups"])
     except (TypeError, ValueError) as exc:
-        raise MeshFormatError(f"malformed mesh document: {exc}") from None
+        raise MeshFormatError(f"{path}: malformed mesh document: {exc}") from None
     try:
         return mesh.validate()
     except ValueError as exc:
-        raise MeshFormatError(str(exc)) from None
+        raise MeshFormatError(f"{path}: {exc}") from None

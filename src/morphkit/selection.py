@@ -544,4 +544,7 @@ def write_selection(result, params, path):
 def read_selection(path):
     """Selected ids and parameter echo from :func:`write_selection` output."""
     doc = _read_json(path, ("selected", "params", "trace"))
-    return _node_ids(doc["selected"], "selected ids"), doc["params"]
+    try:
+        return _node_ids(doc["selected"], "selected ids"), doc["params"]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

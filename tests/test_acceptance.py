@@ -236,6 +236,7 @@ def test_07_online_speedup():
 
     op_full = assemble(mesh, mesh.boundary_ids, mesh.interior_ids)
     t_full = time_mean(lambda: deform(op_full, d_b), repeat=100)
+    d_ref = deform(op_full, d_b)
     del op_full
 
     regions = tuple([RegionParams("obstacle", 0.3)]
@@ -252,11 +253,15 @@ def test_07_online_speedup():
     t_online = time_mean(lambda: online_solve(model, d_hat), repeat=100)
 
     speedup = t_full / t_online
+    # the speedup is only half the trade-off: the thinned operator's answer
+    # against the full morph's is printed beside it, not gated
+    err = relative_error(deform(op, d_hat), d_ref)
     verdict("criterion 7 (online speedup)",
             t_online <= t_full / 10.0,
             f"{mesh.interior_ids.size} interior nodes: full deform "
             f"{t_full * 1e3:.1f}ms vs online {t_online * 1e6:.0f}us "
-            f"({speedup:.0f}x)")
+            f"({speedup:.0f}x) at relative error {err:.4f} against the "
+            f"full morph")
 
 
 def test_08_random_baseline():

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import morphkit as mk
-from morphkit import cli, idw, pod, read_mesh, read_selection, write_mesh
+from morphkit import (cli, idw, pod, read_mesh, read_selection, selection,
+                      write_mesh)
 from morphkit.cli import main
 from morphkit.metrics import CSV_COLUMNS
 
@@ -346,15 +347,6 @@ def test_sweep_R_scales_radius(tmp_path):
     assert int(rows[1]["card_C_hat"]) < int(rows[0]["card_C_hat"])
 
 
-def test_sweep_R_needs_base_radius(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, selection={"regions": [
-        {"group": "left", "radius": 0.2}]})
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out),
-                 "--axis", "R", "--values", "0.1"]) == 1
-    assert "radius" in capsys.readouterr().err
-
-
 def test_sweep_a_couples_b(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -417,6 +409,19 @@ def sweep_selection(radius, right_radius):
             "regions": regions}
 
 
+def own_radii(scale):
+    # every region sets its own radius and the section no base radius, so
+    # R scales them by the value over their mean, 0.375; scales of 0.5 and
+    # 2 keep every product and sum exact
+    return {"a": 0.8, "b": 1.3, "seed": 1,
+            "regions": [{"group": g, "radius": (0.25, 0.5)[i % 2] * scale}
+                        for i, g in enumerate(FACES)]}
+
+
+# the R values swept over own_radii(1.0)
+OWN_R = (0.1875, 0.75)
+
+
 @pytest.mark.parametrize("axis, values, hand", [
     ("R", (0.25, 1.0),
      lambda v: {"selection": sweep_selection(v, 0.75 * (v / 0.5))}),
@@ -424,9 +429,11 @@ def sweep_selection(radius, right_radius):
      lambda v: {"selection": dict(sweep_selection(0.5, 0.75), a=v, b=1.0 / v)}),
     ("b", (1.5, 2.0),
      lambda v: {"selection": dict(sweep_selection(0.5, 0.75), b=v)}),
+    ("R", OWN_R, lambda v: {"selection": own_radii(v / 0.375)}),
 ])
 def test_sweep_rows_equal_single_morphs(tmp_path, axis, values, hand):
-    cfg = write_cfg(tmp_path, selection=sweep_selection(0.5, 0.75))
+    base = own_radii(1.0) if values == OWN_R else sweep_selection(0.5, 0.75)
+    cfg = write_cfg(tmp_path, selection=base)
     extra = ["--couple-b"] if axis == "a" else []
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
                  "--axis", axis, "--values", ",".join(map(str, values)),
@@ -442,31 +449,47 @@ def test_sweep_rows_equal_single_morphs(tmp_path, axis, values, hand):
         assert untimed == {k: v for k, v in single.items()
                            if not k.startswith("t_")}
         if axis == "R":  # the mean radius of the regions used
-            assert untimed["R"] == value * 5.75 / 6
+            assert untimed["R"] == value * (5.75 / 6 if "radius" in base
+                                            else 1.0)
         else:
             assert untimed[axis] == value
 
 
+def counted(monkeypatch, module, name):
+    """The list of calls to ``module.name`` the test makes from now on."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("axis, values, calls", [
     ("R", "0.25,0.5", 1), ("a", "0.5,0.6", 1), ("b", "1.5,2.0", 1),
-    ("mu", "0.005,0.01", 2)])
+    ("mu", "0.005,0.01", 2),
+    # a command in place of the axis: one selection each, and morph's one
+    # reference
+    ("morph", None, 1), ("pod-offline", None, 0)])
 def test_sweep_computes_one_reference_per_mu(tmp_path, monkeypatch, axis,
                                              values, calls):
     cfg = write_cfg(tmp_path)
-    seen = []
-    streamed = idw.interpolate
-
-    def counted(*args, **kwargs):
-        seen.append(args)
-        return streamed(*args, **kwargs)
-
-    monkeypatch.setattr(idw, "interpolate", counted)
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
-                 "--axis", axis, "--values", values]) == 0
+    seen = counted(monkeypatch, idw, "interpolate")
+    selected = counted(monkeypatch, selection, "select_multi")
+    assembled = counted(monkeypatch, idw, "assemble")
+    command = ["sweep", "--axis", axis, "--values", values] if values else [axis]
+    assert main([command[0], "--config", str(cfg), "--out", str(tmp_path / "s"),
+                 *command[1:]]) == 0
     assert len(seen) == calls
-    rows = json.loads((tmp_path / "s" / "sweep.json").read_text())
-    assert len(rows) == 2
-    assert all(0.0 < r["rel_error"] < 1.0 for r in rows)
+    # one selection and operator along mu, one per value along R, a and b
+    per_value = values is not None and axis != "mu"
+    assert len(selected) == len(assembled) == (2 if per_value else 1)
+    if values:
+        rows = json.loads((tmp_path / "s" / "sweep.json").read_text())
+        assert len(rows) == 2
+        assert all(0.0 < r["rel_error"] < 1.0 for r in rows)
 
 
 def test_random_baseline(tmp_path, capsys):
@@ -485,11 +508,13 @@ def test_random_baseline(tmp_path, capsys):
     assert doc["cardinality"] == int(rows[0]["card_C_hat"])
 
 
-def test_random_baseline_needs_selection(tmp_path, capsys):
+def test_random_baseline_needs_selection(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path, selection=None)
+    assembled = counted(monkeypatch, idw, "assemble")
     assert main(["random-baseline", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 1
     assert "selection" in capsys.readouterr().err
+    assert not assembled  # not even the dense full operator
 
 
 @pytest.mark.parametrize("command", [
@@ -545,6 +570,10 @@ TABLES = {
         {k: v for k, v in ENTRY.items() if k != key}]}
        for key in ("mu", "indices", "vectors")},
     "t_repeat": {"domain": [0.0, 1.0], "entries": [ENTRY, ENTRY]},
+    "t_width": {"domain": [0.0, 1.0], "entries": [
+        ENTRY, {"mu": 0.75, "indices": [0], "vectors": [[0.0, 0.0]]}]},
+    "t_2d": {"domain": [0.0, 1.0], "entries": [
+        {"mu": 0.5, "indices": [0], "vectors": [[0.0, 0.0]]}]},
 }
 WING = {"generator": "box_wing", "nx": 3, "ny": 2, "nz": 6,
         "lengths": [1.0, 0.25, 2.0]}
@@ -726,6 +755,12 @@ LEFT = {"radius": 0.3, "regions": [{"group": "left"}]}
      "base 'radius'\n"),
     (["sweep", "--axis", "mu", "--values", ","], {},
      "error: --values is empty\n"),
+    # a tabulated law's vectors: one width, the mesh's dim
+    (["morph"], {"law": {"kind": "tabulated", "path": "t_width.json"}},
+     "error: t_width.json: entries[1]: vectors have width 2, those of "
+     "entries[0] 3\n"),
+    (["morph"], {"law": {"kind": "tabulated", "path": "t_2d.json"}},
+     "error: t_2d.json: vectors have width 2, the mesh has dim 3\n"),
 ])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_command_leaves_no_directory_it_made(
@@ -811,6 +846,23 @@ def test_bad_projection_fails_before_any_assembly(tmp_path, monkeypatch,
     out = tmp_path / "out"
     assert main(["pod-offline", "--config", str(cfg), "--out", str(out)]) == 1
     assert "'pod.projection' must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tabulated_law_of_another_width_fails_before_any_assembly(
+        tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the offline stage started")
+
+    monkeypatch.setattr(idw, "assemble", no_work)
+    monkeypatch.setattr(pod, "build_snapshots", no_work)
+    monkeypatch.chdir(tmp_path)
+    Path("t_2d.json").write_text(json.dumps(TABLES["t_2d"]))
+    cfg = write_cfg(tmp_path, law={"kind": "tabulated", "path": "t_2d.json"})
+    out = tmp_path / "out"
+    assert main(["pod-offline", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: t_2d.json: vectors have width "
+                                       "2, the mesh has dim 3\n")
     assert not out.exists()
 
 

@@ -470,6 +470,13 @@ def test_read_tabulated(tiny_wing, tmp_path):
     with pytest.raises(ValueError, match=r"table\.json: entries\[1\]: "
                                          r"repeats mu 0\.5$"):
         read_tabulated(path, ids)
+    # every entry's vectors have the width of the first entry's
+    doc["entries"][1].update(mu=1.5, vectors=[[0.2, 0.0]] * 26)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        read_tabulated(path, ids)
+    assert str(err.value) == (f"{path}: entries[1]: vectors have width 2, "
+                              "those of entries[0] 3")
 
 
 # ---------------------------------------------------------------------------

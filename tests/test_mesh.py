@@ -1071,8 +1071,9 @@ def test_read_mesh_rejects_non_integer_ids(tiny_wing, tmp_path, where, value):
            "groups": doc["groups"]["left"]}[where]
     ids[1] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(MeshFormatError, match="integers"):
+    with pytest.raises(MeshFormatError, match="integers") as err:
         read_mesh(path)
+    assert str(err.value).startswith(f"{path}: malformed mesh document: ")
 
 
 @pytest.mark.parametrize("dim", [3.5, True, "3", None])
@@ -1083,8 +1084,10 @@ def test_read_mesh_rejects_a_dim_that_is_not_an_integer(tiny_wing, tmp_path,
     doc = json.loads(path.read_text())
     doc["dim"] = dim
     path.write_text(json.dumps(doc))
-    with pytest.raises(MeshFormatError, match="dim must be an integer"):
+    with pytest.raises(MeshFormatError) as err:
         read_mesh(path)
+    assert str(err.value).startswith(
+        f"{path}: malformed mesh document: dim must be an integer")
 
 
 def test_read_mesh_missing_key(tmp_path):
@@ -1100,9 +1103,9 @@ def test_read_mesh_refuses_a_mesh_that_fails_validate(tiny_wing, tmp_path):
     doc = json.loads(path.read_text())
     doc["interior"].append(doc["boundary"][0])
     path.write_text(json.dumps(doc))
-    with pytest.raises(MeshFormatError,
-                       match="^boundary and interior ids overlap$"):
+    with pytest.raises(MeshFormatError) as err:
         read_mesh(path)
+    assert str(err.value) == f"{path}: boundary and interior ids overlap"
 
 
 # a file for each refusal of the one JSON reader, mesh._read_json, and its

@@ -856,8 +856,10 @@ def test_selection_roundtrip(lattice11, tmp_path):
 def test_read_selection_rejects_non_integer_ids(tmp_path):
     path = tmp_path / "sel.json"
     path.write_text('{"selected": [1, 2.5], "params": {}, "trace": []}')
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError) as err:
         read_selection(path)
+    assert str(err.value) == (f"{path}: selected ids must be integers, "
+                              "got [2.5]")
 
 
 def test_read_selection_missing_key(tmp_path):
