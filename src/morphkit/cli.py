@@ -393,15 +393,17 @@ def cmd_morph(args):
 def cmd_pod_offline(args):
     cfg, out, mesh = _setup(args)
     pod_cfg = cfg["pod"]
-    n_train, epsilon = pod_cfg["n_train"], pod_cfg["epsilon"]
-    pod_seed = _seed(pod_cfg["seed"], args)
     mode = args.projection or pod_cfg["projection"]
     law = build_law(cfg, mesh)
+    if law.kind == "tabulated":  # its own entries, the only values it has
+        train = sorted(law.table)
+    else:
+        train = laws.sample_domain(law.domain, pod_cfg["n_train"],
+                                   _seed(pod_cfg["seed"], args))
     op, method, fields, t_assembly = _thinned(mesh, cfg, args)
-    train = laws.sample_domain(law.domain, n_train, pod_seed)
     start = time.perf_counter()
-    model = pod.build_pod_model(op, law, mesh, train, epsilon, mode=mode,
-                                selection_params={"method": method})
+    model = pod.build_pod_model(op, law, mesh, train, pod_cfg["epsilon"],
+                                mode=mode, selection_params={"method": method})
     t_offline = time.perf_counter() - start
 
     pod.write_model(model, out / "pod_model.bin")
@@ -410,7 +412,7 @@ def cmd_pod_offline(args):
         card_C_hat=int(op.control_ids.size), N_modes=model.n_modes,
         t_assembly_s=t_assembly, t_offline_s=t_offline)
     _write_reports([report], out, "offline_report")
-    print(f"pod-{method}: {model.n_modes} mode(s) from {n_train} snapshots "
+    print(f"pod-{method}: {model.n_modes} mode(s) from {len(train)} snapshots "
           f"({mode} projection)")
     return 0
 
@@ -418,7 +420,15 @@ def cmd_pod_offline(args):
 def cmd_pod_online(args):
     cfg, out, mesh = _setup(args)
     mu = _mu(cfg, args)
-    model = pod.read_model(args.model or (out / "pod_model.bin"))
+    path = args.model or (out / "pod_model.bin")
+    model = pod.read_model(path)
+    if not (np.array_equal(model.target_ids, mesh.interior_ids)
+            and np.isin(model.control_ids, mesh.boundary_ids).all()):
+        raise ValueError(
+            f"{path}: built on another mesh: its {model.target_ids.size} "
+            f"target and {model.control_ids.size} control ids are not among "
+            f"the {mesh.interior_ids.size} interior and "
+            f"{mesh.boundary_ids.size} boundary ids of the config's mesh")
     law = build_law(cfg, mesh)
 
     d_boundary = laws.evaluate(law, mesh, mu)
@@ -448,26 +458,28 @@ def cmd_pod_online(args):
 
 
 def cmd_sweep(args):
-    cfg, out, mesh = _setup(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = []  # parsed before the mesh is built
+    for token in filter(str.strip, args.values.split(",")):
+        try:
+            values.append(_scalar(float(token), "value"))
+        except ValueError:
+            raise ValueError(f"--values: {token.strip()!r} is not a finite "
+                             "number") from None
     if not values:
         raise ValueError("--values is empty")
     if args.couple_b and args.axis != "a":
         raise ValueError("--couple-b goes only with --axis a")
+    cfg, out, mesh = _setup(args)
     base = selection_params(cfg, args)
     if args.axis != "mu" and base is None:
         raise ValueError(f"{args.axis} sweep needs a 'selection' section")
     law, config = build_law(cfg, mesh), _idw_config(cfg)
-
-    def fields(mu):  # the boundary field and, if asked for, the reference
-        d_boundary = laws.evaluate(law, mesh, mu)
-        d_ref = (idw.interpolate(mesh, d_boundary, mesh.interior_ids, config)
-                 if args.reference == "idw" else None)
-        return d_boundary, d_ref
-
     if args.axis != "mu":  # mu is fixed along R, a and b
-        fixed = fields(_mu(cfg, args))
-    reports = []
+        fixed = laws.evaluate(law, mesh, _mu(cfg, args))
+
+    # every row's selection and boundary field, so that a bad value is
+    # refused before the first selection
+    rows = []
     for value in values:
         params = base
         if args.axis == "R":  # the base radius, else the mean region radius
@@ -482,9 +494,17 @@ def cmd_sweep(args):
                 params = replace(params, b=1.0 / params.a)
         elif args.axis == "b":
             params = replace(base, b=value)
+        rows.append((params, laws.evaluate(law, mesh, value)
+                     if args.axis == "mu" else fixed))
+
+    reports, d_ref = [], None
+    for params, d_boundary in rows:
         if args.axis != "mu" or not reports:  # mu moves no control point
             thinned = _thinned(mesh, cfg, args, params)
-        d_boundary, d_ref = fields(value) if args.axis == "mu" else fixed
+        if args.reference == "idw" and (args.axis == "mu" or not reports):
+            # one reference per mu: once in all along R, a and b
+            d_ref = idw.interpolate(mesh, d_boundary, mesh.interior_ids,
+                                    config)
         reports.append(morph_once(mesh, thinned, d_boundary, d_ref,
                                   args.repeat)[1])
     _write_reports(reports, out, "sweep")

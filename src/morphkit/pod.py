@@ -37,7 +37,9 @@ minimum-norm least-squares solve against W.
 from __future__ import annotations
 
 import json
-import struct
+import math
+import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +108,7 @@ class PodModel:
             object.__setattr__(self, name, _node_ids(getattr(self, name), name))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        object.__setattr__(self, "dim", _scalar(self.dim, "dim", True, 1))
         object.__setattr__(self, "epsilon", _scalar(self.epsilon, "epsilon"))
         object.__setattr__(self, "train_params", tuple(
             _scalar(m, "train_params entry") for m in self.train_params))
@@ -116,8 +119,10 @@ class PodModel:
         if self.online_map.shape != (self.n_modes,
                                      self.control_ids.size * self.dim):
             raise ValueError("online_map must be N x (n_controls * dim)")
+        if self.singular_values.ndim != 1:
+            raise ValueError("singular_values must be one-dimensional")
         # checked once here, so online_solve can trust them on every query
-        for name in ("basis", "online_map"):
+        for name in ("basis", "online_map", "singular_values"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite entries")
         if self.basis.size:
@@ -305,77 +310,55 @@ def build_pod_model(op, law, mesh, train_params, epsilon, mode="weighted",
 # ---------------------------------------------------------------------------
 # persistence
 #
-# one file, little-endian:
-#   4s  magic "POD3"
-#   u32 rows (n_targets * dim), u32 n_modes, u32 n_sigma,
-#   u32 n_controls, u32 n_targets, u32 dim, u8 mode (0 weighted, 1 plain),
-#   u32 trailer length in bytes
-#   f64[] basis (rows x n_modes, row-major), f64[] sigma,
-#   f64[] online_map (N x n_controls*dim)
-#   i64[] target_ids, i64[] control_ids
-#   UTF-8 JSON trailer: epsilon, train_params, selection_params
-# "POD1" dumps (a normal-equation matrix plus a right-hand-side map) and
-# "POD2" ones (no trailer, but a JSON sidecar) are not read.
+# one NumPy .npz archive under any file name: the _ARRAYS, the basis
+# row-major, and meta, a JSON string of the _META fields; n_modes is the
+# basis's column count. np.load checks every member's CRC-32. The binary
+# dumps of older versions (magics "POD1" to "POD3") are not read.
 
-_MAGIC = b"POD3"
-_HEADER = struct.Struct("<4sIIIIIIBI")
+_ARRAYS = ("basis", "singular_values", "online_map", "target_ids",
+           "control_ids")
+_META = ("mode", "dim", "epsilon", "train_params", "selection_params")
 
 
 def write_model(model, path):
-    trailer = json.dumps({"epsilon": model.epsilon,
-                          "train_params": list(model.train_params),
-                          "selection_params": model.selection_params}).encode()
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, model.basis.shape[0], model.n_modes,
-                              model.singular_values.size,
-                              model.control_ids.size, model.target_ids.size,
-                              model.dim, MODES.index(model.mode),
-                              len(trailer)))
-        for arr in (model.basis, model.singular_values, model.online_map):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        for arr in (model.target_ids, model.control_ids):
-            fh.write(arr.astype("<i8").tobytes())
-        fh.write(trailer)
+    with open(path, "wb") as fh:  # given a handle, np.savez adds no ".npz"
+        np.savez(fh, **{name: np.ascontiguousarray(getattr(model, name))
+                        for name in _ARRAYS},
+                 meta=json.dumps({key: getattr(model, key) for key in _META}))
+
+
+def _member(npz, name, limit):
+    """The array ``name`` of the open archive ``npz``, read once its .npy
+    header claims no more than ``limit`` bytes, the whole file's size: a
+    header that claims more is refused before anything is allocated."""
+    with npz.zip.open(name + ".npy") as fh:
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise ValueError(f"member {name!r} is not a version 1.0 .npy array")
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+    if math.prod(shape) * dtype.itemsize > limit:
+        raise ValueError(f"member {name!r} claims {dtype} of shape {shape}, "
+                         f"more than the file's {limit} bytes")
+    return npz[name]
 
 
 def read_model(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: magic {raw[:4]!r} is not POD3; POD1 and "
-                         "POD2 dumps of older versions are not read, re-run "
-                         "pod-offline")
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated model dump ({len(raw)} bytes, "
-                         f"the header alone is {_HEADER.size})")
-    (_, rows, n_modes, n_sigma, n_ctl, n_tgt, dim, mode_flag,
-     n_trailer) = _HEADER.unpack_from(raw)
-    if mode_flag >= len(MODES):
-        raise ValueError(f"{path}: unknown mode flag {mode_flag}")
-    counts = (rows * n_modes, n_sigma, n_modes * n_ctl * dim, n_tgt, n_ctl)
-    expected = _HEADER.size + 8 * sum(counts) + n_trailer
-    if len(raw) != expected:
-        raise ValueError(f"{path}: truncated model dump "
-                         f"({len(raw)} bytes, expected {expected})")
-    offset = _HEADER.size
-    blocks = []
-    for count, dtype in zip(counts, ("<f8",) * 3 + ("<i8",) * 2):
-        blocks.append(np.frombuffer(raw, dtype=dtype, count=count, offset=offset))
-        offset += 8 * count
-    try:  # the trailer, like the arrays, comes from outside the program
-        trailer = json.loads(raw[offset:])
-        return PodModel(
-            basis=blocks[0].reshape(rows, n_modes),
-            singular_values=blocks[1],
-            n_modes=n_modes,
-            epsilon=trailer["epsilon"],
-            mode=MODES[mode_flag],
-            online_map=blocks[2].reshape(n_modes, n_ctl * dim),
-            control_ids=blocks[4],
-            target_ids=blocks[3],
-            dim=dim,
-            train_params=trailer["train_params"],
-            selection_params=trailer["selection_params"],
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: bad model file: {exc!r}") from None
+    with open(path, "rb") as fh:  # a missing file raises OSError here
+        magic = fh.read(4)
+        if magic != b"PK\x03\x04":
+            raise ValueError(f"{path}: starts {magic!r}, not a .npz archive; "
+                             "the POD1 to POD3 dumps of older versions are "
+                             "not read, re-run pod-offline")
+        fh.seek(0)
+        size = os.fstat(fh.fileno()).st_size
+        try:  # every member, like its bytes, comes from outside the program
+            with np.load(fh, allow_pickle=False) as npz:
+                arrays = {name: _member(npz, name, size)
+                          for name in ("meta", *_ARRAYS)}
+            meta = json.loads(arrays.pop("meta").item())
+            return PodModel(**arrays, n_modes=arrays["basis"].shape[1],
+                            **{key: meta[key] for key in _META})
+        except zipfile.BadZipFile as exc:  # a cut file or a failed CRC-32
+            raise ValueError(f"{path}: bad model file, truncated or "
+                             f"damaged: {exc}") from None
+        except (ValueError, KeyError, TypeError, IndexError, EOFError) as exc:
+            raise ValueError(f"{path}: bad model file: {exc!r}") from None

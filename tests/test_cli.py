@@ -227,7 +227,8 @@ def test_pod_offline_then_online(tmp_path, monkeypatch):
     assert main(["pod-offline", "--config", str(cfg),
                  "--out", str(out)]) == 0
     assert seen == [None]
-    assert (out / "pod_model.bin").read_bytes()[:4] == b"POD3"
+    with np.load(out / "pod_model.bin", allow_pickle=False) as npz:
+        assert "basis" in npz.files  # a .npz archive under its own name
     assert not (out / "pod_model.bin.json").exists()
     offline = read_rows(out / "offline_report.csv")
     assert offline[0]["method"] == "pod-idw"
@@ -311,7 +312,8 @@ def test_pod_offline_with_selection_names_method(tmp_path):
     (lambda raw: b"POD1" + raw[4:], "re-run pod-offline"),
     (lambda raw: b"POD2" + raw[4:], "re-run pod-offline"),
     (lambda raw: raw[:-1], "truncated"),
-    (lambda raw: raw[:-1] + b"]", "bad model file"),
+    # the archive stays whole, but has no meta member
+    (lambda raw: raw.replace(b"meta.npy", b"mate.npy"), "bad model file"),
 ])
 def test_pod_online_refuses_a_bad_model(tmp_path, capsys, damage, message):
     cfg = write_cfg(tmp_path, selection=None)
@@ -324,6 +326,56 @@ def test_pod_online_refuses_a_bad_model(tmp_path, capsys, damage, message):
                  "--mu", "0.01"]) == 1
     err = capsys.readouterr().err
     assert str(model) in err and message in err
+
+
+def test_pod_offline_trains_a_tabulated_law_on_its_entries(tmp_path, capsys):
+    # uniform draws would hit no entry; the table's own mu values, in
+    # ascending order, are the training set, whatever pod.n_train says
+    mesh = cli_mesh()
+    bend = mk.bend_law(mesh.boundary_ids, (0.0, 0.02))
+    entries = []
+    for mu in (1.0, 0.0, 0.5):
+        d = mk.evaluate(bend, mesh, 0.02 * mu)
+        entries.append({"mu": mu, "indices": d.indices.tolist(),
+                        "vectors": d.vectors.tolist()})
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"domain": [0.0, 1.0], "entries": entries}))
+    cfg = write_cfg(tmp_path, law={"kind": "tabulated", "path": str(table),
+                                   "clamp_groups": ["left"]})
+    out = tmp_path / "out"
+    assert main(["pod-offline", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "from 3 snapshots" in capsys.readouterr().out
+    assert mk.read_model(out / "pod_model.bin").train_params == (0.0, 0.5, 1.0)
+    assert main(["pod-online", "--config", str(cfg), "--out", str(out),
+                 "--mu", "0.5"]) == 0
+    assert main(["morph", "--config", str(cfg), "--out", str(tmp_path / "m"),
+                 "--mu", "0.5"]) == 0
+    online = float(read_rows(out / "online_report.csv")[0]["rel_error"])
+    thinned = float(read_rows(tmp_path / "m" / "report.csv")[0]["rel_error"])
+    assert 0.0 < thinned and abs(online - thinned) <= 1e-9 * thinned
+
+
+def test_pod_online_refuses_a_model_of_another_mesh(tmp_path, monkeypatch,
+                                                    capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["pod-offline", "--config", str(cfg), "--out", str(out)]) == 0
+    longer = write_cfg(tmp_path, name="longer.json", mesh={
+        "generator": "box_wing", "nx": 3, "ny": 2, "nz": 7,
+        "lengths": [1.0, 0.25, 2.0]})
+    evaluated = counted(monkeypatch, mk.laws, "evaluate")
+    capsys.readouterr()
+    assert main(["pod-online", "--config", str(longer), "--out", str(out),
+                 "--mu", "0.01"]) == 1
+    model = mk.read_model(out / "pod_model.bin")
+    mesh = mk.generate_box_wing(3, 2, 7, (1.0, 0.25, 2.0))
+    assert capsys.readouterr().err == (
+        f"error: {out / 'pod_model.bin'}: built on another mesh: its "
+        f"{model.target_ids.size} target and {model.control_ids.size} control "
+        f"ids are not among the {mesh.interior_ids.size} interior and "
+        f"{mesh.boundary_ids.size} boundary ids of the config's mesh\n")
+    assert not evaluated
+    assert not (out / "online_report.csv").exists()
 
 
 def test_sweep_mu(tmp_path):
@@ -490,6 +542,43 @@ def test_sweep_computes_one_reference_per_mu(tmp_path, monkeypatch, axis,
         rows = json.loads((tmp_path / "s" / "sweep.json").read_text())
         assert len(rows) == 2
         assert all(0.0 < r["rel_error"] < 1.0 for r in rows)
+
+
+@pytest.mark.parametrize("axis, values, words", [
+    ("mu", "0.01,0.5", "mu=0.5 outside domain [0.0, 0.02]"),
+    ("a", "0.5,1.5", "a must lie in (0, 1), got 1.5"),
+    ("b", "1.5,0.5", "b must "),
+    ("R", "0.3,-0.3", "radius must "),
+    ("mu", "0.1,x", "--values: 'x' is not a finite number"),
+    ("R", "0.3, nan", "--values: 'nan' is not a finite number"),
+])
+def test_sweep_checks_every_value_before_its_first_row(
+        tmp_path, monkeypatch, capsys, axis, values, words):
+    cfg = write_cfg(tmp_path)
+    calls = [counted(monkeypatch, module, name) for module, name in (
+        (selection, "select_multi"), (idw, "assemble"), (idw, "interpolate"))]
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--axis", axis, "--values", values]) == 1
+    assert words in capsys.readouterr().err
+    assert calls == [[], [], []]
+    assert not out.exists()
+
+
+def test_sweep_mu_refuses_a_value_the_table_lacks(tmp_path, monkeypatch,
+                                                  capsys):
+    mesh = cli_mesh()
+    d = mk.evaluate(mk.bend_law(mesh.boundary_ids, (0.0, 0.02)), mesh, 0.01)
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"domain": [0.0, 1.0], "entries": [
+        {"mu": mu, "indices": d.indices.tolist(),
+         "vectors": (mu * d.vectors).tolist()} for mu in (0.0, 1.0)]}))
+    cfg = write_cfg(tmp_path, law={"kind": "tabulated", "path": str(table)})
+    selected = counted(monkeypatch, selection, "select_multi")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                 "--axis", "mu", "--values", "1.0,0.5"]) == 1
+    assert "no entry for mu=0.5" in capsys.readouterr().err
+    assert not selected
 
 
 def test_random_baseline(tmp_path, capsys):

@@ -1143,7 +1143,8 @@ def test_every_json_reader_refuses_a_bad_file_naming_it(tmp_path, reader,
 
 def test_only_the_reader_decodes_json():
     # every JSON input file goes through mesh._read_json; pod.read_model
-    # decodes only its own trailer, from bytes it has checked
+    # decodes only the meta member of its archive, whose CRC-32 np.load
+    # has checked
     calls = set()
     for path in Path(mk.__file__).parent.glob("*.py"):
         for top in ast.parse(path.read_text()).body:

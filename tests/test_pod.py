@@ -1,10 +1,13 @@
 """Snapshot compression and the reduced online stage."""
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -714,6 +717,10 @@ def test_right_vectors_rebuild_the_basis():
 # ---------------------------------------------------------------------------
 # persistence
 
+# the members of a model file, as np.load names them
+MEMBERS = ("basis", "singular_values", "online_map", "target_ids",
+           "control_ids", "meta")
+
 def _small_model(wing):
     op = assemble(wing, wing.boundary_ids, wing.interior_ids)
     law = bend_law(wing.boundary_ids, (0.0, 0.02))
@@ -727,13 +734,13 @@ def test_model_roundtrip(wing, tmp_path):
     path = tmp_path / "model.bin"
     write_model(model, path)
     assert list(tmp_path.iterdir()) == [path]  # one file, no sidecar
-    raw = path.read_bytes()
-    assert raw[:4] == b"POD3"
-    # the trailer holds only what the header and arrays do not
-    n_trailer = mk.pod._HEADER.unpack_from(raw)[-1]
-    assert json.loads(raw[-n_trailer:]) == {
-        "epsilon": 1e-5, "train_params": [0.005, 0.01, 0.02],
-        "selection_params": model.selection_params}
+    # meta holds only what the arrays do not
+    with np.load(path, allow_pickle=False) as npz:
+        assert sorted(npz.files) == sorted(MEMBERS)
+        assert json.loads(npz["meta"].item()) == {
+            "mode": "weighted", "dim": 3, "epsilon": 1e-5,
+            "train_params": [0.005, 0.01, 0.02],
+            "selection_params": model.selection_params}
     back = read_model(path)
     assert back.n_modes == model.n_modes
     np.testing.assert_array_equal(back.basis, model.basis)
@@ -754,6 +761,18 @@ def test_model_roundtrip(wing, tmp_path):
                                   online_solve(model, d_c).vectors)
 
 
+def test_numpy_reads_the_model_file(wing, tmp_path):
+    # the file is a plain .npz archive: NumPy alone gives back every array
+    model = _small_model(wing)
+    path = tmp_path / "pod_model.bin"
+    write_model(model, path)
+    with np.load(path, allow_pickle=False) as npz:
+        for name in MEMBERS[:-1]:
+            held = getattr(model, name)
+            assert npz[name].dtype == held.dtype
+            assert npz[name].tobytes() == np.ascontiguousarray(held).tobytes()
+
+
 def _random_model(n_modes, n_targets=40, n_controls=6, dim=3, seed=0):
     """Hand-built model: orthonormal basis of n_modes columns, random map."""
     rng = np.random.default_rng(seed)
@@ -770,9 +789,9 @@ def test_model_writes_the_column_major_basis_row_major(n_modes, tmp_path):
     assert model.basis.flags.f_contiguous
     path = tmp_path / "model.bin"
     write_model(model, path)
-    start = mk.pod._HEADER.size
-    block = path.read_bytes()[start:start + model.basis.nbytes]
-    assert block == np.ascontiguousarray(model.basis).tobytes()
+    assert np.ascontiguousarray(model.basis).tobytes() in path.read_bytes()
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz["basis"].flags.c_contiguous
     back = read_model(path)
     assert back.basis.flags.f_contiguous
     np.testing.assert_array_equal(back.basis, model.basis)
@@ -794,33 +813,37 @@ def test_online_solve_is_the_expansion_of_the_online_map(n_modes):
 def test_read_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"WHAT" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="not POD3"):
+    with pytest.raises(ValueError, match="starts b'WHAT', not a .npz archive"):
         read_model(path)
 
 
 def test_read_model_rejects_pod1(wing, tmp_path):
-    # and POD2, whose metadata lived in a JSON sidecar
+    # and the POD2 and POD3 binary dumps, the earlier versions' files
     path = tmp_path / "model.bin"
     write_model(_small_model(wing), path)
-    for magic in (b"POD1", b"POD2"):
+    for magic in (b"POD1", b"POD2", b"POD3"):
         path.write_bytes(magic + path.read_bytes()[4:])
         with pytest.raises(ValueError,
-                           match="POD1 and POD2.*re-run pod-offline") as err:
+                           match="POD1 to POD3.*re-run pod-offline") as err:
             read_model(path)
         assert str(path) in str(err.value)
         assert repr(magic) in str(err.value)
 
 
+def test_read_model_refuses_a_missing_file_with_oserror(tmp_path):
+    with pytest.raises(OSError):
+        read_model(tmp_path / "absent.bin")
+
+
 def test_read_model_rejects_truncation(wing, tmp_path):
-    model = _small_model(wing)
     path = tmp_path / "model.bin"
-    write_model(model, path)
+    write_model(_small_model(wing), path)
     raw = path.read_bytes()
-    n_trailer = mk.pod._HEADER.unpack_from(raw)[-1]
-    # into the id block, then into the trailer only
-    for cut in (n_trailer + 16, 1):
-        path.write_bytes(raw[:-cut])
-        with pytest.raises(ValueError, match="truncated") as err:
+    # into the basis, into the zip directory, the last byte, below the
+    # 4-byte zip magic, and nothing at all
+    for size in (300, len(raw) - 200, len(raw) - 1, 3, 0):
+        path.write_bytes(raw[:size])
+        with pytest.raises(ValueError, match="truncated|not a .npz") as err:
             read_model(path)
         assert str(path) in str(err.value)
 
@@ -828,35 +851,73 @@ def test_read_model_rejects_truncation(wing, tmp_path):
 def test_read_model_reports_a_short_header_as_truncated(wing, tmp_path):
     path = tmp_path / "model.bin"
     write_model(_small_model(wing), path)
-    path.write_bytes(path.read_bytes()[:20])  # "POD3" and four counts
+    path.write_bytes(path.read_bytes()[:20])  # into the first member's header
     with pytest.raises(ValueError, match=(
-            rf"^{re.escape(str(path))}: truncated model dump "
-            rf"\(20 bytes, the header alone is {mk.pod._HEADER.size}\)$")):
+            rf"^{re.escape(str(path))}: bad model file, truncated or "
+            r"damaged: File is not a zip file$")):
         read_model(path)
+
+
+def test_read_model_rejects_a_flipped_byte(wing, tmp_path):
+    model = _small_model(wing)
+    path = tmp_path / "model.bin"
+    write_model(model, path)
+    raw = bytearray(path.read_bytes())
+    basis = np.ascontiguousarray(model.basis).tobytes()
+    at = raw.find(basis) + len(basis) // 3
+    raw[at] ^= 0x10
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=(
+            rf"^{re.escape(str(path))}: bad model file, truncated or "
+            r"damaged: Bad CRC-32 for file 'basis.npy'$")):
+        read_model(path)
+
+
+def _with_members(path, **members):
+    """Rewrite the model archive at ``path`` with ``members`` replaced or
+    added, or dropped where given None. A bytes value is stored as the
+    member's raw .npy content, anything else through np.save."""
+    with np.load(path, allow_pickle=False) as npz:
+        held = {name: npz[name] for name in npz.files}
+    held.update(members)
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, value in held.items():
+            if value is None:
+                continue
+            if not isinstance(value, bytes):
+                buf = io.BytesIO()
+                np.save(buf, np.asarray(value), allow_pickle=True)
+                value = buf.getvalue()
+            archive.writestr(name + ".npy", value)
 
 
 def test_read_model_rejects_an_unknown_mode_flag(wing, tmp_path):
+    # the mode is meta's string now, no longer a header flag
     path = tmp_path / "model.bin"
     write_model(_small_model(wing), path)
-    raw = path.read_bytes()
-    header = list(mk.pod._HEADER.unpack_from(raw))
-    header[7] = len(mk.pod.MODES)
-    path.write_bytes(mk.pod._HEADER.pack(*header)
-                     + raw[mk.pod._HEADER.size:])
-    with pytest.raises(ValueError, match=(rf"^{re.escape(str(path))}: "
-                                          r"unknown mode flag 2$")):
+    meta = {"mode": "wieghted", "dim": 3, "epsilon": 0.0,
+            "train_params": [], "selection_params": None}
+    _with_members(path, meta=json.dumps(meta))
+    with pytest.raises(ValueError, match=(
+            rf"^{re.escape(str(path))}: bad model file: ValueError\(\"mode "
+            r"must be one of \('weighted', 'plain'\)\"\)$")):
         read_model(path)
 
 
-def _with_trailer(path, trailer):
-    """Replace the JSON trailer of the model file at ``path``."""
-    raw = path.read_bytes()
-    header = list(mk.pod._HEADER.unpack_from(raw))
-    body = raw[mk.pod._HEADER.size:len(raw) - header[-1]]
-    header[-1] = len(trailer)
-    path.write_bytes(mk.pod._HEADER.pack(*header) + body + trailer)
+def _as_meta(trailer):
+    """The meta member for one of the old trailer's defects: a JSON object
+    gains the mode and dim the trailer did not hold; anything else is
+    stored as it stands, bytes that are not UTF-8 as a bytes array."""
+    try:
+        doc = json.loads(trailer)
+    except ValueError:
+        return np.array(trailer) if trailer[:1] == b"\xff" else trailer.decode()
+    if not isinstance(doc, dict):
+        return trailer.decode()
+    return json.dumps({"mode": "weighted", "dim": 3, **doc})
 
 
+# the defects of the old JSON trailer, each now one of the meta member
 @pytest.mark.parametrize("trailer", [
     b"{not json",
     b"\xff\xfe",
@@ -875,24 +936,101 @@ def _with_trailer(path, trailer):
 def test_read_model_rejects_a_bad_trailer(wing, tmp_path, trailer):
     path = tmp_path / "model.bin"
     write_model(_small_model(wing), path)
-    _with_trailer(path, trailer)
+    _with_members(path, meta=_as_meta(trailer))
     with pytest.raises(ValueError, match="bad model file") as err:
         read_model(path)
     assert str(path) in str(err.value)
 
 
+GOOD_META = {"mode": "weighted", "dim": 3, "epsilon": 0.0,
+             "train_params": [], "selection_params": None}
 
-def _patched_model(wing, tmp_path, offset_of, value):
-    """Write the small model, overwrite one 8-byte entry, read it back."""
+
+@pytest.mark.parametrize("meta, words", [
+    ({**GOOD_META, "mode": None}, "mode must be one of"),
+    ({k: v for k, v in GOOD_META.items() if k != "mode"}, "KeyError('mode')"),
+    ({k: v for k, v in GOOD_META.items() if k != "dim"}, "KeyError('dim')"),
+    ({**GOOD_META, "dim": 3.5}, "dim must be an integer >= 1, got 3.5"),
+    ({**GOOD_META, "dim": 0}, "dim must be an integer >= 1, got 0"),
+    ({**GOOD_META, "dim": True}, "dim must be an integer >= 1, got True"),
+    ({**GOOD_META, "dim": 1}, "basis shape inconsistent"),
+])
+def test_read_model_rejects_bad_mode_and_dim(wing, tmp_path, meta, words):
+    path = tmp_path / "model.bin"
+    write_model(_small_model(wing), path)
+    _with_members(path, meta=json.dumps(meta))
+    with pytest.raises(ValueError, match="bad model file") as err:
+        read_model(path)
+    assert str(path) in str(err.value) and words in str(err.value)
+
+
+@pytest.mark.parametrize("member, value, words", [
+    ("basis", None, "There is no item named 'basis.npy'"),
+    ("meta", None, "There is no item named 'meta.npy'"),
+    ("online_map", np.array([None, 1.0], dtype=object),
+     "Object arrays cannot be loaded when allow_pickle=False"),
+    ("meta", np.array([{"mode": "plain"}], dtype=object),
+     "Object arrays cannot be loaded when allow_pickle=False"),
+    ("basis", b"not an array", "the magic string is not correct"),
+    ("basis", np.ones(3), "IndexError"),
+    ("meta", np.array(1.5), "the JSON object must be str"),
+    ("singular_values", np.array([1.0, np.nan]),
+     "singular_values contains non-finite entries"),
+    ("singular_values", np.ones((1, 1)),
+     "singular_values must be one-dimensional"),
+])
+def test_read_model_rejects_a_bad_member(wing, tmp_path, member, value, words):
+    path = tmp_path / "model.bin"
+    write_model(_small_model(wing), path)
+    _with_members(path, **{member: value})
+    with pytest.raises(ValueError, match="bad model file") as err:
+        read_model(path)
+    assert str(path) in str(err.value) and words in str(err.value)
+
+
+@pytest.mark.parametrize("rows", [2**40, 2**20])
+def test_read_model_refuses_an_oversize_header(wing, tmp_path, rows):
+    # the header claims rows x 2 floats the file does not hold: refused
+    # before they are allocated, which 2**40 rows could not be and 2**20
+    # rows (16 MiB) would be
+    path = tmp_path / "model.bin"
+    write_model(_small_model(wing), path)
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": "<f8", "fortran_order": False, "shape": (rows, 2)})
+    _with_members(path, basis=buf.getvalue() + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+                rf"^{re.escape(str(path))}: bad model file: ValueError\(\"member "
+                rf"'basis' claims float64 of shape \({rows}, 2\), more than "
+                rf"the file's {path.stat().st_size} bytes\"\)$")):
+            read_model(path)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_model_rejects_repeated_target_id(wing, tmp_path):
     model = _small_model(wing)
     path = tmp_path / "model.bin"
     write_model(model, path)
-    raw = bytearray(path.read_bytes())
-    rows, n_modes = model.basis.shape
-    at = mk.pod._HEADER.size + 8 * offset_of(model, rows, n_modes)
-    raw[at:at + 8] = value
-    path.write_bytes(bytes(raw))
-    return read_model(path)
+    ids = model.target_ids.copy()
+    ids[1] = ids[0]
+    _with_members(path, target_ids=ids)
+    with pytest.raises(ValueError, match="target_ids contain duplicates"):
+        read_model(path)
+
+
+def test_read_model_rejects_nan_in_online_map(wing, tmp_path):
+    model = _small_model(wing)
+    path = tmp_path / "model.bin"
+    write_model(model, path)
+    online_map = model.online_map.copy()
+    online_map.flat[3] = np.nan
+    _with_members(path, online_map=online_map)
+    with pytest.raises(ValueError, match="online_map contains non-finite"):
+        read_model(path)
 
 
 def test_model_arrays_start_on_64_bytes(wing, tmp_path):
@@ -902,24 +1040,6 @@ def test_model_arrays_start_on_64_bytes(wing, tmp_path):
         for arr in (held.basis, held.singular_values, held.online_map):
             assert arr.ctypes.data % 64 == 0 and not arr.flags.writeable
         assert held.basis.flags.f_contiguous
-
-
-def test_read_model_rejects_repeated_target_id(wing, tmp_path):
-    def second_target(model, rows, n_modes):
-        return (rows * n_modes + model.singular_values.size
-                + model.online_map.size + 1)
-    first = _small_model(wing).target_ids[0]
-    with pytest.raises(ValueError, match="target_ids contain duplicates"):
-        _patched_model(wing, tmp_path, second_target,
-                       np.array(first, dtype="<i8").tobytes())
-
-
-def test_read_model_rejects_nan_in_online_map(wing, tmp_path):
-    def map_entry(model, rows, n_modes):
-        return rows * n_modes + model.singular_values.size + 3
-    with pytest.raises(ValueError, match="online_map contains non-finite"):
-        _patched_model(wing, tmp_path, map_entry,
-                       np.array(np.nan, dtype="<f8").tobytes())
 
 
 @pytest.mark.parametrize("change, match", [
