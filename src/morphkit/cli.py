@@ -192,13 +192,18 @@ def build_law(cfg, mesh):
     control_ids = mesh.boundary_ids  # laws act on the full control set
     if spec["kind"] == "tabulated":  # the file's domain; law.domain may only repeat it
         law = laws.read_tabulated(spec["path"], control_ids, clamp)
-        width = next(iter(law.table.values())).dim
-        if width != mesh.dim:  # before any selection or assembly
-            raise ValueError(f"{spec['path']}: vectors have width {width}, "
-                             f"the mesh has dim {mesh.dim}")
         if spec.get("domain", list(law.domain)) != list(law.domain):
             raise ValueError(f"'law.domain' {spec['domain']!r} differs from "
                              f"the domain {list(law.domain)} of {spec['path']}")
+        free_ids = laws._resolve(law, mesh)[0]
+        for mu, entry in law.table.items():  # before any selection or assembly
+            try:
+                if entry.dim != mesh.dim:
+                    raise ValueError(f"vectors have width {entry.dim}, the "
+                                     f"mesh has dim {mesh.dim}")
+                entry.restrict(free_ids)
+            except ValueError as exc:
+                raise ValueError(f"{spec['path']}: entry at mu={mu}: {exc}") from None
         return law
     domain = tuple(spec["domain"])
     if spec["kind"] == "bend":
@@ -525,6 +530,9 @@ def cmd_random_baseline(args):
                          "compare against")
     op, method, fields, _ = _thinned(mesh, cfg, args)
     k = int(op.control_ids.size)
+    if k == mesh.boundary_ids.size:  # before any draw is assembled
+        raise ValueError(f"the selection keeps all {k} boundary nodes, so "
+                         "every random draw would be that same set")
 
     d_boundary = laws.evaluate(law, mesh, mu)
     d_ref = idw.interpolate(mesh, d_boundary, mesh.interior_ids, config)

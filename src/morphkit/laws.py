@@ -203,9 +203,10 @@ def sample_domain(domain, n, seed):
 def read_tabulated(path, control_ids, clamp_groups=()):
     """Tabulated law from the JSON file ``path``, over the file's domain:
     {"domain": [lo, hi], "entries": [{"mu": m, "indices": [...],
-    "vectors": [[...]]}, ...]}. A file of another shape, or one whose
-    entries repeat a mu or differ in vector width, raises ValueError naming
-    the file, the entry and the key, the mu or the widths."""
+    "vectors": [[...]]}, ...]}. A file of another shape, one without
+    entries, or one whose entries repeat a mu or differ in vector width,
+    raises ValueError naming the file, the entry and the key, the mu or the
+    widths."""
     doc = _read_json(path, ("domain", "entries"))
     where, table = "the document", {}
     try:  # only what comes from the file
@@ -220,6 +221,8 @@ def read_tabulated(path, control_ids, clamp_groups=()):
                 raise ValueError(f"vectors have width {table[mu].dim}, "
                                  f"those of entries[0] {first.dim}")
         where = "the document"
+        if not table:
+            raise ValueError("'entries' is empty")
         domain = _domain(doc["domain"])
     except KeyError as exc:
         raise ValueError(f"{path}: {where} has no {exc}") from None

@@ -209,19 +209,6 @@ def _node_ids(ids, what, count=None):
     return ids
 
 
-def _sorted_ids(ids, what):
-    """``ids`` through :func:`_int_ids`, checked one-dimensional and sorted
-    only when it is not (a frozen, owned, sorted int64 array is kept);
-    repeats are left to :meth:`Mesh.validate`."""
-    ids = _int_ids(ids, what)
-    if ids.ndim != 1:
-        raise ValueError(f"{what} must be one-dimensional")
-    if (ids[1:] < ids[:-1]).any():
-        ids = np.sort(ids)
-        ids.setflags(write=False)
-    return ids
-
-
 @dataclass(frozen=True, eq=False)
 class DisplacementField:
     """Per-node displacement vectors on a subset of mesh nodes.
@@ -358,15 +345,15 @@ def merge_fields(*fields):
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Immutable simplicial mesh.
+    """Immutable simplicial mesh, its structure checked when it is built.
 
     Attributes:
         dim: spatial dimension, 2 or 3.
-        nodes: coordinates, shape (n_nodes, dim).
-        elements: simplex connectivity, shape (n_elements, dim + 1).
-        boundary_ids: sorted node ids on the boundary.
-        interior_ids: sorted node ids in the interior.
-        groups: named node subsets; every member is a boundary node.
+        nodes: finite coordinates, shape (n_nodes, dim).
+        elements: node ids of each simplex, shape (n_elements, dim + 1).
+        boundary_ids: sorted unique node ids on the boundary.
+        interior_ids: sorted unique node ids in the interior: all the others.
+        groups: named node subsets of boundary_ids, sorted and unique.
     """
 
     dim: int
@@ -381,20 +368,52 @@ class Mesh:
     _valid = False
 
     def __post_init__(self):
+        """Refuse, with ValueError, any field that breaks the invariants in
+        the class docstring; node coincidence is left to :meth:`validate`.
+        Frozen owned arrays, as every Mesh holds, are kept uncopied."""
+        if self.dim not in (2, 3):
+            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         nodes = _own(np.atleast_2d(self.nodes), np.float64)
-        # a frozen owned array, as every Mesh holds, is shared: deformed
-        # meshes keep their parent's connectivity
+        if nodes.ndim != 2 or nodes.shape[1] != self.dim:
+            raise ValueError(f"nodes must have shape (n, {self.dim})")
+        if not np.isfinite(nodes).all():
+            raise ValueError("node coordinates contain non-finite values")
+        n = nodes.shape[0]
         elements = _int_ids(self.elements, "elements")
         if elements.size == 0:
             elements = _own(elements.reshape(0, self.dim + 1), np.int64)
+        if elements.ndim != 2 or elements.shape[1] != self.dim + 1:
+            raise ValueError(f"elements must have shape (e, {self.dim + 1})")
+        if elements.size and (elements.min() < 0 or elements.max() >= n):
+            raise ValueError("element refers to a node id out of range")
+
+        def sorted_ids(ids, what):
+            ids = _node_ids(ids, what, n)
+            if (ids[1:] < ids[:-1]).any():
+                ids = np.sort(ids)
+                ids.setflags(write=False)
+            return ids
+
+        boundary = sorted_ids(self.boundary_ids, "boundary_ids")
+        interior = sorted_ids(self.interior_ids, "interior_ids")
+        on_boundary = np.zeros(n, dtype=bool)
+        on_boundary[boundary] = True
+        if on_boundary[interior].any():
+            raise ValueError("boundary and interior ids overlap")
+        # unique ids in range: the two sets cover the nodes iff they count n
+        if boundary.size + interior.size != n:
+            raise ValueError("boundary and interior ids do not partition the node set")
+        groups = {}
+        for k, v in dict(self.groups).items():
+            ids = sorted_ids(v, f"group {k!r}")
+            if not on_boundary[ids].all():
+                raise ValueError(f"group {k!r} contains non-boundary nodes")
+            groups[str(k)] = ids
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "elements", elements)
-        # so are sorted id arrays: with_nodes copies no ids
-        for name in ("boundary_ids", "interior_ids"):
-            object.__setattr__(self, name, _sorted_ids(getattr(self, name), name))
-        object.__setattr__(self, "groups",
-                           {str(k): _sorted_ids(v, f"group {k!r}")
-                            for k, v in dict(self.groups).items()})
+        object.__setattr__(self, "boundary_ids", boundary)
+        object.__setattr__(self, "interior_ids", interior)
+        object.__setattr__(self, "groups", groups)
 
     @property
     def node_count(self):
@@ -427,33 +446,10 @@ class Mesh:
             raise ValueError(f"unknown group {name!r}; have {sorted(self.groups)}") from None
 
     def validate(self):
-        """Check structural invariants; returns self so calls chain.
-
-        Raises ValueError on: bad dimension, malformed arrays, a node id
-        out of range, boundary/interior not partitioning the node set, a
-        group node off the boundary, or two nodes closer than the
-        coincidence tolerance.
-        """
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        if self.nodes.ndim != 2 or self.nodes.shape[1] != self.dim:
-            raise ValueError(f"nodes must have shape (n, {self.dim})")
-        if not np.all(np.isfinite(self.nodes)):
-            raise ValueError("node coordinates contain non-finite values")
+        """Refuse two nodes closer than the coincidence tolerance, with
+        ValueError; returns self so calls chain. The structure was checked
+        when the mesh was built."""
         n = self.node_count
-        if self.elements.ndim != 2 or self.elements.shape[1] != self.dim + 1:
-            raise ValueError(f"elements must have shape (e, {self.dim + 1})")
-        if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= n):
-            raise ValueError("element refers to a node id out of range")
-        merged = np.concatenate([self.boundary_ids, self.interior_ids])
-        if has_duplicates(merged):
-            raise ValueError("boundary and interior ids overlap")
-        if not np.array_equal(np.sort(merged), np.arange(n)):
-            raise ValueError("boundary and interior ids do not partition the node set")
-        boundary = set(self.boundary_ids.tolist())
-        for name, ids in self.groups.items():
-            if ids.size and not set(ids.tolist()) <= boundary:
-                raise ValueError(f"group {name!r} contains non-boundary nodes")
         tol = self.coincidence_tolerance
         if n > 1:
             if tol == 0.0:
@@ -744,9 +740,7 @@ def write_mesh(mesh, path, format="native-json"):
 
     The native JSON file holds exactly the bytes of ``json.dumps`` of the
     document {"dim", "nodes", "elements", "boundary", "interior",
-    "groups"} (arrays as lists) plus a newline. Non-finite coordinates
-    and element ids outside [0, node_count) raise ValueError, since
-    :func:`read_mesh` would reject the file.
+    "groups"} (arrays as lists) plus a newline.
     """
     if format == "native-json":
         _write_json(mesh, path)
@@ -790,18 +784,12 @@ def _read_json(path, keys=()):
 
 
 def _write_json(mesh, path):
-    if not np.isfinite(mesh.nodes).all():
-        raise ValueError("node coordinates contain non-finite values")
-    elements = mesh.elements
-    n = mesh.node_count
-    if elements.size and (elements.min() < 0 or elements.max() >= n):
-        raise ValueError("element refers to a node id out of range")
     # everything but the elements goes through json.dumps; the element
     # array is composed in the same text, which is ASCII throughout
     # (json.dumps escapes any other character)
     head = ('{"dim": ' + json.dumps(mesh.dim) + ', "nodes": '
             + json.dumps(mesh.nodes.tolist()) + ', "elements": ')
-    body = _elements_json(elements, n)
+    body = _elements_json(mesh.elements, mesh.node_count)
     groups = {k: v.tolist() for k, v in mesh.groups.items()}
     tail = (', "boundary": ' + json.dumps(mesh.boundary_ids.tolist())
             + ', "interior": ' + json.dumps(mesh.interior_ids.tolist())
@@ -822,7 +810,7 @@ def _elements_json(elements, node_count):
     digits are gathered in from the table, and the 0 bytes are masked
     out.
     """
-    if elements.ndim != 2 or elements.size == 0:
+    if elements.size == 0:
         return json.dumps(elements.tolist()).encode("ascii")
     ids = np.arange(node_count)
     width = len(str(node_count - 1))

@@ -408,22 +408,15 @@ def _walk(mesh, candidates, radius, a, b, strategy, seed, seed_point):
     return SelectionResult._built(sel, order, trace, annulus_count=n_annuli)
 
 
-def _check_regions(mesh, names, groups):
-    """Refuse an empty region group, a node id out of range, one repeated
-    inside a group or one shared by two groups; each group is sorted, as
-    :class:`Mesh` keeps them, so its ends bound its ids, and one count of
-    the regions' ids finds both kinds of repeat."""
+def _check_regions(names, groups):
+    """Refuse an empty region group or a node id shared by two groups; a
+    :class:`Mesh` keeps each group in range and free of repeats, so one
+    count of the regions' ids finds a shared one."""
     for name, ids in zip(names, groups):
         if ids.size == 0:
             raise ValueError(f"region group {name!r} is empty")
-        if ids[0] < 0 or ids[-1] >= mesh.node_count:
-            raise ValueError(f"region group {name!r} holds node ids out of "
-                             f"range [0, {mesh.node_count})")
     if np.bincount(np.concatenate(groups)).max() == 1:
         return
-    for name, ids in zip(names, groups):
-        if not (ids[1:] > ids[:-1]).all():
-            raise ValueError(f"region group {name!r} repeats a node id")
     for j, ids in enumerate(groups):
         for name, other in zip(names, groups[:j]):
             if np.intersect1d(ids, other).size:
@@ -443,7 +436,7 @@ def select_multi(mesh, params):
         raise ValueError("no regions given")
     names = [region.group for region in params.regions]
     groups = [mesh.group(name) for name in names]
-    _check_regions(mesh, names, groups)
+    _check_regions(names, groups)
 
     per_region = {}
     order = []

@@ -581,6 +581,33 @@ def test_sweep_mu_refuses_a_value_the_table_lacks(tmp_path, monkeypatch,
     assert not selected
 
 
+@pytest.mark.parametrize("command", ["morph", "pod-offline"])
+def test_a_table_missing_free_control_ids_fails_before_any_work(
+        tmp_path, monkeypatch, capsys, command):
+    # the entry at the config's mu covers every control id, the one at
+    # mu 1.0 only the first half of them
+    mesh = cli_mesh()
+    d = mk.evaluate(mk.bend_law(mesh.boundary_ids, (0.0, 0.02)), mesh, 0.01)
+    half = d.indices.size // 2
+    table = tmp_path / "half.json"
+    table.write_text(json.dumps({"domain": [0.0, 1.0], "entries": [
+        {"mu": 0.01, "indices": d.indices.tolist(),
+         "vectors": d.vectors.tolist()},
+        {"mu": 1.0, "indices": d.indices[:half].tolist(),
+         "vectors": d.vectors[:half].tolist()}]}))
+    cfg = write_cfg(tmp_path, law={"kind": "tabulated", "path": str(table)})
+    selected = counted(monkeypatch, selection, "select_multi")
+    assembled = counted(monkeypatch, idw, "assemble")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    missing = d.indices[half:half + 5].tolist()
+    assert capsys.readouterr().err == (
+        f"error: {table}: entry at mu=1.0: ids not covered by field: "
+        f"{missing}\n")
+    assert selected == assembled == []
+    assert not out.exists()
+
+
 def test_random_baseline(tmp_path, capsys):
     cfg = write_cfg(tmp_path, baseline_seed=42)
     out = tmp_path / "out"
@@ -604,6 +631,21 @@ def test_random_baseline_needs_selection(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "out")]) == 1
     assert "selection" in capsys.readouterr().err
     assert not assembled  # not even the dense full operator
+
+
+def test_random_baseline_refuses_a_selection_of_every_boundary_node(
+        tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, selection={
+        "radius": 0.001, "seed": 1, "regions": [{"group": g} for g in FACES]})
+    assembled = counted(monkeypatch, idw, "assemble")
+    interpolated = counted(monkeypatch, idw, "interpolate")
+    assert main(["random-baseline", "--config", str(cfg),
+                 "--out", str(tmp_path / "out"), "--draws", "5"]) == 1
+    k = cli_mesh().boundary_ids.size
+    assert capsys.readouterr().err == (
+        f"error: the selection keeps all {k} boundary nodes, so every random "
+        "draw would be that same set\n")
+    assert len(assembled) == 1 and not interpolated
 
 
 @pytest.mark.parametrize("command", [
@@ -829,8 +871,9 @@ LEFT = {"radius": 0.3, "regions": [{"group": "left"}]}
     (["sweep", "--axis", "a", "--values", "0", "--couple-b"], {},
      "error: a must lie in (0, 1), got 0.0\n"),
     # a KeyError's message, without the quotes its str() adds
-    (["morph"], {"law": {"kind": "tabulated", "path": "table.json"},
-                 "mu": 0.25},
+    # (every face clamped, so its one entry covers the free control ids)
+    (["morph"], {"law": {"kind": "tabulated", "path": "table.json",
+                         "clamp_groups": FACES}, "mu": 0.25},
      "error: tabulated law has no entry for mu=0.25\n"),
     # sections and values a command needs but the config leaves empty
     (["mesh-gen"], {"mesh": {}}, "error: config has no 'mesh' section\n"),
@@ -849,7 +892,8 @@ LEFT = {"radius": 0.3, "regions": [{"group": "left"}]}
      "error: t_width.json: entries[1]: vectors have width 2, those of "
      "entries[0] 3\n"),
     (["morph"], {"law": {"kind": "tabulated", "path": "t_2d.json"}},
-     "error: t_2d.json: vectors have width 2, the mesh has dim 3\n"),
+     "error: t_2d.json: entry at mu=0.5: vectors have width 2, the mesh "
+     "has dim 3\n"),
 ])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_command_leaves_no_directory_it_made(
@@ -950,8 +994,9 @@ def test_tabulated_law_of_another_width_fails_before_any_assembly(
     cfg = write_cfg(tmp_path, law={"kind": "tabulated", "path": "t_2d.json"})
     out = tmp_path / "out"
     assert main(["pod-offline", "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: t_2d.json: vectors have width "
-                                       "2, the mesh has dim 3\n")
+    assert capsys.readouterr().err == ("error: t_2d.json: entry at mu=0.5: "
+                                       "vectors have width 2, the mesh has "
+                                       "dim 3\n")
     assert not out.exists()
 
 

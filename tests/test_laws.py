@@ -477,6 +477,12 @@ def test_read_tabulated(tiny_wing, tmp_path):
         read_tabulated(path, ids)
     assert str(err.value) == (f"{path}: entries[1]: vectors have width 2, "
                               "those of entries[0] 3")
+    # a table without entries is the file's fault too
+    doc["entries"] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        read_tabulated(path, ids)
+    assert str(err.value) == f"{path}: the document: 'entries' is empty"
 
 
 # ---------------------------------------------------------------------------

@@ -217,12 +217,13 @@ _ID_HOLDERS = {
     "select": (lambda ids: mk.select(_CUBE, ids, 0.01).selected, _IN_MESH),
     "enrich": (lambda ids: mk.enrich(ids, _CUBE, []), _IN_MESH),
     "select-random": (lambda ids: mk.select_random(ids, 3, 0), _UNIQUE),
-    # a mesh's ids are sorted on the way in; repeats are Mesh.validate's
+    # a mesh checks its ids as it is built, and sorts them
     "mesh-boundary": (lambda ids: Mesh(
-        3, _CUBE.nodes, _CUBE.elements, ids, []).boundary_ids, {}),
+        3, _CUBE.nodes, _CUBE.elements, ids,
+        np.setdiff1d(np.arange(8), ids)).boundary_ids, _IN_MESH),
     "mesh-group": (lambda ids: Mesh(
         3, _CUBE.nodes, _CUBE.elements, _CUBE.boundary_ids,
-        _CUBE.interior_ids, {"g": ids}).groups["g"], {}),
+        _CUBE.interior_ids, {"g": ids}).groups["g"], _IN_MESH),
 }
 # entry points returning a fresh array for the caller to own
 _FRESH = {"enrich", "select-random"}
@@ -534,11 +535,12 @@ def test_mesh_bbox_and_tolerance(tiny_wing):
 
 
 def test_validate_catches_bad_element_index():
+    # the mesh refuses it as it is built, before validate() could run
     nodes = np.eye(3)
-    mesh = Mesh(3, np.vstack([nodes, [1.0, 1.0, 1.0]]),
-                [[0, 1, 2, 9]], [0, 1, 2, 3], [])
-    with pytest.raises(ValueError):
-        mesh.validate()
+    with pytest.raises(ValueError,
+                       match="^element refers to a node id out of range$"):
+        Mesh(3, np.vstack([nodes, [1.0, 1.0, 1.0]]),
+             [[0, 1, 2, 9]], [0, 1, 2, 3], [])
 
 
 def test_validate_catches_coincident_nodes():
@@ -562,17 +564,17 @@ def test_a_validate_that_passes_marks_only_its_mesh():
 def test_validate_catches_nonpartition():
     nodes = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
              [0.0, 0.0, 1.0]]
-    mesh = Mesh(3, nodes, [[0, 1, 2, 3]], [0, 1], [2])  # node 3 unclaimed
-    with pytest.raises(ValueError):
-        mesh.validate()
+    with pytest.raises(ValueError, match="^boundary and interior ids do not "
+                       "partition the node set$"):
+        Mesh(3, nodes, [[0, 1, 2, 3]], [0, 1], [2])  # node 3 unclaimed
 
 
 def test_validate_catches_group_outside_boundary():
     nodes = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
              [0.0, 0.0, 1.0]]
-    mesh = Mesh(3, nodes, [[0, 1, 2, 3]], [0, 1, 2], [3], {"g": [3]})
-    with pytest.raises(ValueError, match="boundary"):
-        mesh.validate()
+    with pytest.raises(ValueError,
+                       match="^group 'g' contains non-boundary nodes$"):
+        Mesh(3, nodes, [[0, 1, 2, 3]], [0, 1, 2], [3], {"g": [3]})
 
 
 _TET = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -589,9 +591,17 @@ _TET = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 ])
 def test_validate_refuses_each_malformed_part(dim, nodes, elements, interior,
                                               match):
-    mesh = Mesh(dim, nodes, elements, [0, 1, 2, 3], interior)
-    with pytest.raises(ValueError, match=match):
-        mesh.validate()
+    # every part but the coincident nodes is refused as the mesh is built
+    def build():
+        return Mesh(dim, nodes, elements, [0, 1, 2, 3], interior)
+
+    if "coincide" in match:
+        mesh = build()
+        with pytest.raises(ValueError, match=match):
+            mesh.validate()
+    else:
+        with pytest.raises(ValueError, match=match):
+            build()
 
 
 @pytest.mark.parametrize("call, match", [
@@ -672,7 +682,7 @@ def test_mesh_sorts_and_copies_ids_it_cannot_keep():
     view.setflags(write=False)
     assert not np.shares_memory(Mesh(2, nodes, elements, view, [4]).boundary_ids,
                                 view)
-    scalar = Mesh(2, nodes, elements, boundary, 4)
+    scalar = Mesh(2, nodes, elements, [3, 1, 0, 2], 4)
     np.testing.assert_array_equal(scalar.interior_ids, [4])
 
 
@@ -1025,25 +1035,24 @@ def test_json_bytes_without_elements_or_group_members(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_write_mesh_refuses_nonfinite_coordinates(tiny_wing, tmp_path, bad):
+def test_write_mesh_refuses_nonfinite_coordinates(tiny_wing, bad):
+    # no mesh holds such coordinates, so none reaches write_mesh
     nodes = tiny_wing.nodes.copy()
     nodes[13, 1] = bad
-    path = tmp_path / "mesh.json"
-    with pytest.raises(ValueError, match="non-finite"):
-        write_mesh(tiny_wing.with_nodes(nodes), path)
-    assert not path.exists()
+    with pytest.raises(ValueError,
+                       match="^node coordinates contain non-finite values$"):
+        tiny_wing.with_nodes(nodes)
 
 
 @pytest.mark.parametrize("bad", [-1, 27, 10 ** 6])
-def test_write_mesh_refuses_element_ids_out_of_range(tiny_wing, tmp_path, bad):
+def test_write_mesh_refuses_element_ids_out_of_range(tiny_wing, bad):
+    # no mesh holds such elements, so none reaches write_mesh
     elements = tiny_wing.elements.copy()
     elements[5, 2] = bad
-    mesh = Mesh(3, tiny_wing.nodes, elements, tiny_wing.boundary_ids,
-                tiny_wing.interior_ids)
-    path = tmp_path / "mesh.json"
-    with pytest.raises(ValueError, match="out of range"):
-        write_mesh(mesh, path)
-    assert not path.exists()
+    with pytest.raises(ValueError,
+                       match="^element refers to a node id out of range$"):
+        Mesh(3, tiny_wing.nodes, elements, tiny_wing.boundary_ids,
+             tiny_wing.interior_ids)
 
 
 def test_json_roundtrip_2d(lattice11, tmp_path):
@@ -1098,6 +1107,8 @@ def test_read_mesh_missing_key(tmp_path):
 
 
 def test_read_mesh_refuses_a_mesh_that_fails_validate(tiny_wing, tmp_path):
+    # a structural fault is refused as the mesh is built, coincident nodes
+    # by validate()
     path = tmp_path / "mesh.json"
     write_mesh(tiny_wing, path)
     doc = json.loads(path.read_text())
@@ -1105,7 +1116,32 @@ def test_read_mesh_refuses_a_mesh_that_fails_validate(tiny_wing, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(MeshFormatError) as err:
         read_mesh(path)
-    assert str(err.value) == f"{path}: boundary and interior ids overlap"
+    assert str(err.value) == (
+        f"{path}: malformed mesh document: boundary and interior ids overlap")
+    doc["interior"].pop()
+    doc["nodes"][1] = doc["nodes"][0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MeshFormatError) as err:
+        read_mesh(path)
+    assert str(err.value).startswith(f"{path}: nodes 0 and 1 coincide within ")
+
+
+@pytest.mark.parametrize("where, message", [
+    ("boundary", "boundary_ids contain duplicates"),
+    ("interior", "interior_ids contain duplicates"),
+    ("group", "group 'left' contain duplicates"),
+])
+def test_read_mesh_refuses_a_repeated_id(tiny_wing, tmp_path, where, message):
+    path = tmp_path / "mesh.json"
+    write_mesh(tiny_wing, path)
+    doc = json.loads(path.read_text())
+    ids = {"boundary": doc["boundary"], "interior": doc["interior"],
+           "group": doc["groups"]["left"]}[where]
+    ids.append(ids[0])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MeshFormatError) as err:
+        read_mesh(path)
+    assert str(err.value) == f"{path}: malformed mesh document: {message}"
 
 
 # a file for each refusal of the one JSON reader, mesh._read_json, and its

@@ -72,7 +72,8 @@ def test_write_reports_csv(tmp_path):
     write_reports_csv(reports, path)
     lines = path.read_text().splitlines()
     assert lines[0] == GOLDEN_HEADER
-    rows = list(csv.DictReader(path.open()))
+    with path.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0]["method"] == "idw"
     assert float(rows[1]["rel_error"]) == 0.04
     assert rows[1]["t_online_s"] == ""

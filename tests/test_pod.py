@@ -1011,6 +1011,21 @@ def test_read_model_refuses_an_oversize_header(wing, tmp_path, rows):
         tracemalloc.stop()
 
 
+def test_read_model_refuses_a_member_of_another_npy_version(wing, tmp_path):
+    path = tmp_path / "model.bin"
+    model = _small_model(wing)
+    write_model(model, path)
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.ascontiguousarray(model.basis),
+                              version=(2, 0))
+    _with_members(path, basis=buf.getvalue())
+    with pytest.raises(ValueError) as err:
+        read_model(path)
+    assert str(err.value) == (
+        f"{path}: bad model file: ValueError(\"member 'basis' is not a "
+        "version 1.0 .npy array\")")
+
+
 def test_read_model_rejects_repeated_target_id(wing, tmp_path):
     model = _small_model(wing)
     path = tmp_path / "model.bin"

@@ -529,21 +529,33 @@ def test_rim_candidate_stays_in_the_last_ring():
                                              seed_point=0)[1]
 
 
-@pytest.mark.parametrize("groups, message", [
-    ({"twice": [3, 3, 5]}, "'twice' repeats a node id"),
-    ({"past": [5, 121]}, r"'past' holds node ids out of range \[0, 121\)"),
-    ({"below": [-1, 5]}, r"'below' holds node ids out of range \[0, 121\)"),
-    ({"lo": [3, 4, 5], "hi": [5, 6]}, "'lo' and 'hi' overlap"),
+@pytest.mark.parametrize("groups, fault, message", [
+    ({"twice": [3, 3, 5]}, "'twice' repeats a node id",
+     "^group 'twice' contain duplicates$"),
+    ({"past": [5, 121]}, "'past' holds node ids out of range",
+     r"^group 'past' out of range \[0, 121\): \[121\]$"),
+    ({"below": [-1, 5]}, "'below' holds node ids out of range",
+     r"^group 'below' out of range \[0, 121\): \[-1\]$"),
+    ({"lo": [3, 4, 5], "hi": [5, 6]}, "'lo' and 'hi' overlap",
+     "^region groups 'lo' and 'hi' overlap$"),
 ])
 def test_select_multi_checks_groups_of_meshes_never_validated(
-        lattice11, groups, message):
-    # Mesh keeps its groups sorted; repeats and range are left to
-    # validate(), which this mesh never ran
-    mesh = mk.Mesh(2, lattice11.nodes, lattice11.elements,
-                   lattice11.boundary_ids, lattice11.interior_ids, groups)
+        lattice11, groups, fault, message):
+    # ``fault`` names each case's defect. The mesh refuses a group that
+    # repeats an id or leaves its nodes as it is built, validate() or not;
+    # select_multi refuses groups that overlap
+    def build():
+        return mk.Mesh(2, lattice11.nodes, lattice11.elements,
+                       lattice11.boundary_ids, lattice11.interior_ids, groups)
+
     params = SelectionParams([(name, 1.5) for name in groups])
-    with pytest.raises(ValueError, match=message):
-        select_multi(mesh, params)
+    if "overlap" in message:
+        mesh = build()
+        with pytest.raises(ValueError, match=message):
+            select_multi(mesh, params)
+    else:
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_one_way_random_pick_draws_nothing():
