@@ -195,20 +195,16 @@ def build_law(cfg, mesh):
         if spec.get("domain", list(law.domain)) != list(law.domain):
             raise ValueError(f"'law.domain' {spec['domain']!r} differs from "
                              f"the domain {list(law.domain)} of {spec['path']}")
-        free_ids = laws._resolve(law, mesh)[0]
-        for mu, entry in law.table.items():  # before any selection or assembly
-            try:
-                if entry.dim != mesh.dim:
-                    raise ValueError(f"vectors have width {entry.dim}, the "
-                                     f"mesh has dim {mesh.dim}")
-                entry.restrict(free_ids)
-            except ValueError as exc:
-                raise ValueError(f"{spec['path']}: entry at mu={mu}: {exc}") from None
+        try:  # every entry against the mesh, before any selection or assembly
+            laws._resolve(law, mesh)
+        except ValueError as exc:  # an entry's refusal names its mu, not the file
+            if not str(exc).startswith("entry at"):
+                raise
+            raise ValueError(f"{spec['path']}: {exc}") from None
         return law
-    domain = tuple(spec["domain"])
     if spec["kind"] == "bend":
-        return laws.bend_law(control_ids, domain, clamp)
-    return laws.rotation_law(control_ids, domain, spec["pivot"],
+        return laws.bend_law(control_ids, spec["domain"], clamp)
+    return laws.rotation_law(control_ids, spec["domain"], spec["pivot"],
                              clamp_groups=clamp, **_given(spec, "axis"))
 
 

@@ -39,8 +39,13 @@ _AXES = {"x": 0, "y": 1, "z": 2}
 
 
 def _domain(domain):
-    """(lo, hi) of ``domain`` as floats; an empty one raises ValueError."""
-    lo, hi = (_scalar(v, "domain bound") for v in domain)
+    """(lo, hi) of ``domain`` as floats; one that is not a pair, or is
+    empty, raises ValueError."""
+    try:
+        lo, hi = domain
+    except (TypeError, ValueError):
+        raise ValueError(f"domain must be [lo, hi], got {domain!r}") from None
+    lo, hi = _scalar(lo, "domain bound"), _scalar(hi, "domain bound")
     if not lo <= hi:
         raise ValueError(f"domain [{lo}, {hi}] is empty")
     return lo, hi
@@ -77,9 +82,12 @@ class DisplacementLaw:
         if self.kind == "tabulated":
             if not self.table:
                 raise ValueError("tabulated law needs a non-empty table")
-            object.__setattr__(self, "table",
-                               {_scalar(k, "tabulated mu"): v
-                                for k, v in self.table.items()})
+            table = {_scalar(k, "tabulated mu"): v for k, v in self.table.items()}
+            for mu in table:  # an entry's fit to a mesh is _resolve's
+                if not self.domain[0] <= mu <= self.domain[1]:
+                    raise ValueError(f"entry at mu={mu} outside domain "
+                                     f"{list(self.domain)}")
+            object.__setattr__(self, "table", table)
 
 
 def bend_law(control_ids, domain, clamp_groups=()):
@@ -109,14 +117,15 @@ def _step(dim, axis, radians):
 
 
 def _resolve(law, mesh):
-    """``law`` against ``mesh``, independent of mu: (free_ids, flat, rows, r).
+    """``law`` against ``mesh``, independent of mu: (flat, rows, r).
 
-    ``free_ids`` are the control ids outside every clamp group, in the
+    The free ids are the control ids outside every clamp group, in the
     law's order; ``flat`` their entries' positions in the node-major
     flattening of a (n_controls, dim) field, as an index array;
     ``rows`` their squared span coordinate (bend), coordinates relative to
-    the pivot (rotation) or None (tabulated); ``r`` max|rows| as a Python
-    float, 0.0 without rows, NaN or inf with NaN or inf rows.
+    the pivot (rotation) or per mu the entry's rows at them (tabulated: all
+    widths, then all covers, checked here); ``r`` max|rows| as a Python
+    float, 0.0 without rows or for a table, NaN or inf with NaN or inf rows.
 
     Both the law and the mesh are immutable, so the answer is cached on
     the law for the last mesh it met, keyed by that mesh's identity
@@ -143,10 +152,19 @@ def _resolve(law, mesh):
             raise ValueError("2D rotation must be about 'z'")
         # take is the fast form of the gather, with bitwise the same rows
         rows = np.take(mesh.nodes, free_ids, axis=0) - law.pivot
-    else:
-        rows = None
-    r = float(np.abs(rows).max()) if rows is not None and rows.size else 0.0
-    resolved = (free_ids, flat, rows, r)
+    else:  # every entry, once per mesh: first the widths, then the ids
+        for mu, entry in law.table.items():
+            if entry.dim != mesh.dim:
+                raise ValueError(f"entry at mu={mu}: vectors have width "
+                                 f"{entry.dim}, the mesh has dim {mesh.dim}")
+        rows = {}
+        for mu, entry in law.table.items():
+            try:
+                rows[mu] = entry.restrict(free_ids).vectors
+            except ValueError as exc:
+                raise ValueError(f"entry at mu={mu}: {exc}") from None
+    r = float(np.abs(rows).max()) if law.kind != "tabulated" and rows.size else 0.0
+    resolved = (flat, rows, r)
     object.__setattr__(law, "_resolved", (weakref.ref(mesh), resolved))
     return resolved
 
@@ -154,9 +172,10 @@ def _resolve(law, mesh):
 def evaluate(law, mesh, mu):
     """Displacement field of ``law`` at parameter ``mu`` over its control ids.
 
-    Only the free rows are computed; clamped rows are zero. ``mu`` other
-    than a float goes through ``mesh._scalar``, so None, a bool or a
-    string raises ValueError. Raises DomainError when mu falls outside the
+    Only the free rows are computed (a table's are looked up, checked by
+    :func:`_resolve`); clamped rows are zero. ``mu`` other than a float goes
+    through ``mesh._scalar``, so None, a bool or a string raises
+    ValueError. Raises DomainError when mu falls outside the
     declared domain and KeyError when a tabulated law has no entry for mu.
     """
     if type(mu) is not float:  # a float, the usual case, skips the gate
@@ -164,7 +183,7 @@ def evaluate(law, mesh, mu):
     lo, hi = law.domain
     if not lo <= mu <= hi:
         raise DomainError(f"mu={mu} outside domain [{lo}, {hi}]")
-    free_ids, flat, rows, r = _resolve(law, mesh)
+    flat, rows, r = _resolve(law, mesh)
 
     # bound on every |entry|: |mu| * max|rows| for the bend; for the
     # rotation (dim + 1) * max|rows|, as a column of S holds |cos θ − 1|
@@ -177,14 +196,10 @@ def evaluate(law, mesh, mu):
         # a row's result does not depend on the others
         moved = rows @ _step(mesh.dim, law.axis, math.radians(mu))
         bound = (mesh.dim + 1) * r
+    elif mu not in rows:
+        raise KeyError(f"tabulated law has no entry for mu={mu}")
     else:
-        if mu not in law.table:
-            raise KeyError(f"tabulated law has no entry for mu={mu}")
-        moved = law.table[mu].restrict(free_ids).vectors
-        if moved.shape[1] != mesh.dim:
-            raise ValueError(f"tabulated entry for mu={mu} has dim "
-                             f"{moved.shape[1]}, mesh has {mesh.dim}")
-        bound = 0.0
+        moved, bound = rows[mu], 0.0
 
     ids = law.control_ids
     vec = np.zeros((ids.size, mesh.dim))
@@ -203,11 +218,11 @@ def sample_domain(domain, n, seed):
 def read_tabulated(path, control_ids, clamp_groups=()):
     """Tabulated law from the JSON file ``path``, over the file's domain:
     {"domain": [lo, hi], "entries": [{"mu": m, "indices": [...],
-    "vectors": [[...]]}, ...]}. A file of another shape, one without
-    entries, or one whose entries repeat a mu or differ in vector width,
-    raises ValueError naming the file, the entry and the key, the mu or the
-    widths."""
+    "vectors": [[...]]}, ...]}. A file of another shape, or one the law
+    refuses (no entries, a mu outside the domain), or one that repeats a mu,
+    raises ValueError naming the file, the entry and the key or the mu."""
     doc = _read_json(path, ("domain", "entries"))
+    control_ids = _node_ids(control_ids, "control_ids")  # not the file's fault
     where, table = "the document", {}
     try:  # only what comes from the file
         for i, entry in enumerate(doc["entries"]):
@@ -216,16 +231,9 @@ def read_tabulated(path, control_ids, clamp_groups=()):
             if mu in table:
                 raise ValueError(f"repeats mu {mu!r}")
             table[mu] = DisplacementField(entry["indices"], entry["vectors"])
-            first = next(iter(table.values()))
-            if table[mu].dim != first.dim:
-                raise ValueError(f"vectors have width {table[mu].dim}, "
-                                 f"those of entries[0] {first.dim}")
         where = "the document"
-        if not table:
-            raise ValueError("'entries' is empty")
-        domain = _domain(doc["domain"])
+        return tabulated_law(control_ids, doc["domain"], table, clamp_groups)
     except KeyError as exc:
         raise ValueError(f"{path}: {where} has no {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {where}: {exc}") from None
-    return tabulated_law(control_ids, domain, table, clamp_groups)

@@ -343,6 +343,17 @@ def merge_fields(*fields):
         idx, np.vstack([f.vectors for f in fields]), 0.0)
 
 
+def _coordinates(nodes, dim):
+    """``nodes`` through :func:`_own` as float64, refused with ValueError
+    unless of shape (n, dim) and finite."""
+    nodes = _own(np.atleast_2d(nodes), np.float64)
+    if nodes.ndim != 2 or nodes.shape[1] != dim:
+        raise ValueError(f"nodes must have shape (n, {dim})")
+    if not np.isfinite(nodes).all():
+        raise ValueError("node coordinates contain non-finite values")
+    return nodes
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Immutable simplicial mesh, its structure checked when it is built.
@@ -373,11 +384,7 @@ class Mesh:
         Frozen owned arrays, as every Mesh holds, are kept uncopied."""
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        nodes = _own(np.atleast_2d(self.nodes), np.float64)
-        if nodes.ndim != 2 or nodes.shape[1] != self.dim:
-            raise ValueError(f"nodes must have shape (n, {self.dim})")
-        if not np.isfinite(nodes).all():
-            raise ValueError("node coordinates contain non-finite values")
+        nodes = _coordinates(self.nodes, self.dim)
         n = nodes.shape[0]
         elements = _int_ids(self.elements, "elements")
         if elements.size == 0:
@@ -462,9 +469,20 @@ class Mesh:
         return self
 
     def with_nodes(self, nodes):
-        """Same topology and groups, new coordinates."""
-        return Mesh(self.dim, nodes, self.elements,
-                    self.boundary_ids, self.interior_ids, self.groups)
+        """Same topology and groups, new coordinates. Only these are
+        checked; the rest is this mesh's, checked when it was built. What
+        was computed from or for the old nodes (validate's flag, the
+        cached properties) is not carried over."""
+        nodes = _coordinates(nodes, self.dim)
+        if nodes.shape[0] != self.node_count:
+            raise ValueError(f"nodes must have shape ({self.node_count}, "
+                             f"{self.dim})")
+        moved = object.__new__(Mesh)
+        for name in ("dim", "elements", "boundary_ids", "interior_ids",
+                     "groups"):
+            object.__setattr__(moved, name, getattr(self, name))
+        object.__setattr__(moved, "nodes", nodes)
+        return moved
 
     def __eq__(self, other):
         if not isinstance(other, Mesh):
@@ -539,6 +557,19 @@ def _lattice(axes, hole=None):
     return nodes, elements, index, faces
 
 
+def _extents(value, what):
+    """``value`` as three finite positive float extents, else ValueError
+    naming ``what``, and the value when it does not read as numbers."""
+    rule = f"{what} must be three positive extents"
+    try:
+        extents = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{rule}, got {value!r}") from None
+    if extents.shape != (3,) or not (np.isfinite(extents) & (extents > 0)).all():
+        raise ValueError(rule)
+    return extents
+
+
 def generate_box_wing(nx, ny, nz, lengths):
     """Structured tetrahedral box with wing-style face groups.
 
@@ -559,9 +590,7 @@ def generate_box_wing(nx, ny, nz, lengths):
     """
     counts = tuple(_scalar(n, name, True, 1)
                    for n, name in zip((nx, ny, nz), ("nx", "ny", "nz")))
-    lengths = np.asarray(lengths, dtype=np.float64)
-    if lengths.shape != (3,) or np.any(lengths <= 0):
-        raise ValueError("lengths must be three positive extents")
+    lengths = _extents(lengths, "lengths")
 
     nodes, elements, (ix, iy, iz), faces = _lattice(
         [np.arange(n + 1) * (length / n) for n, length in zip(counts, lengths)])
@@ -625,12 +654,7 @@ def generate_tunnel(outer, inner, resolution):
         "obstacle" (all obstacle-surface nodes) and "obstacle_edges"
         (obstacle nodes lying on two or more obstacle faces).
     """
-    outer = np.asarray(outer, dtype=np.float64)
-    inner = np.asarray(inner, dtype=np.float64)
-    if outer.shape != (3,) or np.any(outer <= 0):
-        raise ValueError("outer must be three positive extents")
-    if inner.shape != (3,) or np.any(inner <= 0):
-        raise ValueError("inner must be three positive extents")
+    outer, inner = _extents(outer, "outer"), _extents(inner, "inner")
     if np.any(inner >= outer):
         raise ValueError("inner box must be strictly inside the outer box")
     if np.ndim(resolution) == 0:

@@ -608,6 +608,30 @@ def test_a_table_missing_free_control_ids_fails_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["morph", "pod-offline"])
+def test_a_table_entry_outside_its_domain_fails_before_any_work(
+        tmp_path, monkeypatch, capsys, command):
+    # morph runs at an entry inside the domain, pod-offline would train on
+    # every entry; both refuse the file before the selection
+    mesh = cli_mesh()
+    d = mk.evaluate(mk.bend_law(mesh.boundary_ids, (0.0, 0.02)), mesh, 0.01)
+    table = tmp_path / "outside.json"
+    table.write_text(json.dumps({"domain": [0.0, 1.0], "entries": [
+        {"mu": mu, "indices": d.indices.tolist(),
+         "vectors": (mu * d.vectors).tolist()} for mu in (0.0, 0.5, 1.5)]}))
+    cfg = write_cfg(tmp_path, law={"kind": "tabulated", "path": str(table)},
+                    mu=0.5)
+    selected = counted(monkeypatch, selection, "select_multi")
+    assembled = counted(monkeypatch, idw, "assemble")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {table}: the document: entry at mu=1.5 outside domain "
+        "[0.0, 1.0]\n")
+    assert selected == assembled == []
+    assert not out.exists()
+
+
 def test_random_baseline(tmp_path, capsys):
     cfg = write_cfg(tmp_path, baseline_seed=42)
     out = tmp_path / "out"
@@ -705,6 +729,7 @@ TABLES = {
         ENTRY, {"mu": 0.75, "indices": [0], "vectors": [[0.0, 0.0]]}]},
     "t_2d": {"domain": [0.0, 1.0], "entries": [
         {"mu": 0.5, "indices": [0], "vectors": [[0.0, 0.0]]}]},
+    "t_domain": {"domain": [0, 1, 2], "entries": [ENTRY]},
 }
 WING = {"generator": "box_wing", "nx": 3, "ny": 2, "nz": 6,
         "lengths": [1.0, 0.25, 2.0]}
@@ -889,11 +914,26 @@ LEFT = {"radius": 0.3, "regions": [{"group": "left"}]}
      "error: --values is empty\n"),
     # a tabulated law's vectors: one width, the mesh's dim
     (["morph"], {"law": {"kind": "tabulated", "path": "t_width.json"}},
-     "error: t_width.json: entries[1]: vectors have width 2, those of "
-     "entries[0] 3\n"),
+     "error: t_width.json: entry at mu=0.75: vectors have width 2, the mesh "
+     "has dim 3\n"),
     (["morph"], {"law": {"kind": "tabulated", "path": "t_2d.json"}},
      "error: t_2d.json: entry at mu=0.5: vectors have width 2, the mesh "
      "has dim 3\n"),
+    # domains that are not a pair, and extents that are not numbers
+    *[(["morph"], {"law": {"kind": "bend", "domain": domain}},
+       f"error: domain must be [lo, hi], got {domain}\n")
+      for domain in ([0, 1, 2], [0], [])],
+    (["morph"], {"law": {"kind": "tabulated", "path": "t_domain.json"}},
+     "error: t_domain.json: the document: domain must be [lo, hi], got "
+     "[0, 1, 2]\n"),
+    (["mesh-gen"], {"mesh": dict(WING, lengths="abc")},
+     "error: lengths must be three positive extents, got 'abc'\n"),
+    (["mesh-gen"], {"mesh": dict(TUNNEL, outer="x")},
+     "error: outer must be three positive extents, got 'x'\n"),
+    # a clamp group the mesh lacks is the config's fault, not the table's
+    (["morph"], {"law": {"kind": "tabulated", "path": "table.json",
+                         "clamp_groups": ["lefft"]}},
+     "error: unknown group 'lefft'; have ["),
 ])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_command_leaves_no_directory_it_made(

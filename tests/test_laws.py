@@ -11,6 +11,7 @@ import pytest
 
 import morphkit as mk
 from morphkit import laws
+from morphkit import mesh as mesh_module
 from morphkit import (DisplacementField, DomainError, bend_law, evaluate,
                       read_tabulated, rotation_law, sample_domain,
                       tabulated_law)
@@ -433,8 +434,54 @@ def test_tabulated_entry_of_another_dim_is_rejected(tiny_wing):
     flat = DisplacementField(ids, np.ones((ids.size, 2)))
     for groups in ((), ("left",)):
         law = tabulated_law(ids, (0.0, 1.0), {0.5: flat}, clamp_groups=groups)
-        with pytest.raises(ValueError, match="has dim 2, mesh has 3"):
+        with pytest.raises(ValueError, match=r"^entry at mu=0\.5: vectors "
+                                             r"have width 2, the mesh has dim 3$"):
             evaluate(law, tiny_wing, 0.5)
+        assert law._resolved is None
+
+
+def test_tabulated_entry_outside_the_domain_is_refused_when_built(tiny_wing):
+    ids = tiny_wing.boundary_ids
+    zero = DisplacementField.zero(ids, 3)
+    for mu in (-0.5, 1.5):
+        with pytest.raises(ValueError, match=rf"^entry at mu={mu} outside "
+                                             r"domain \[0\.0, 1\.0\]$"):
+            tabulated_law(ids, (0.0, 1.0), {0.5: zero, mu: zero})
+    # the bounds themselves are inside
+    law = tabulated_law(ids, (0.0, 1.0), {0.0: zero, 1.0: zero})
+    assert sorted(law.table) == [0.0, 1.0]
+
+
+def test_tabulated_evaluate_is_a_lookup(small_tunnel, monkeypatch):
+    # each entry is restricted once per (law, mesh); evaluate then gives
+    # the entry's free rows bit for bit, clamped rows +0.0, and leaves the
+    # restrict plan of the online query as it found it
+    mesh, ids = small_tunnel, small_tunnel.boundary_ids
+    mus = [-36.0, -12.5, 0.0]
+    law = make_law("tabulated", mesh, ids, OUTER_FACES, mus)
+    mask = np.isin(ids, np.concatenate([mesh.group(g) for g in OUTER_FACES]))
+    calls, real = [], DisplacementField.restrict
+
+    def spy(field, wanted):
+        calls.append(field)
+        return real(field, wanted)
+
+    monkeypatch.setattr(DisplacementField, "restrict", spy)
+    evaluate(law, mesh, mus[0])
+    assert calls == [law.table[mu] for mu in mus]   # compared by identity
+    expected = {}
+    for mu in mus:   # each entry restricted to the free ids, per call
+        expected[mu] = np.zeros((ids.size, 3))
+        expected[mu][~mask] = real(law.table[mu], ids[~mask]).vectors
+    other = DisplacementField(ids, np.ones((ids.size, 3)))
+    real(other, ids[::2])
+    plan = mesh_module._restrict_plan
+    calls.clear()
+    for mu in mus + mus:
+        got = evaluate(law, mesh, mu)
+        assert got.vectors.tobytes() == expected[mu].tobytes()
+    assert calls == []
+    assert mesh_module._restrict_plan is plan
 
 
 def test_read_tabulated(tiny_wing, tmp_path):
@@ -470,19 +517,28 @@ def test_read_tabulated(tiny_wing, tmp_path):
     with pytest.raises(ValueError, match=r"table\.json: entries\[1\]: "
                                          r"repeats mu 0\.5$"):
         read_tabulated(path, ids)
-    # every entry's vectors have the width of the first entry's
+    # an entry's width is checked against the mesh it meets, before any use
     doc["entries"][1].update(mu=1.5, vectors=[[0.2, 0.0]] * 26)
+    path.write_text(json.dumps(doc))
+    law = read_tabulated(path, ids)
+    with pytest.raises(ValueError) as err:
+        evaluate(law, tiny_wing, 0.5)
+    assert str(err.value) == ("entry at mu=1.5: vectors have width 2, "
+                              "the mesh has dim 3")
+    # an entry outside the file's domain, and a table without entries, are
+    # the file's fault too
+    doc["entries"][1].update(mu=2.5)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as err:
         read_tabulated(path, ids)
-    assert str(err.value) == (f"{path}: entries[1]: vectors have width 2, "
-                              "those of entries[0] 3")
-    # a table without entries is the file's fault too
+    assert str(err.value) == (f"{path}: the document: entry at mu=2.5 "
+                              "outside domain [0.0, 2.0]")
     doc["entries"] = []
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as err:
         read_tabulated(path, ids)
-    assert str(err.value) == f"{path}: the document: 'entries' is empty"
+    assert str(err.value) == (f"{path}: the document: tabulated law needs a "
+                              "non-empty table")
 
 
 # ---------------------------------------------------------------------------

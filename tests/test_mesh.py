@@ -632,6 +632,20 @@ def test_mesh_functions_refuse_bad_input(call, match):
         call(mesh)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_generators_refuse_extents_that_are_not_finite(bad):
+    # refused as extents, not later as the nodes they would make
+    with pytest.raises(ValueError,
+                       match="^lengths must be three positive extents$"):
+        generate_box_wing(1, 1, 1, (1.0, bad, 1.0))
+    with pytest.raises(ValueError, match="^outer must be three positive "
+                                         "extents$"):
+        generate_tunnel((4.0, 4.0, bad), (1.0, 1.0, 1.0), 4)
+    with pytest.raises(ValueError, match="^inner must be three positive "
+                                         "extents$"):
+        generate_tunnel((4.0, 4.0, 4.0), (bad, 1.0, 1.0), 4)
+
+
 def test_mesh_equality(tiny_wing):
     again = generate_box_wing(2, 2, 2, (1.0, 1.0, 1.0))
     assert tiny_wing == again
@@ -653,6 +667,43 @@ def test_deformed_meshes_share_their_ids(wing):
     assert moved.interior_ids is wing.interior_ids
     assert moved.groups.keys() == wing.groups.keys()
     assert all(moved.groups[k] is v for k, v in wing.groups.items())
+
+
+def test_with_nodes_checks_only_the_new_coordinates(monkeypatch):
+    # the ids, elements and groups are the parent's, checked when it was
+    # built; nothing computed from the old coordinates is carried over
+    parent = generate_tunnel((4.0, 4.0, 4.0), (1.2, 1.2, 1.2), 4)
+    params = mk.SelectionParams([("obstacle", 0.9), ("left", 1.2)], seed=3)
+    mk.select_multi(parent, params)
+    parent.coincidence_tolerance
+    assert parent._valid and parent._memo
+    nodes = parent.nodes + np.random.default_rng(3).uniform(
+        -0.1, 0.1, parent.nodes.shape)
+    calls = []
+    monkeypatch.setattr(mesh_module, "_node_ids",
+                        lambda *args: calls.append(args))
+    moved = parent.with_nodes(nodes)
+    monkeypatch.undo()
+    assert calls == []
+    fresh = Mesh(3, nodes, parent.elements, parent.boundary_ids,
+                 parent.interior_ids, parent.groups)
+    assert moved == fresh
+    assert not moved._valid
+    assert {"_memo", "bbox_diagonal", "coincidence_tolerance"}.isdisjoint(
+        vars(moved))
+    assert moved.coincidence_tolerance == fresh.coincidence_tolerance
+    a, b = mk.select_multi(moved, params), mk.select_multi(fresh, params)
+    np.testing.assert_array_equal(a.selected, b.selected)
+    assert (a.order, a.trace) == (b.order, b.trace)
+    # bad coordinates are refused as a fresh mesh refuses them, and a count
+    # other than the parent's by the shape the topology needs
+    for bad, message in [
+            (nodes[:, :2], r"^nodes must have shape \(n, 3\)$"),
+            (np.where(nodes == nodes[5, 1], np.nan, nodes),
+             "^node coordinates contain non-finite values$"),
+            (nodes[:-1], rf"^nodes must have shape \({nodes.shape[0]}, 3\)$")]:
+        with pytest.raises(ValueError, match=message):
+            parent.with_nodes(bad)
 
 
 def test_mesh_sorts_and_copies_ids_it_cannot_keep():
