@@ -10,7 +10,7 @@ from ._kernels import backend_name, compiled_available
 from .errors import (DegenerateElementError, DegenerateSampleError,
                      DegenerateSnapshotsError, DomainError,
                      IllPosedOnlineError, MeshFormatError,
-                     ZeroReferenceError)
+                     TableEntryError, ZeroReferenceError)
 from .idw import (IdwConfig, IdwOperator, assemble, deform, interpolate,
                   weights_at)
 from .laws import (DisplacementLaw, bend_law, evaluate, read_tabulated,

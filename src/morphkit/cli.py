@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import idw, laws, metrics, pod, selection
+from . import errors, idw, laws, metrics, pod, selection
 from .mesh import (_read_json, _scalar, _write_artifact, apply_deformation,
                    generate_box_wing, generate_tunnel, merge_fields,
                    mesh_quality, read_mesh, write_mesh)
@@ -197,9 +197,7 @@ def build_law(cfg, mesh):
                              f"the domain {list(law.domain)} of {spec['path']}")
         try:  # every entry against the mesh, before any selection or assembly
             laws._resolve(law, mesh)
-        except ValueError as exc:  # an entry's refusal names its mu, not the file
-            if not str(exc).startswith("entry at"):
-                raise
+        except errors.TableEntryError as exc:  # it names its mu, not the file
             raise ValueError(f"{spec['path']}: {exc}") from None
         return law
     if spec["kind"] == "bend":

@@ -48,5 +48,9 @@ class DomainError(ValueError):
     """A parameter value lies outside the law's declared domain."""
 
 
+class TableEntryError(ValueError):
+    """A tabulated law's entry does not fit the mesh (its width or cover)."""
+
+
 class ZeroReferenceError(ValueError):
     """The reference field of a relative error is identically zero."""

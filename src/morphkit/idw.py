@@ -5,7 +5,9 @@ The weight of control point c_k at a target x is
     w_k(x) = |x - c_k|^(-p) / sum_j |x - c_j|^(-p)
 
 with w(x) collapsing to the indicator of the nearest control when x sits
-on a control point (within a coincidence tolerance). Weights are
+on a control point: within 1e-12 times the bounding box diagonal of the
+mesh (:func:`assemble`, :func:`interpolate`) or of the points at hand
+(:func:`weights_at`). Controls closer than that are refused. Weights are
 evaluated in the overflow-safe ratio form (d_min / d_k)^p, which is
 algebraically identical. Rows therefore always sum to one and a constant
 control displacement is reproduced exactly.
@@ -44,23 +46,16 @@ class IdwConfig:
         p: inverse-distance exponent, integer >= 1; an integral float
             such as 4.0 is taken, while None, a bool, a string or 2.5
             raises ValueError.
-        coincidence_tol: absolute distance under which a target is treated
-            as sitting on a control, a finite number >= 0. None means
-            1e-12 times the bounding box diagonal of the geometry at hand.
     """
 
     p: int = 4
-    coincidence_tol: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "p", _scalar(self.p, "p", True, 1))
-        if self.coincidence_tol is not None:
-            object.__setattr__(self, "coincidence_tol", _scalar(
-                self.coincidence_tol, "coincidence_tol", minimum=0))
 
     def resolve_tol(self, points):
-        if self.coincidence_tol is not None:
-            return float(self.coincidence_tol)
+        """Coincidence tolerance of ``points``: 1e-12 times the diagonal
+        of their bounding box, as a Mesh computes it for its nodes."""
         return COINCIDENCE_FACTOR * _bbox_diagonal(points)
 
 
@@ -72,13 +67,11 @@ class IdwOperator:
         matrix: shape (n_targets, n_controls), entries in [0, 1], rows
             summing to one.
         target_ids / control_ids: node ids labelling rows / columns.
-        config: the IdwConfig used, with coincidence_tol resolved.
     """
 
     matrix: np.ndarray
     target_ids: np.ndarray
     control_ids: np.ndarray
-    config: IdwConfig
 
     def __post_init__(self):
         # a frozen array that owns its data is taken as is; anything that
@@ -94,13 +87,13 @@ class IdwOperator:
         object.__setattr__(self, "control_ids", ctl)
 
     @classmethod
-    def _built(cls, matrix, target_ids, control_ids, config):
+    def _built(cls, matrix, target_ids, control_ids):
         """Operator over a fresh kernel output ``matrix`` and id arrays
         checked at their source; nothing is copied or checked again."""
         matrix.setflags(write=False)
         built = object.__new__(cls)
         for name, value in (("matrix", matrix), ("target_ids", target_ids),
-                            ("control_ids", control_ids), ("config", config)):
+                            ("control_ids", control_ids)):
             object.__setattr__(built, name, value)
         return built
 
@@ -114,19 +107,18 @@ class IdwOperator:
 
 
 def _check_distinct_controls(controls, tol):
-    if tol > 0:
-        pair = coincident_pair(controls, tol)
-        if pair is not None:
-            i, j = pair
-            raise ValueError(
-                f"control points {i} and {j} coincide within {tol:.3e}")
+    pair = coincident_pair(controls, tol)
+    if pair is not None:
+        i, j = pair
+        raise ValueError(f"control points {i} and {j} coincide within {tol:.3e}")
 
 
 def weights_at(x, controls, config=IdwConfig()):
     """Weight vector of ``controls`` at the single point ``x``.
 
     Reference implementation used to cross-check assembled matrix rows;
-    not the bulk path.
+    not the bulk path. Its coincidence tolerance is
+    ``config.resolve_tol`` of the controls and ``x`` together.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
@@ -146,37 +138,29 @@ def weights_at(x, controls, config=IdwConfig()):
     return w / w.sum()
 
 
-def _validated(mesh, control_ids, target_ids, config):
-    """Checked id arrays, control coordinates and resolved tolerance."""
+def _validated(mesh, control_ids, target_ids):
+    """Checked id arrays, control coordinates and the mesh's tolerance."""
     control_ids = _node_ids(control_ids, "control_ids", mesh.node_count)
     target_ids = _node_ids(target_ids, "target_ids", mesh.node_count)
     if control_ids.size == 0:
         raise ValueError("need at least one control point")
     controls = np.ascontiguousarray(mesh.nodes[control_ids])
-    own = config.coincidence_tol is None
-    # the mesh's own tolerance is resolve_tol(mesh.nodes), computed once; a
-    # mesh that passed validate() has swept every node pair at it, and the
-    # control ids are unique
-    tol = mesh.coincidence_tolerance if own else float(config.coincidence_tol)
-    if not (own and mesh._valid):
+    tol = mesh.coincidence_tolerance
+    # a mesh that passed validate() has swept every node pair at tol, and
+    # the control ids are unique
+    if not mesh._valid:
         _check_distinct_controls(controls, tol)
     return control_ids, target_ids, controls, tol
 
 
 def assemble(mesh, control_ids, target_ids, config=IdwConfig()):
-    """Weight matrix of ``control_ids`` at ``target_ids`` for ``mesh``.
-
-    The coincidence tolerance resolves against the mesh bounding box and
-    is stored back into the returned operator's config, so that rows of
-    the operator can be checked against :func:`weights_at` at the mesh's
-    own tolerance.
-    """
+    """Weight matrix of ``control_ids`` at ``target_ids`` for ``mesh``,
+    at the mesh's coincidence tolerance."""
     control_ids, target_ids, controls, tol = _validated(
-        mesh, control_ids, target_ids, config)
+        mesh, control_ids, target_ids)
     matrix = _kernels.assemble_weight_matrix(mesh.nodes[target_ids], controls,
                                              config.p, tol)
-    return IdwOperator._built(matrix, target_ids, control_ids,
-                              IdwConfig(config.p, tol))
+    return IdwOperator._built(matrix, target_ids, control_ids)
 
 
 def interpolate(mesh, displacement, target_ids, config=IdwConfig()):
@@ -189,7 +173,7 @@ def interpolate(mesh, displacement, target_ids, config=IdwConfig()):
     normalized once, after it.
     """
     control_ids, target_ids, controls, tol = _validated(
-        mesh, displacement.indices, target_ids, config)
+        mesh, displacement.indices, target_ids)
     out = _kernels.apply_weights(mesh.nodes[target_ids], controls,
                                  displacement.vectors, config.p, tol)
     out.setflags(write=False)  # frozen, so the field keeps it uncopied

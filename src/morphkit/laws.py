@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TableEntryError
 from .mesh import DisplacementField, _node_ids, _own, _read_json, _scalar
 
 __all__ = [
@@ -51,6 +51,16 @@ def _domain(domain):
     return lo, hi
 
 
+def _clamp_groups(groups):
+    """``groups`` as a tuple of group names; a string, a non-iterable or
+    an entry that is not a string raises ValueError."""
+    iterable = np.iterable(groups) and not isinstance(groups, str)
+    names = tuple(groups) if iterable else (None,)
+    if not all(isinstance(g, str) for g in names):
+        raise ValueError(f"clamp_groups must list group names, got {groups!r}")
+    return names
+
+
 # compared and hashed by identity, like Mesh and DisplacementField: a
 # field-wise == would compare arrays
 @dataclass(frozen=True, eq=False)
@@ -71,7 +81,8 @@ class DisplacementLaw:
         object.__setattr__(self, "control_ids",
                            _node_ids(self.control_ids, "control_ids"))
         object.__setattr__(self, "domain", _domain(self.domain))
-        object.__setattr__(self, "clamp_groups", tuple(self.clamp_groups))
+        object.__setattr__(self, "clamp_groups",
+                           _clamp_groups(self.clamp_groups))
         if self.kind == "rotation":
             if self.axis not in _AXES:
                 raise ValueError(f"axis must be one of {sorted(_AXES)}")
@@ -123,9 +134,10 @@ def _resolve(law, mesh):
     law's order; ``flat`` their entries' positions in the node-major
     flattening of a (n_controls, dim) field, as an index array;
     ``rows`` their squared span coordinate (bend), coordinates relative to
-    the pivot (rotation) or per mu the entry's rows at them (tabulated: all
-    widths, then all covers, checked here); ``r`` max|rows| as a Python
-    float, 0.0 without rows or for a table, NaN or inf with NaN or inf rows.
+    the pivot (rotation) or per mu the entry's rows at them (tabulated:
+    all widths, then all covers, a misfit raising TableEntryError); ``r``
+    max|rows| as a Python float, 0.0 without rows or for a table, NaN or
+    inf with NaN or inf rows.
 
     Both the law and the mesh are immutable, so the answer is cached on
     the law for the last mesh it met, keyed by that mesh's identity
@@ -155,14 +167,14 @@ def _resolve(law, mesh):
     else:  # every entry, once per mesh: first the widths, then the ids
         for mu, entry in law.table.items():
             if entry.dim != mesh.dim:
-                raise ValueError(f"entry at mu={mu}: vectors have width "
-                                 f"{entry.dim}, the mesh has dim {mesh.dim}")
+                raise TableEntryError(f"entry at mu={mu}: vectors have width "
+                                      f"{entry.dim}, the mesh has dim {mesh.dim}")
         rows = {}
         for mu, entry in law.table.items():
             try:
                 rows[mu] = entry.restrict(free_ids).vectors
             except ValueError as exc:
-                raise ValueError(f"entry at mu={mu}: {exc}") from None
+                raise TableEntryError(f"entry at mu={mu}: {exc}") from None
     r = float(np.abs(rows).max()) if law.kind != "tabulated" and rows.size else 0.0
     resolved = (flat, rows, r)
     object.__setattr__(law, "_resolved", (weakref.ref(mesh), resolved))
@@ -223,6 +235,7 @@ def read_tabulated(path, control_ids, clamp_groups=()):
     raises ValueError naming the file, the entry and the key or the mu."""
     doc = _read_json(path, ("domain", "entries"))
     control_ids = _node_ids(control_ids, "control_ids")  # not the file's fault
+    clamp_groups = _clamp_groups(clamp_groups)
     where, table = "the document", {}
     try:  # only what comes from the file
         for i, entry in enumerate(doc["entries"]):

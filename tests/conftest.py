@@ -1,10 +1,24 @@
 """Shared fixtures: small generated meshes, a 2D lattice builder and a
 check that no test leaks a NumPy setting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from morphkit import Mesh, generate_box_wing, generate_tunnel
+
+# After a failing example, Hypothesis's pytest plugin imports its patch
+# writer, which imports libcst where that is installed; libcst 1.0 warns
+# from mypy_extensions on import, and under filterwarnings = error that
+# warning ends the whole test run. Imported once here, quietly, the module
+# is cached and the failure is reported as a failure.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 
 @pytest.fixture(autouse=True)

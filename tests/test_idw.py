@@ -1,5 +1,7 @@
 """Weight formula, matrix assembly and deformation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,8 +67,8 @@ def test_weights_reject_missing_or_mismatched_controls(x, controls, match):
 
 def test_weights_huge_exponent_does_not_overflow():
     # d^(-p) would overflow for p=300; the ratio form must not
-    w = weights_at([1e-8, 0.0], [[0.0, 0.0], [1.0, 0.0]],
-                   IdwConfig(p=300, coincidence_tol=0.0))
+    # x = 1e-8 lies far outside the tolerance of 1e-12 x the diagonal
+    w = weights_at([1e-8, 0.0], [[0.0, 0.0], [1.0, 0.0]], IdwConfig(p=300))
     assert np.isfinite(w).all()
     np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
     assert w[0] == pytest.approx(1.0)
@@ -81,11 +83,14 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"got {p!r}"):
             IdwConfig(p=p)
     assert type(IdwConfig(p=4.0).p) is int and IdwConfig(p=4.0).p == 4
-    for tol in (-1.0, "x", True, np.nan):
-        with pytest.raises(ValueError, match=f"coincidence_tol must be a "
-                                             f"finite number >= 0, got {tol!r}"):
-            IdwConfig(coincidence_tol=tol)
-    assert IdwConfig(coincidence_tol=0.5).resolve_tol([[0.0], [1.0]]) == 0.5
+
+
+def test_config_holds_only_the_exponent():
+    # the coincidence tolerance is the geometry's, never the caller's
+    assert [f.name for f in dataclasses.fields(IdwConfig)] == ["p"]
+    with pytest.raises(TypeError):
+        IdwConfig(coincidence_tol=1e-3)
+    assert IdwConfig().resolve_tol([[0.0, 0.0], [3.0, 4.0]]) == 5e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -106,9 +111,8 @@ def test_weights_partition_of_unity(seed, n, p):
 def test_assemble_rows_match_reference(wing):
     op = assemble(wing, wing.boundary_ids, wing.interior_ids)
     controls = wing.nodes[wing.boundary_ids]
-    cfg = op.config
     for row, tid in [(0, op.target_ids[0]), (10, op.target_ids[10])]:
-        expected = weights_at(wing.nodes[tid], controls, cfg)
+        expected = weights_at(wing.nodes[tid], controls, IdwConfig())
         np.testing.assert_allclose(op.matrix[row], expected, atol=1e-14)
 
 
@@ -180,22 +184,40 @@ def test_validated_mesh_skips_only_its_own_sweep(wing, monkeypatch):
     assemble(wing, wing.boundary_ids, wing.interior_ids)
     interpolate(wing, d, wing.interior_ids)
     assert checked == []
-    # a tolerance of the caller's is not the one validate() swept at
-    config = IdwConfig(coincidence_tol=1e-3)
-    assemble(wing, wing.boundary_ids, wing.interior_ids, config)
-    interpolate(wing, d, wing.interior_ids, config)
-    assert checked == [1e-3, 1e-3]
 
 
-def test_assemble_resolves_tolerance(wing):
-    op = assemble(wing, wing.boundary_ids, wing.interior_ids)
-    assert op.config.coincidence_tol == pytest.approx(
-        1e-12 * wing.bbox_diagonal)
+def test_all_coincident_points_are_refused():
+    # a tolerance of 0 (a bounding box of one point) makes every point
+    # coincide; the sweep still runs and names the lowest exact pair
+    message = r"^control points 0 and 1 coincide within 0\.000e\+00$"
+    with pytest.raises(ValueError, match=message):
+        weights_at([0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]])
+    mesh = mk.Mesh(2, np.ones((4, 2)), np.empty((0, 3), dtype=np.int64),
+                   [0, 1, 2], [3])
+    assert mesh.coincidence_tolerance == 0.0
+    with pytest.raises(ValueError, match=message):
+        assemble(mesh, [0, 1, 2], [3])
+
+
+def test_assemble_resolves_tolerance(wing, monkeypatch):
+    # both kernels run at the mesh's own tolerance, whatever the config
+    seen = []
+    for name in ("assemble_weight_matrix", "apply_weights"):
+        kernel = getattr(_kernels, name)
+        monkeypatch.setattr(
+            _kernels, name,
+            lambda *args, kernel=kernel: seen.append(args[-1]) or kernel(*args))
+    d = DisplacementField(wing.boundary_ids,
+                          np.ones((wing.boundary_ids.size, 3)))
+    assemble(wing, wing.boundary_ids, wing.interior_ids, IdwConfig(p=2))
+    interpolate(wing, d, wing.interior_ids, IdwConfig(p=2))
+    assert seen == [wing.coincidence_tolerance] * 2
+    assert all(type(tol) is float for tol in seen)
 
 
 def test_operator_shape_validation():
     with pytest.raises(ValueError):
-        IdwOperator(np.ones((2, 3)), [0, 1], [5, 6], IdwConfig())
+        IdwOperator(np.ones((2, 3)), [0, 1], [5, 6])
 
 
 def test_assemble_hands_over_kernel_output(tiny_wing, monkeypatch):
@@ -214,7 +236,7 @@ def test_assemble_hands_over_kernel_output(tiny_wing, monkeypatch):
 
 def test_operator_copies_writeable_matrix():
     mat = np.full((2, 3), 1.0 / 3.0)
-    op = IdwOperator(mat, [0, 1], [5, 6, 7], IdwConfig())
+    op = IdwOperator(mat, [0, 1], [5, 6, 7])
     mat[:] = 0.0
     np.testing.assert_array_equal(op.matrix, 1.0 / 3.0)
     assert not op.matrix.flags.writeable

@@ -541,6 +541,54 @@ def test_read_tabulated(tiny_wing, tmp_path):
                               "non-empty table")
 
 
+@pytest.mark.parametrize("groups", ["left", 5, ["left", 1], [None], b"left"],
+                         ids=["str", "int", "int entry", "None entry", "bytes"])
+def test_clamp_groups_must_list_group_names(tiny_wing, tmp_path, groups):
+    # a string is one name, not a list of its characters; the caller's
+    # groups are not a table file's fault
+    ids = tiny_wing.boundary_ids
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"domain": [0.0, 1.0], "entries": [
+        {"mu": 0.5, "indices": ids.tolist(), "vectors": [[0.0] * 3] * 26}]}))
+    message = re.escape(f"clamp_groups must list group names, got {groups!r}")
+    for build in (lambda: bend_law(ids, (0.0, 1.0), clamp_groups=groups),
+                  lambda: rotation_law(ids, (0.0, 1.0), (0.0, 0.0, 0.0),
+                                       clamp_groups=groups),
+                  lambda: read_tabulated(path, ids, clamp_groups=groups)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+
+def test_clamp_groups_take_any_iterable_of_names(tiny_wing):
+    ids = tiny_wing.boundary_ids
+    for groups in (["left"], ("left",), (g for g in ["left"]),
+                   np.array(["left"])):
+        law = bend_law(ids, (0.0, 1.0), clamp_groups=groups)
+        assert law.clamp_groups == ("left",)
+    assert bend_law(ids, (0.0, 1.0)).clamp_groups == ()
+
+
+def test_table_entry_misfits_have_their_own_type(tiny_wing):
+    # a caller tells an entry's misfit from the law's other refusals by type
+    ids = tiny_wing.boundary_ids
+    wide = DisplacementField(ids, np.ones((ids.size, 2)))
+    short = DisplacementField(ids[1:], np.ones((ids.size - 1, 3)))
+    for entry, text in ((wide, "vectors have width 2, the mesh has dim 3"),
+                        (short, "ids not covered by field: [0]")):
+        law = tabulated_law(ids, (0.0, 1.0), {0.5: entry})
+        with pytest.raises(mk.TableEntryError) as err:
+            laws._resolve(law, tiny_wing)
+        assert isinstance(err.value, ValueError)
+        assert str(err.value) == f"entry at mu=0.5: {text}"
+    zero = DisplacementField.zero(ids, 3)
+    for law in (tabulated_law(ids, (0.0, 1.0), {0.5: zero},
+                              clamp_groups=("nowhere",)),
+                tabulated_law([999], (0.0, 1.0), {0.5: zero})):
+        with pytest.raises(ValueError) as err:
+            laws._resolve(law, tiny_wing)
+        assert not isinstance(err.value, mk.TableEntryError)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

@@ -195,9 +195,9 @@ _ID_HOLDERS = {
     "selection": (lambda ids: mk.SelectionResult(ids, (), ()).selected,
                   _UNIQUE),
     "op-targets": (lambda ids: mk.IdwOperator(
-        np.ones((3, 1)), ids, [9], mk.IdwConfig()).target_ids, _UNIQUE),
+        np.ones((3, 1)), ids, [9]).target_ids, _UNIQUE),
     "op-controls": (lambda ids: mk.IdwOperator(
-        np.full((1, 3), 1 / 3), [9], ids, mk.IdwConfig()).control_ids,
+        np.full((1, 3), 1 / 3), [9], ids).control_ids,
         _UNIQUE),
     "assemble": (lambda ids: mk.assemble(_CUBE, ids, [7]).control_ids,
                  _IN_MESH),
@@ -258,7 +258,7 @@ def test_frozen_sorted_ids_pass_through_uncopied():
     ids.setflags(write=False)
     assert Mesh(3, _CUBE.nodes, _CUBE.elements, ids, []).boundary_ids is ids
     assert DisplacementField(ids, np.zeros((8, 3))).indices is ids
-    op = mk.IdwOperator(np.full((8, 8), 1 / 8), ids, ids, mk.IdwConfig())
+    op = mk.IdwOperator(np.full((8, 8), 1 / 8), ids, ids)
     assert op.target_ids is ids and op.control_ids is ids
     model = mk.PodModel(np.zeros((8, 1)), [1.0], 1, 0.0, "plain",
                         np.zeros((1, 8)), ids, ids, 1)

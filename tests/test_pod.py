@@ -464,8 +464,7 @@ def test_nearly_collinear_basis_rejected_at_build():
 def test_online_rank_cut_sits_at_the_tolerance(s_min, accepted):
     # a handed-in K Z with singular values (1, s_min) against the cut
     # RANK_TOL * s_1 = 1e-12, a factor 5 on either side of it
-    op = mk.IdwOperator(np.full((3, 2), 0.5), [0, 1, 2], [3, 4],
-                        mk.IdwConfig())
+    op = mk.IdwOperator(np.full((3, 2), 0.5), [0, 1, 2], [3, 4])
     Z, kz = np.eye(3)[:, :2], np.diag([1.0, s_min])
     if accepted:
         model = build_online(Z, np.array([1.0, 0.5]), op, kz=kz)
@@ -549,7 +548,7 @@ def _conditioned_operator(mesh, cond, seed=0):
     U = np.linalg.qr(rng.standard_normal((n, m)))[0]
     V = np.linalg.qr(rng.standard_normal((m, m)))[0]
     W = (U * np.geomspace(1.0, 1.0 / cond, m)) @ V.T
-    return mk.IdwOperator(W, mesh.interior_ids, controls, mk.IdwConfig())
+    return mk.IdwOperator(W, mesh.interior_ids, controls)
 
 
 @pytest.mark.parametrize("case", ["wing", "tunnel"])
@@ -596,7 +595,7 @@ def _equal_columns(wing, tiny_wing):
     sel = mk.select(wing, wing.boundary_ids, 0.5, seed=2).selected
     W = np.array(assemble(wing, sel, wing.interior_ids).matrix)
     W[:, 1] = W[:, 0]
-    return wing, mk.IdwOperator(W, wing.interior_ids, sel, mk.IdwConfig())
+    return wing, mk.IdwOperator(W, wing.interior_ids, sel)
 
 
 def _just_ill_conditioned(wing, tiny_wing):
