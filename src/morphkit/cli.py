@@ -7,17 +7,15 @@ evaluate the reduced model, ``sweep`` scans one parameter axis into a CSV
 table, and ``random-baseline`` compares the geometric selection against
 same-cardinality random draws.
 
-Everything is driven by one JSON config file; a few flags override it
-(--mu, --seed, --out, --repeat, --reference, --projection). The
-MORPHKIT_SEED environment variable overrides the config seeds and is in
-turn overridden by --seed. Exit code 0 means all outputs were written.
+A run depends on one JSON config file and on the few flags that override
+it (--mu, --seed, --out, --repeat, --reference), on nothing else. Exit
+code 0 means all outputs were written.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import re
 import sys
 import time
@@ -207,16 +205,10 @@ def build_law(cfg, mesh):
 
 
 def _seed(value, args):
-    """--seed, else MORPHKIT_SEED, else ``value``, the config's seed: an
-    integer >= 0, its errors naming where it came from."""
-    if getattr(args, "seed", None) is not None:
-        return _scalar(args.seed, "--seed", True, 0)
-    env = os.environ.get("MORPHKIT_SEED")
-    if env is not None:
-        with contextlib.suppress(ValueError):  # else refused as a string
-            env = int(env)
-        return _scalar(env, "MORPHKIT_SEED", True, 0)
-    return value
+    """--seed, else ``value``, the config's seed: an integer >= 0, its
+    errors naming where it came from."""
+    seed = getattr(args, "seed", None)
+    return value if seed is None else _scalar(seed, "--seed", True, 0)
 
 
 def selection_params(cfg, args):
@@ -392,7 +384,7 @@ def cmd_morph(args):
 def cmd_pod_offline(args):
     cfg, out, mesh = _setup(args)
     pod_cfg = cfg["pod"]
-    mode = args.projection or pod_cfg["projection"]
+    mode = pod_cfg["projection"]
     law = build_law(cfg, mesh)
     if law.kind == "tabulated":  # its own entries, the only values it has
         train = sorted(law.table)
@@ -517,7 +509,8 @@ def cmd_random_baseline(args):
     cfg, out, mesh = _setup(args)
     mu = _mu(cfg, args)
     config = _idw_config(cfg)
-    law = build_law(cfg, mesh)
+    # a mu the law refuses fails before any selection or assembly
+    d_boundary = laws.evaluate(build_law(cfg, mesh), mesh, mu)
 
     if not cfg["selection"]:  # before any operator is assembled
         raise ValueError("random-baseline needs a 'selection' section to "
@@ -528,7 +521,6 @@ def cmd_random_baseline(args):
         raise ValueError(f"the selection keeps all {k} boundary nodes, so "
                          "every random draw would be that same set")
 
-    d_boundary = laws.evaluate(law, mesh, mu)
     d_ref = idw.interpolate(mesh, d_boundary, mesh.interior_ids, config)
 
     def morph_error(op):
@@ -567,8 +559,8 @@ def build_parser():
                     "reduced online stage.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(name, fn, text, mu=False, reference=False, projection=False,
-               model=False, vtk=False):
+    def common(name, fn, text, mu=False, reference=False, model=False,
+               vtk=False):
         """The subcommand ``name`` running ``fn``, with the options every
         subcommand takes and the ones its flags ask for."""
         p = sub.add_parser(name, help=text)
@@ -576,7 +568,7 @@ def build_parser():
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="output directory (default: config 'out')")
         p.add_argument("--seed", type=int,
-                       help="override selection/POD seeds (beats MORPHKIT_SEED)")
+                       help="override every config seed")
         p.add_argument("--repeat", type=int,
                        help="timing repeat count (default: config or "
                             f"{CONFIG['repeat'][1]})")
@@ -587,10 +579,6 @@ def build_parser():
             p.add_argument("--reference", choices=("idw", "none"),
                            default="idw",
                            help="compare against the full-operator morph")
-        if projection:
-            p.add_argument("--projection", choices=pod.MODES,
-                           help="online projection (default: config or "
-                                f"{CONFIG['pod']['projection'][1]})")
         if model:
             p.add_argument("--model", help="POD artifact path "
                                            "(default: <out>/pod_model.bin)")
@@ -604,8 +592,7 @@ def build_parser():
     common("select", cmd_select, "thin the boundary into control points")
     common("morph", cmd_morph, "deform the mesh at one parameter value",
            mu=True, reference=True, vtk=True)
-    common("pod-offline", cmd_pod_offline, "train the reduced model",
-           projection=True)
+    common("pod-offline", cmd_pod_offline, "train the reduced model")
     common("pod-online", cmd_pod_online, "evaluate the reduced model",
            mu=True, reference=True, model=True)
     p = common("sweep", cmd_sweep, "scan R, a, b or mu into a CSV table",

@@ -1,7 +1,7 @@
 """Exception types raised across the package.
 
-Everything derives from ValueError or RuntimeError so callers that only
-know the stdlib hierarchy still catch the right category.
+Every class derives from ValueError, so callers that only know the
+stdlib hierarchy still catch the right category.
 """
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, TableEntryError
-from .mesh import DisplacementField, _node_ids, _own, _read_json, _scalar
+from .mesh import (DisplacementField, _group_names, _holds_bool, _node_ids,
+                   _own, _read_json, _scalar)
 
 __all__ = [
     "DisplacementLaw",
@@ -51,16 +52,6 @@ def _domain(domain):
     return lo, hi
 
 
-def _clamp_groups(groups):
-    """``groups`` as a tuple of group names; a string, a non-iterable or
-    an entry that is not a string raises ValueError."""
-    iterable = np.iterable(groups) and not isinstance(groups, str)
-    names = tuple(groups) if iterable else (None,)
-    if not all(isinstance(g, str) for g in names):
-        raise ValueError(f"clamp_groups must list group names, got {groups!r}")
-    return names
-
-
 # compared and hashed by identity, like Mesh and DisplacementField: a
 # field-wise == would compare arrays
 @dataclass(frozen=True, eq=False)
@@ -82,11 +73,21 @@ class DisplacementLaw:
                            _node_ids(self.control_ids, "control_ids"))
         object.__setattr__(self, "domain", _domain(self.domain))
         object.__setattr__(self, "clamp_groups",
-                           _clamp_groups(self.clamp_groups))
+                           _group_names(self.clamp_groups, "clamp_groups"))
         if self.kind == "rotation":
             if self.axis not in _AXES:
                 raise ValueError(f"axis must be one of {sorted(_AXES)}")
-            pivot = _own(np.atleast_1d(self.pivot), np.float64)
+            try:  # a ragged nesting raises ValueError
+                pivot = np.asarray(self.pivot)
+            except ValueError:
+                pivot = np.asarray(None)
+            # a bool in a list, which NumPy reads as 0 or 1, is found as
+            # mesh._int_ids finds it
+            if pivot.ndim != 1 or pivot.dtype.kind not in "iuf" or (
+                    isinstance(self.pivot, (list, tuple))
+                    and _holds_bool(self.pivot, pivot)):
+                raise ValueError(f"pivot must list numbers, got {self.pivot!r}")
+            pivot = _own(pivot, np.float64)
             if not np.all(np.isfinite(pivot)):
                 raise ValueError(f"pivot {pivot.tolist()} is not finite")
             object.__setattr__(self, "pivot", pivot)
@@ -235,7 +236,7 @@ def read_tabulated(path, control_ids, clamp_groups=()):
     raises ValueError naming the file, the entry and the key or the mu."""
     doc = _read_json(path, ("domain", "entries"))
     control_ids = _node_ids(control_ids, "control_ids")  # not the file's fault
-    clamp_groups = _clamp_groups(clamp_groups)
+    clamp_groups = _group_names(clamp_groups, "clamp_groups")
     where, table = "the document", {}
     try:  # only what comes from the file
         for i, entry in enumerate(doc["entries"]):

@@ -194,6 +194,16 @@ def _int_ids(ids, what="indices"):
     return _own(arr, np.int64)
 
 
+def _group_names(groups, what):
+    """``groups`` as a tuple of group names; a string, a non-iterable or
+    an entry that is not a string raises ValueError naming ``what``."""
+    iterable = np.iterable(groups) and not isinstance(groups, str)
+    names = tuple(groups) if iterable else (None,)
+    if not all(isinstance(g, str) for g in names):
+        raise ValueError(f"{what} must list group names, got {groups!r}")
+    return names
+
+
 def _node_ids(ids, what, count=None):
     """``ids`` through :func:`_int_ids`, checked one-dimensional, without
     repeats and, when ``count`` is given, inside [0, count); ValueError

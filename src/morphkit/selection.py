@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateSampleError
-from .mesh import (_int_ids, _node_ids, _read_json, _scalar,
+from .mesh import (_group_names, _int_ids, _node_ids, _read_json, _scalar,
                    _write_artifact, sorted_unique)
 
 __all__ = [
@@ -59,7 +59,7 @@ STRATEGIES = ("random", "centroid_nearest", "farthest_point")
 # view, where a set past the budget computes it (four NumPy calls); both
 # compare that row alone against R and b*R, and no other n x n array is
 # built, for any radius
-_MEMO_BUDGET = 65_536
+_MEMO_BUDGET = _kernels._CHUNK_BUDGET
 # bytes one mesh's memo may hold: three 3-D sets of 256 points with their
 # coordinates (530,432 B each); a fourth would take it to 2,121,728 B
 _MEMO_BYTES = 2 * 2**20
@@ -195,11 +195,12 @@ def _distances(coords, point):
     return np.sqrt(dist, out=dist)
 
 
+@_kernels._small_buffer
 def _pairwise(coords):
     """The n x n distances between the rows of ``coords``, row i bitwise
     ``_distances(coords, coords[i])``: the squares are summed one
     coordinate at a time, in the order ``add.reduce`` sums them, in the
-    weight kernel's row blocks."""
+    weight kernel's row blocks, under its small ufunc buffer."""
     dist = np.empty((coords.shape[0],) * 2)
     for _, block in _kernels._row_blocks(coords, coords.T.copy(), out=dist):
         np.sqrt(block, out=block)
@@ -457,7 +458,7 @@ def enrich(selected, mesh, group_names):
     """Union ``selected`` with every node of the named groups, sorted, as a
     read-only int64 array that owns its data."""
     parts = [_node_ids(selected, "selected ids", mesh.node_count)]
-    for name in group_names:
+    for name in _group_names(group_names, "group_names"):
         parts.append(mesh.group(name))
     ids = sorted_unique(np.concatenate(parts))
     ids.setflags(write=False)

@@ -657,6 +657,26 @@ def test_random_baseline_needs_selection(tmp_path, monkeypatch, capsys):
     assert not assembled  # not even the dense full operator
 
 
+@pytest.mark.parametrize("law, mu, message", [
+    (None, "0.03", "mu=0.03 outside domain [0.0, 0.02]"),
+    # every face clamped, so its one entry covers the free control ids
+    ({"kind": "tabulated", "path": "table.json", "clamp_groups": FACES},
+     "0.25", "tabulated law has no entry for mu=0.25")])
+def test_random_baseline_refuses_a_bad_mu_before_any_work(
+        tmp_path, monkeypatch, capsys, law, mu, message):
+    monkeypatch.chdir(tmp_path)
+    Path("table.json").write_text(json.dumps(TABLES["table"]))
+    cfg = write_cfg(tmp_path, **({} if law is None else {"law": law}))
+    selected = counted(monkeypatch, selection, "select_multi")
+    assembled = counted(monkeypatch, idw, "assemble")
+    out = tmp_path / "out"
+    assert main(["random-baseline", "--config", str(cfg), "--out", str(out),
+                 "--mu", mu]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert selected == assembled == []
+    assert not out.exists()
+
+
 def test_random_baseline_refuses_a_selection_of_every_boundary_node(
         tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path, selection={
@@ -934,6 +954,11 @@ LEFT = {"radius": 0.3, "regions": [{"group": "left"}]}
     (["morph"], {"law": {"kind": "tabulated", "path": "table.json",
                          "clamp_groups": ["lefft"]}},
      "error: unknown group 'lefft'; have ["),
+    # a rotation pivot that is not a flat list of numbers
+    *[(["morph"], {"law": {"kind": "rotation", "domain": [-30.0, 0.0],
+                           "pivot": pivot}},
+       f"error: pivot must list numbers, got {pivot!r}\n")
+      for pivot in ({}, "abc", True)],
 ])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_command_leaves_no_directory_it_made(
@@ -1022,6 +1047,25 @@ def test_bad_projection_fails_before_any_assembly(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_projection_is_read_from_the_config_only(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, pod={"n_train": 5, "projection": "plain"})
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit:
+        main(["pod-offline", "--config", str(cfg), "--out", str(out),
+              "--projection", "weighted"])
+    assert exit.value.code == 2
+    assert ("unrecognized arguments: --projection weighted"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert main(["pod-offline", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "(plain projection)" in capsys.readouterr().out
+    assert mk.read_model(out / "pod_model.bin").mode == "plain"
+    assert main(["pod-online", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = json.loads((out / "online_report.json").read_text())
+    assert rows[0]["method"] == "pod-sidw"
+    assert 0.0 < rows[0]["rel_error"] < 1.0
+
+
 def test_tabulated_law_of_another_width_fails_before_any_assembly(
         tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
@@ -1098,31 +1142,25 @@ def test_seed_precedence(tmp_path, monkeypatch):
     ids = run_select(tmp_path, tmp_path / "o1")
     np.testing.assert_array_equal(ids, expected_selection(1))
 
-    monkeypatch.setenv("MORPHKIT_SEED", "2")
-    ids = run_select(tmp_path, tmp_path / "o2")
-    np.testing.assert_array_equal(ids, expected_selection(2))
-
-    ids = run_select(tmp_path, tmp_path / "o3", extra=("--seed", "3"))
+    ids = run_select(tmp_path, tmp_path / "o2", extra=("--seed", "3"))
     np.testing.assert_array_equal(ids, expected_selection(3))
 
 
-@pytest.mark.parametrize("flag, env, message", [
-    ("-1", None, "--seed must be an integer >= 0, got -1"),
-    (None, "7.9", "MORPHKIT_SEED must be an integer >= 0, got '7.9'"),
-    (None, "-1", "MORPHKIT_SEED must be an integer >= 0, got -1"),
-])
-def test_bad_seeds_are_refused_by_their_source(tmp_path, monkeypatch, capsys,
-                                               flag, env, message):
+@pytest.mark.parametrize("env", ["2", "7.9"])
+def test_the_environment_sets_no_seed(tmp_path, monkeypatch, env):
+    # a run depends on its config and its command line alone
+    monkeypatch.setenv("MORPHKIT_SEED", env)
+    write_cfg(tmp_path)  # config seed is 1
+    np.testing.assert_array_equal(run_select(tmp_path, tmp_path / "out"),
+                                  expected_selection(1))
+
+
+def test_a_bad_seed_flag_is_refused(tmp_path, capsys):
     # a bad config seed is a case of
     # test_failed_command_leaves_no_directory_it_made
-    if env is None:
-        monkeypatch.delenv("MORPHKIT_SEED", raising=False)
-    else:
-        monkeypatch.setenv("MORPHKIT_SEED", env)
-    extra = () if flag is None else ("--seed", flag)
     assert main(["select", "--config", str(write_cfg(tmp_path)),
-                 "--out", str(tmp_path / "out"), *extra]) == 1
-    assert message in capsys.readouterr().err
+                 "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
+    assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 def test_equal_seeds_give_byte_identical_artifacts(tmp_path):

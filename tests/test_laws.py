@@ -355,6 +355,26 @@ def test_rotation_rejects_nonfinite_pivot(bad):
         rotation_law([0], (0.0, 1.0), pivot=(0.0, bad, 0.0))
 
 
+@pytest.mark.parametrize("pivot", [
+    {}, "abc", True, None, 0.0, [0.0, True, 0.0], [[0.0, 0.0, 0.0]],
+    [0.0, [0.0], 0.0], [0.0, "0", 0.0], np.array([True, False, True])],
+    ids=["dict", "str", "bool", "None", "scalar", "bool entry", "nested",
+         "ragged", "str entry", "bool array"])
+def test_rotation_pivot_must_list_numbers(pivot):
+    # not cast: a bool entry would read as 1.0, a dict fail in float()
+    message = re.escape(f"pivot must list numbers, got {pivot!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rotation_law([0], (0.0, 1.0), pivot=pivot)
+
+
+def test_rotation_pivot_takes_any_flat_numbers():
+    for pivot in ((1, 2, 3), [1.0, 2, np.float32(3)], np.arange(1, 4),
+                  tuple(np.arange(1.0, 4.0))):
+        law = rotation_law([0], (0.0, 1.0), pivot=pivot)
+        assert law.pivot.dtype == np.float64 and not law.pivot.flags.writeable
+        np.testing.assert_array_equal(law.pivot, [1.0, 2.0, 3.0])
+
+
 def test_rotation_validates_pivot_dim(tiny_wing):
     law = rotation_law([0], (0.0, 1.0), pivot=(0.0, 0.0))
     with pytest.raises(ValueError, match="pivot"):

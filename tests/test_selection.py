@@ -168,6 +168,24 @@ def test_pairwise_rows_are_bitwise_distances(dim, block, monkeypatch):
                                       selection._distances(coords, coords[i]))
 
 
+def test_pairwise_runs_under_the_kernels_buffer(monkeypatch):
+    # a memoized set is one chunk of the weight kernel, consumed in the
+    # kernel's small ufunc buffer
+    assert selection._MEMO_BUDGET == _kernels._CHUNK_BUDGET
+    sizes, row_blocks = [], _kernels._row_blocks
+
+    def spy(*args, **kwargs):
+        for item in row_blocks(*args, **kwargs):
+            sizes.append(np.getbufsize())
+            yield item
+
+    monkeypatch.setattr(_kernels, "_row_blocks", spy)
+    before = np.getbufsize()
+    selection._pairwise(np.random.default_rng(0).standard_normal((90, 3)))
+    assert sizes and set(sizes) == {_kernels._BUFSIZE}
+    assert np.getbufsize() == before
+
+
 def memo_bytes(mesh):
     return sum(arr.nbytes for entry in mesh._memo.values() for arr in entry)
 
@@ -759,6 +777,15 @@ def test_enrich_unions_groups(wing):
     expected = np.unique(np.concatenate(
         [base, wing.group("left_edge"), wing.group("right_edge")]))
     np.testing.assert_array_equal(out, expected)
+
+
+@pytest.mark.parametrize("groups", ["left_edge", 5, ["left_edge", 1]],
+                         ids=["str", "int", "int entry"])
+def test_enrich_needs_a_list_of_group_names(wing, groups):
+    # a string is one name, not a list of its characters
+    with pytest.raises(ValueError) as err:
+        enrich([0], wing, groups)
+    assert str(err.value) == f"group_names must list group names, got {groups!r}"
 
 
 # ---------------------------------------------------------------------------
