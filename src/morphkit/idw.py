@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .mesh import (COINCIDENCE_FACTOR, DisplacementField, _bbox_diagonal,
-                   _node_ids, _own, _scalar, coincident_pair)
+                   _node_ids, _own, _scalar, _trusted, coincident_pair)
 
 __all__ = [
     "IdwConfig",
@@ -86,17 +86,6 @@ class IdwOperator:
         object.__setattr__(self, "target_ids", tgt)
         object.__setattr__(self, "control_ids", ctl)
 
-    @classmethod
-    def _built(cls, matrix, target_ids, control_ids):
-        """Operator over a fresh kernel output ``matrix`` and id arrays
-        checked at their source; nothing is copied or checked again."""
-        matrix.setflags(write=False)
-        built = object.__new__(cls)
-        for name, value in (("matrix", matrix), ("target_ids", target_ids),
-                            ("control_ids", control_ids)):
-            object.__setattr__(built, name, value)
-        return built
-
     @property
     def n_targets(self):
         return self.target_ids.size
@@ -154,13 +143,16 @@ def _validated(mesh, control_ids, target_ids):
 
 
 def assemble(mesh, control_ids, target_ids, config=IdwConfig()):
-    """Weight matrix of ``control_ids`` at ``target_ids`` for ``mesh``,
-    at the mesh's coincidence tolerance."""
+    """Weight matrix of ``control_ids`` at ``target_ids`` for ``mesh``, at
+    the mesh's coincidence tolerance: the frozen kernel output and the ids
+    checked here, held by ``mesh._trusted``."""
     control_ids, target_ids, controls, tol = _validated(
         mesh, control_ids, target_ids)
     matrix = _kernels.assemble_weight_matrix(mesh.nodes[target_ids], controls,
                                              config.p, tol)
-    return IdwOperator._built(matrix, target_ids, control_ids)
+    matrix.setflags(write=False)
+    return _trusted(IdwOperator, matrix=matrix, target_ids=target_ids,
+                    control_ids=control_ids)
 
 
 def interpolate(mesh, displacement, target_ids, config=IdwConfig()):

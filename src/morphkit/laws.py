@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, TableEntryError
-from .mesh import (DisplacementField, _group_names, _holds_bool, _node_ids,
+from .mesh import (DisplacementField, _group_names, _node_ids, _numbers,
                    _own, _read_json, _scalar)
 
 __all__ = [
@@ -77,15 +77,8 @@ class DisplacementLaw:
         if self.kind == "rotation":
             if self.axis not in _AXES:
                 raise ValueError(f"axis must be one of {sorted(_AXES)}")
-            try:  # a ragged nesting raises ValueError
-                pivot = np.asarray(self.pivot)
-            except ValueError:
-                pivot = np.asarray(None)
-            # a bool in a list, which NumPy reads as 0 or 1, is found as
-            # mesh._int_ids finds it
-            if pivot.ndim != 1 or pivot.dtype.kind not in "iuf" or (
-                    isinstance(self.pivot, (list, tuple))
-                    and _holds_bool(self.pivot, pivot)):
+            pivot = _numbers(self.pivot)
+            if pivot is None or pivot.ndim != 1:
                 raise ValueError(f"pivot must list numbers, got {self.pivot!r}")
             pivot = _own(pivot, np.float64)
             if not np.all(np.isfinite(pivot)):

@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +140,14 @@ def _own(a, dtype):
     return arr
 
 
+def _trusted(cls, **fields):
+    """``cls``, a frozen dataclass, holding ``fields`` as given: its
+    ``__post_init__`` does not run, so nothing is copied, cast or checked."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def _scalar(value, what, integral=False, minimum=None):
     """``value``, a Python or NumPy int or float, as a finite float, or as
     an int with ``integral``, no less than ``minimum`` when one is given.
@@ -169,6 +178,39 @@ def _holds_bool(seq, arr):
         if isinstance(item, (bool, np.bool_)):
             return True
     return False
+
+
+def _numbers(value):
+    """NumPy's reading of ``value`` if it holds only ints and floats, else
+    None: for a string or another object, a ragged nesting, or a bool
+    inside a list or tuple, which NumPy would read as 0 or 1. Arrays skip
+    that look: a numeric array cannot hold a bool."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        return None
+    if arr.dtype.kind not in "iuf" or (isinstance(value, (list, tuple))
+                                       and _holds_bool(value, arr)):
+        return None
+    return arr
+
+
+def _not_numbers(value, what):
+    """The ValueError for ``value``, which :func:`_numbers` refused: it
+    names ``what`` and the first entry, depth first, that is not an int or
+    a float, never the whole of a long list. When every entry is one, the
+    nesting is ragged or an int needs more than 64 bits."""
+    todo = [value]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            item = item.tolist()
+        if isinstance(item, (list, tuple)):
+            todo.extend(reversed(item))
+        elif (not isinstance(item, (int, float, np.integer, np.floating))
+              or isinstance(item, (bool, np.bool_))):
+            return ValueError(f"{what} must hold numbers, got {item!r}")
+    return ValueError(f"{what} must be a regular array of numbers")
 
 
 def _int_ids(ids, what="indices"):
@@ -238,7 +280,10 @@ class DisplacementField:
 
     def __post_init__(self):
         idx = _node_ids(self.indices, "indices")
-        vec = _own(self.vectors, np.float64)
+        vec = _numbers(self.vectors)
+        if vec is None:
+            raise _not_numbers(self.vectors, "vectors")
+        vec = _own(vec, np.float64)
         if vec.ndim != 2 or vec.shape[0] != idx.shape[0]:
             raise ValueError(
                 f"vectors shape {vec.shape} does not match {idx.shape[0]} indices")
@@ -248,7 +293,7 @@ class DisplacementField:
 
     @classmethod
     def _built(cls, indices, vectors, bound):
-        """Field over arrays a producer has just built, neither copied.
+        """Field over arrays a producer has just built, by :func:`_trusted`.
 
         ``indices`` are read-only, one-dimensional and unique, which the
         producer has established at their source; ``vectors`` (k, dim)
@@ -261,10 +306,7 @@ class DisplacementField:
         if not bound < _FINITE_BOUND:
             _check_finite(vectors)
         vectors.setflags(write=False)
-        built = object.__new__(cls)
-        object.__setattr__(built, "indices", indices)
-        object.__setattr__(built, "vectors", vectors)
-        return built
+        return _trusted(cls, indices=indices, vectors=vectors)
 
     @property
     def dim(self):
@@ -355,8 +397,11 @@ def merge_fields(*fields):
 
 def _coordinates(nodes, dim):
     """``nodes`` through :func:`_own` as float64, refused with ValueError
-    unless of shape (n, dim) and finite."""
-    nodes = _own(np.atleast_2d(nodes), np.float64)
+    unless :func:`_numbers` reads them, of shape (n, dim) and finite."""
+    arr = _numbers(nodes)
+    if arr is None:
+        raise _not_numbers(nodes, "nodes")
+    nodes = _own(np.atleast_2d(arr), np.float64)
     if nodes.ndim != 2 or nodes.shape[1] != dim:
         raise ValueError(f"nodes must have shape (n, {dim})")
     if not np.isfinite(nodes).all():
@@ -374,7 +419,8 @@ class Mesh:
         elements: node ids of each simplex, shape (n_elements, dim + 1).
         boundary_ids: sorted unique node ids on the boundary.
         interior_ids: sorted unique node ids in the interior: all the others.
-        groups: named node subsets of boundary_ids, sorted and unique.
+        groups: a mapping from names (strings) to node subsets of
+            boundary_ids, sorted and unique; held as a dict.
     """
 
     dim: int
@@ -420,12 +466,17 @@ class Mesh:
         # unique ids in range: the two sets cover the nodes iff they count n
         if boundary.size + interior.size != n:
             raise ValueError("boundary and interior ids do not partition the node set")
+        if not isinstance(self.groups, Mapping):
+            raise ValueError("groups must map group names to node ids, got "
+                             f"{type(self.groups).__name__}")
         groups = {}
-        for k, v in dict(self.groups).items():
+        for k, v in self.groups.items():
+            if not isinstance(k, str):
+                raise ValueError(f"groups must be named by strings, got {k!r}")
             ids = sorted_ids(v, f"group {k!r}")
             if not on_boundary[ids].all():
                 raise ValueError(f"group {k!r} contains non-boundary nodes")
-            groups[str(k)] = ids
+            groups[k] = ids
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "boundary_ids", boundary)
@@ -480,19 +531,16 @@ class Mesh:
 
     def with_nodes(self, nodes):
         """Same topology and groups, new coordinates. Only these are
-        checked; the rest is this mesh's, checked when it was built. What
-        was computed from or for the old nodes (validate's flag, the
-        cached properties) is not carried over."""
+        checked; :func:`_trusted` carries the rest over from this mesh,
+        uncopied. What was computed from or for the old nodes (validate's
+        flag, the cached properties) is not."""
         nodes = _coordinates(nodes, self.dim)
         if nodes.shape[0] != self.node_count:
             raise ValueError(f"nodes must have shape ({self.node_count}, "
                              f"{self.dim})")
-        moved = object.__new__(Mesh)
-        for name in ("dim", "elements", "boundary_ids", "interior_ids",
-                     "groups"):
-            object.__setattr__(moved, name, getattr(self, name))
-        object.__setattr__(moved, "nodes", nodes)
-        return moved
+        return _trusted(Mesh, dim=self.dim, nodes=nodes,
+                        elements=self.elements, boundary_ids=self.boundary_ids,
+                        interior_ids=self.interior_ids, groups=self.groups)
 
     def __eq__(self, other):
         if not isinstance(other, Mesh):
@@ -569,12 +617,12 @@ def _lattice(axes, hole=None):
 
 def _extents(value, what):
     """``value`` as three finite positive float extents, else ValueError
-    naming ``what``, and the value when it does not read as numbers."""
+    naming ``what``, and the value when :func:`_numbers` refuses it."""
     rule = f"{what} must be three positive extents"
-    try:
-        extents = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{rule}, got {value!r}") from None
+    extents = _numbers(value)
+    if extents is None:
+        raise ValueError(f"{rule}, got {value!r}")
+    extents = extents.astype(np.float64)
     if extents.shape != (3,) or not (np.isfinite(extents) & (extents > 0)).all():
         raise ValueError(rule)
     return extents

@@ -34,7 +34,7 @@ import numpy as np
 from . import _kernels
 from .errors import DegenerateSampleError
 from .mesh import (_group_names, _int_ids, _node_ids, _read_json, _scalar,
-                   _write_artifact, sorted_unique)
+                   _trusted, _write_artifact, sorted_unique)
 
 __all__ = [
     "RegionParams",
@@ -168,17 +168,13 @@ class SelectionResult:
     @classmethod
     def _built(cls, selected, order, trace, annulus_count=None,
                per_region=None):
-        """Result over a fresh sorted unique int64 ``selected`` and the
-        lists ``order`` (ints) and ``trace`` ((int, int) pairs) a walk has
-        just built; nothing is converted again."""
+        """Result, by ``mesh._trusted``, over a fresh sorted unique int64
+        ``selected`` and the lists ``order`` (ints) and ``trace`` ((int,
+        int) pairs) a walk has just built; nothing is converted again."""
         selected.setflags(write=False)
-        built = object.__new__(cls)
-        for name, value in (("selected", selected), ("order", tuple(order)),
-                            ("trace", tuple(trace)),
-                            ("annulus_count", annulus_count),
-                            ("per_region", per_region)):
-            object.__setattr__(built, name, value)
-        return built
+        return _trusted(cls, selected=selected, order=tuple(order),
+                        trace=tuple(trace), annulus_count=annulus_count,
+                        per_region=per_region)
 
     @property
     def cardinality(self):

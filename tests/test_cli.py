@@ -750,6 +750,8 @@ TABLES = {
     "t_2d": {"domain": [0.0, 1.0], "entries": [
         {"mu": 0.5, "indices": [0], "vectors": [[0.0, 0.0]]}]},
     "t_domain": {"domain": [0, 1, 2], "entries": [ENTRY]},
+    "t_string": {"domain": [0.0, 1.0], "entries": [
+        {"mu": 0.5, "indices": [0], "vectors": [["0.1", "0", "0"]]}]},
 }
 WING = {"generator": "box_wing", "nx": 3, "ny": 2, "nz": 6,
         "lengths": [1.0, 0.25, 2.0]}
@@ -959,6 +961,12 @@ LEFT = {"radius": 0.3, "regions": [{"group": "left"}]}
                            "pivot": pivot}},
        f"error: pivot must list numbers, got {pivot!r}\n")
       for pivot in ({}, "abc", True)],
+    # extents and table vectors are numbers, not bools or numeric strings
+    (["mesh-gen"], {"mesh": dict(WING, lengths=[True, 0.25, 2])},
+     "error: lengths must be three positive extents, got [True, 0.25, 2]\n"),
+    (["morph"], {"law": {"kind": "tabulated", "path": "t_string.json"}},
+     "error: t_string.json: entries[0]: vectors must hold numbers, got "
+     "'0.1'\n"),
 ])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_command_leaves_no_directory_it_made(

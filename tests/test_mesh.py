@@ -4,7 +4,9 @@ import ast
 import hashlib
 import itertools
 import json
+import re
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -776,6 +778,192 @@ def test_bbox_and_tolerance_are_computed_once(tiny_wing):
     assert "bbox_diagonal" in vars(mesh)
     assert mesh.coincidence_tolerance is first
     assert first == tiny_wing.coincidence_tolerance
+
+
+# ---------------------------------------------------------------------------
+# numbers and groups from outside the library
+
+# (call, message): each takes a bool or a numeric string where a number
+# belongs, which NumPy would read as 1 or as the number
+@pytest.mark.parametrize("call, message", [
+    (lambda: generate_box_wing(2, 1, 2, [True, 0.25, 2.0]),
+     "lengths must be three positive extents, got [True, 0.25, 2.0]"),
+    (lambda: generate_box_wing(2, 1, 2, ["1", "0.25", "2"]),
+     "lengths must be three positive extents, got ['1', '0.25', '2']"),
+    (lambda: generate_box_wing(2, 1, 2, np.ones(3, dtype=bool)),
+     "lengths must be three positive extents, got "
+     "array([ True,  True,  True])"),
+    (lambda: generate_tunnel([True, 4.0, 4.0], [1.0, 1.0, 1.0], 4),
+     "outer must be three positive extents, got [True, 4.0, 4.0]"),
+    (lambda: generate_tunnel([4.0, 4.0, 4.0], ["1", 1.0, 1.0], 4),
+     "inner must be three positive extents, got ['1', 1.0, 1.0]"),
+    (lambda: DisplacementField([0, 1], [["1.5", "0", "0"], [True, 0, 0]]),
+     "vectors must hold numbers, got '1.5'"),
+    (lambda: DisplacementField([0, 1], [[1.5, 0, 0], [True, 0, 0]]),
+     "vectors must hold numbers, got True"),
+    (lambda: DisplacementField([0, 1], [[1.5, 0, 0], [None, 0, 0]]),
+     "vectors must hold numbers, got None"),
+    (lambda: DisplacementField([0, 1], [[1.5, 0, 0], [1.0, 0]]),
+     "vectors must be a regular array of numbers"),
+    (lambda: DisplacementField([0], [[2**64, 0, 0]]),  # no NumPy int holds it
+     "vectors must be a regular array of numbers"),
+    (lambda: Mesh(3, [[0.0, 0.0, 0.0], [1, 0, 0], [0, 1, 0], [0, 0, True]],
+                  [[0, 1, 2, 3]], [0, 1, 2, 3], []),
+     "nodes must hold numbers, got True"),
+    (lambda: Mesh(3, np.array([["0", "0", "0"]]), [], [0], []),
+     "nodes must hold numbers, got '0'"),
+])
+def test_numbers_from_outside_refuse_bools_and_strings(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numbers_from_outside_take_ints_floats_and_numeric_arrays():
+    a = generate_box_wing(2, 1, 2, [1, 0.25, 2])
+    b = generate_box_wing(2, 1, 2, np.array([1.0, 0.25, 2.0], np.float32))
+    assert a == b == generate_box_wing(2, 1, 2, (1.0, 0.25, 2.0))
+    f = DisplacementField([0, 1], [[1, 0, 0], (np.float32(0.5), 0, 1)])
+    np.testing.assert_array_equal(f.vectors, [[1, 0, 0], [0.5, 0, 1]])
+    assert f.vectors.dtype == np.float64
+
+
+@pytest.mark.parametrize("node, shown", [
+    (["1.0", "1.0", "1.0"], "'1.0'"), ([True, True, True], "True"),
+    ([1.0, "x", True], "'x'"), ([1.0, True, "x"], "True")])
+def test_read_mesh_refuses_a_node_that_is_not_numbers(tiny_wing, tmp_path,
+                                                      node, shown):
+    # a string and a bool in one list is read by NumPy as all strings; the
+    # message names the first bad entry, not the node list
+    path = tmp_path / "mesh.json"
+    write_mesh(tiny_wing, path)
+    doc = json.loads(path.read_text())
+    doc["nodes"][-1] = node
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MeshFormatError) as err:
+        read_mesh(path)
+    assert str(err.value) == (f"{path}: malformed mesh document: nodes must "
+                              f"hold numbers, got {shown}")
+
+
+@pytest.mark.parametrize("groups, message", [
+    ([["left", [0, 1]]], "groups must map group names to node ids, got list"),
+    ("ab", "groups must map group names to node ids, got str"),
+    (None, "groups must map group names to node ids, got NoneType"),
+    ({1: [0]}, "groups must be named by strings, got 1"),
+    ({("left",): [0]}, "groups must be named by strings, got ('left',)"),
+])
+def test_mesh_takes_groups_only_as_a_mapping_from_names(groups, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Mesh(3, _TET, [[0, 1, 2, 3]], [0, 1, 2, 3], [], groups)
+
+
+def test_mesh_keeps_a_mapping_of_groups_as_a_dict():
+    mesh = Mesh(3, _TET, [[0, 1, 2, 3]], [0, 1, 2, 3], [],
+                MappingProxyType({"g": [2, 0]}))
+    assert type(mesh.groups) is dict and list(mesh.groups) == ["g"]
+    np.testing.assert_array_equal(mesh.groups["g"], [0, 2])
+
+
+def test_read_mesh_refuses_groups_that_are_not_an_object(tiny_wing,
+                                                         tmp_path):
+    path = tmp_path / "mesh.json"
+    write_mesh(tiny_wing, path)
+    doc = json.loads(path.read_text())
+    doc["groups"] = [[k, v] for k, v in doc["groups"].items()]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MeshFormatError) as err:
+        read_mesh(path)
+    assert str(err.value) == (f"{path}: malformed mesh document: groups must "
+                              "map group names to node ids, got list")
+
+
+# ---------------------------------------------------------------------------
+# records built through mesh._trusted: each field the very object handed
+# in, arrays frozen, and no __post_init__ run
+
+@pytest.fixture
+def post_inits(monkeypatch):
+    """Calls of each record class's __post_init__, by class name."""
+    calls = []
+    for cls in (DisplacementField, Mesh, mk.IdwOperator, mk.SelectionResult):
+        def spy(self, original=cls.__post_init__):
+            calls.append(type(self).__name__)
+            original(self)
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    return calls
+
+
+def test_the_post_init_spy_sees_a_checked_build(post_inits):
+    DisplacementField([0], [[0.0, 0.0]])
+    assert post_inits == ["DisplacementField"]
+
+
+def test_trusted_holds_the_fields_as_given(post_inits):
+    idx, vec = np.arange(3), np.ones((2, 2))
+    f = mesh_module._trusted(DisplacementField, indices=idx, vectors=vec)
+    assert type(f) is DisplacementField and post_inits == []
+    assert f.indices is idx and f.vectors is vec
+    with pytest.raises(AttributeError):
+        f.indices = idx  # still frozen
+
+
+def test_built_field_holds_its_arrays_frozen(post_inits):
+    idx = np.array([3, 5])
+    idx.setflags(write=False)
+    vec = np.ones((2, 3))
+    f = DisplacementField._built(idx, vec, 0.0)
+    assert f.indices is idx and f.vectors is vec
+    assert not f.vectors.flags.writeable
+    g = f.restrict(idx[::-1].copy())
+    h = merge_fields(f, DisplacementField._built(np.array([7]),
+                                                 np.zeros((1, 3)), 0.0))
+    for field in (g, h):
+        assert not field.indices.flags.writeable
+        assert not field.vectors.flags.writeable
+    assert post_inits == []
+
+
+def test_built_selection_holds_its_fields(post_inits, lattice11):
+    sel = np.array([2, 4])
+    order, trace = (4, 2), ((4, 10), (2, 3))
+    per_region = {}
+    res = mk.SelectionResult._built(sel, order, trace, 2, per_region)
+    assert (res.selected is sel and res.order is order and res.trace is trace
+            and res.annulus_count == 2 and res.per_region is per_region)
+    assert not res.selected.flags.writeable
+    walked = mk.select(lattice11, lattice11.boundary_ids, 3.0, seed=0)
+    assert type(walked.order) is tuple and type(walked.trace) is tuple
+    assert not walked.selected.flags.writeable
+    assert post_inits == []
+
+
+def test_with_nodes_holds_the_parents_fields(post_inits, wing):
+    nodes = wing.nodes + 0.5
+    nodes.setflags(write=False)
+    moved = wing.with_nodes(nodes)
+    assert moved.nodes is nodes
+    assert all(getattr(moved, name) is getattr(wing, name) for name in
+               ("dim", "elements", "boundary_ids", "interior_ids", "groups"))
+    assert post_inits == []
+    assert {"_valid", "_memo", "bbox_diagonal",
+            "coincidence_tolerance"}.isdisjoint(vars(moved))
+
+
+def test_assembled_operator_holds_the_kernel_output(post_inits, tiny_wing,
+                                                    monkeypatch):
+    made = []
+    kernel = mk.idw._kernels.assemble_weight_matrix
+
+    def capture(*args, **kwargs):
+        made.append(kernel(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(mk.idw._kernels, "assemble_weight_matrix", capture)
+    controls, targets = tiny_wing.boundary_ids, tiny_wing.interior_ids
+    op = mk.assemble(tiny_wing, controls, targets)
+    assert op.matrix is made[0] and not op.matrix.flags.writeable
+    assert op.control_ids is controls and op.target_ids is targets
+    assert post_inits == []
 
 
 # ---------------------------------------------------------------------------
