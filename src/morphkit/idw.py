@@ -27,7 +27,8 @@ import numpy as np
 
 from . import _kernels
 from .mesh import (COINCIDENCE_FACTOR, DisplacementField, _bbox_diagonal,
-                   _node_ids, _own, _scalar, _trusted, coincident_pair)
+                   _node_ids, _numbers, _own, _scalar, _trusted,
+                   coincident_pair)
 
 __all__ = [
     "IdwConfig",
@@ -107,10 +108,13 @@ def weights_at(x, controls, config=IdwConfig()):
 
     Reference implementation used to cross-check assembled matrix rows;
     not the bulk path. Its coincidence tolerance is
-    ``config.resolve_tol`` of the controls and ``x`` together.
+    ``config.resolve_tol`` of the controls and ``x`` together. Both are
+    read by ``mesh._numbers``, as a mesh reads its nodes: a string or a
+    bool raises ValueError naming the entry.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
+    x = np.asarray(_numbers(x, "point"), dtype=np.float64).reshape(-1)
+    controls = np.atleast_2d(np.asarray(_numbers(controls, "controls"),
+                                        dtype=np.float64))
     if controls.shape[0] == 0:
         raise ValueError("need at least one control point")
     if controls.shape[1] != x.size:

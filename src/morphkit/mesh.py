@@ -180,26 +180,29 @@ def _holds_bool(seq, arr):
     return False
 
 
-def _numbers(value):
-    """NumPy's reading of ``value`` if it holds only ints and floats, else
-    None: for a string or another object, a ragged nesting, or a bool
-    inside a list or tuple, which NumPy would read as 0 or 1. Arrays skip
-    that look: a numeric array cannot hold a bool."""
+def _numbers(value, what=None):
+    """NumPy's reading of ``value`` if it holds only ints and floats. For a
+    string or another object, a ragged nesting, or a bool inside a list or
+    tuple, which NumPy would read as 0 or 1: None, or with ``what`` the
+    ValueError of :func:`_not_numbers`. Arrays skip the bool look: a
+    numeric array cannot hold a bool."""
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged nesting
-        return None
-    if arr.dtype.kind not in "iuf" or (isinstance(value, (list, tuple))
-                                       and _holds_bool(value, arr)):
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or (
+            isinstance(value, (list, tuple)) and _holds_bool(value, arr)):
+        if what is not None:
+            raise _not_numbers(value, what)
         return None
     return arr
 
 
-def _not_numbers(value, what):
+def _not_numbers(value, what, rule="hold numbers"):
     """The ValueError for ``value``, which :func:`_numbers` refused: it
-    names ``what`` and the first entry, depth first, that is not an int or
-    a float, never the whole of a long list. When every entry is one, the
-    nesting is ragged or an int needs more than 64 bits."""
+    names ``what``, its ``rule`` and the first entry, depth first, that is
+    not an int or a float, never the whole of a long list. When every entry
+    is one, the nesting is ragged or an int needs more than 64 bits."""
     todo = [value]
     while todo:
         item = todo.pop()
@@ -209,7 +212,7 @@ def _not_numbers(value, what):
             todo.extend(reversed(item))
         elif (not isinstance(item, (int, float, np.integer, np.floating))
               or isinstance(item, (bool, np.bool_))):
-            return ValueError(f"{what} must hold numbers, got {item!r}")
+            return ValueError(f"{what} must {rule}, got {item!r}")
     return ValueError(f"{what} must be a regular array of numbers")
 
 
@@ -217,8 +220,9 @@ def _int_ids(ids, what="indices"):
     """``ids``, at least 1-D and of any rank, through :func:`_own` as int64.
 
     A boolean mask, a float that is not an integer or a non-numeric value
-    raises ValueError naming ``what`` instead of being cast silently, and so
-    does a bool inside a list or tuple, which NumPy would read as 0 or 1.
+    (named by its first entry that is not a number) raises ValueError
+    naming ``what`` instead of being cast silently, and so does a bool
+    inside a list or tuple, which NumPy would read as 0 or 1.
     Arrays skip that look: a numeric array cannot hold a bool.
     """
     arr = np.atleast_1d(ids)
@@ -230,7 +234,7 @@ def _int_ids(ids, what="indices"):
             raise ValueError(
                 f"{what} must be integers, got {arr[bad][:5].tolist()}")
     elif arr.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+        raise _not_numbers(ids, what, "be integers")
     if isinstance(ids, (list, tuple)) and _holds_bool(ids, arr):
         raise ValueError(f"{what} must be integers, not booleans")
     return _own(arr, np.int64)
@@ -280,10 +284,7 @@ class DisplacementField:
 
     def __post_init__(self):
         idx = _node_ids(self.indices, "indices")
-        vec = _numbers(self.vectors)
-        if vec is None:
-            raise _not_numbers(self.vectors, "vectors")
-        vec = _own(vec, np.float64)
+        vec = _own(_numbers(self.vectors, "vectors"), np.float64)
         if vec.ndim != 2 or vec.shape[0] != idx.shape[0]:
             raise ValueError(
                 f"vectors shape {vec.shape} does not match {idx.shape[0]} indices")
@@ -398,10 +399,7 @@ def merge_fields(*fields):
 def _coordinates(nodes, dim):
     """``nodes`` through :func:`_own` as float64, refused with ValueError
     unless :func:`_numbers` reads them, of shape (n, dim) and finite."""
-    arr = _numbers(nodes)
-    if arr is None:
-        raise _not_numbers(nodes, "nodes")
-    nodes = _own(np.atleast_2d(arr), np.float64)
+    nodes = _own(np.atleast_2d(_numbers(nodes, "nodes")), np.float64)
     if nodes.ndim != 2 or nodes.shape[1] != dim:
         raise ValueError(f"nodes must have shape (n, {dim})")
     if not np.isfinite(nodes).all():

@@ -7,9 +7,9 @@ result is a subset where selected points are pairwise at least R apart
 (separation) while every candidate stays within R of some selected point
 (covering). Shrinking R below the minimum candidate spacing therefore
 returns the whole candidate set, at no extra cost: the number of annuli
-is taken in closed form, and an exhausted ring hands over straight to the
-lowest ring still holding a candidate. A radius so small that the count
-is not finite or reaches 2**53 raises ValueError naming the radius.
+is found by one bisection, and an exhausted ring hands over straight to
+the lowest ring still holding a candidate. A radius so small that the
+count reaches 2**53 raises ValueError naming the radius.
 
 A walk compares only the distance rows of the points it picks against R
 and b*R; no n x n mask is built for a radius. Past a generator for the
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import DegenerateSampleError
 from .mesh import (_group_names, _int_ids, _node_ids, _read_json, _scalar,
                    _trusted, _write_artifact, sorted_unique)
@@ -53,13 +52,13 @@ __all__ = [
 STRATEGIES = ("random", "centroid_nearest", "farthest_point")
 
 # a candidate set of n points gets its n x n distance matrix memoized on
-# the mesh when n * n fits this many entries (512 KiB, one chunk of the
-# weight kernel): the wing's faces and the tunnel's obstacle do, the
-# tunnel's outer faces do not. A walk then reads one row per pick as a
-# view, where a set past the budget computes it (four NumPy calls); both
-# compare that row alone against R and b*R, and no other n x n array is
-# built, for any radius
-_MEMO_BUDGET = _kernels._CHUNK_BUDGET
+# the mesh when n * n fits this many entries (512 KiB of float64): the
+# wing's faces and the tunnel's obstacle do, the tunnel's outer faces do
+# not. A walk then reads one row per pick as a view, where a set past the
+# budget computes it (3 * dim NumPy calls); both come from one
+# _distances, compare that row alone against R and b*R, and no other
+# n x n array is built, for any radius
+_MEMO_BUDGET = 256 * 256
 # bytes one mesh's memo may hold: three 3-D sets of 256 points with their
 # coordinates (530,432 B each); a fourth would take it to 2,121,728 B
 _MEMO_BYTES = 2 * 2**20
@@ -181,26 +180,17 @@ class SelectionResult:
         return int(self.selected.size)
 
 
-def _distances(coords, point):
-    """Euclidean distances of the rows of ``coords`` to ``point``; the
-    arithmetic of ``np.linalg.norm(coords - point, axis=1)`` without its
-    dispatch."""
-    diff = coords - point
-    np.multiply(diff, diff, out=diff)
-    dist = np.add.reduce(diff, axis=1)
+def _distances(coords, points):
+    """Euclidean distances of the rows of ``coords`` to ``points``: one
+    point gives a row, ``coords[:, None]`` the n x n matrix whose row i is
+    bitwise the row of ``coords[i]``. The squares are summed one coordinate
+    at a time, ((dx²) + dy²) + dz², as ``np.add.reduce`` sums a row."""
+    diff = coords[:, 0] - points[..., 0]
+    dist = np.multiply(diff, diff, out=diff)
+    for k in range(1, coords.shape[1]):
+        diff = coords[:, k] - points[..., k]
+        dist += np.multiply(diff, diff, out=diff)
     return np.sqrt(dist, out=dist)
-
-
-@_kernels._small_buffer
-def _pairwise(coords):
-    """The n x n distances between the rows of ``coords``, row i bitwise
-    ``_distances(coords, coords[i])``: the squares are summed one
-    coordinate at a time, in the order ``add.reduce`` sums them, in the
-    weight kernel's row blocks, under its small ufunc buffer."""
-    dist = np.empty((coords.shape[0],) * 2)
-    for _, block in _kernels._row_blocks(coords, coords.T.copy(), out=dist):
-        np.sqrt(block, out=block)
-    return dist
 
 
 def _memoized(mesh, candidates):
@@ -219,7 +209,7 @@ def _memoized(mesh, candidates):
         if held + 8 * n * (n + mesh.nodes.shape[1]) > _MEMO_BYTES:
             return None
         coords = mesh.nodes[candidates]
-        entry = (coords, _pairwise(coords))
+        entry = (coords, _distances(coords, coords[:, None]))
         for arr in entry:
             arr.setflags(write=False)
         memo[key] = entry
@@ -255,46 +245,40 @@ def _pick_from(beta_positions, coords, strategy, rng, min_dist_to_selected):
     return int(beta_positions[min_dist_to_selected[beta_positions].argmax()])
 
 
-# ring indices are floats, exact below 2**53
-_MAX_ANNULI = 2.0**53
-
-
 def _annulus_count(radius, step, r_omega):
     """The least n >= 0 with ``radius + n * step > r_omega``: the number of
     annuli (R + (j-1)aR, R + j*aR], j = 1..n, with ``step`` = aR, that
     reach the farthest candidate at ``r_omega``. It is the count of the
-    loop ``while radius + n * step <= r_omega: n += 1``, found without
-    stepping through it: the loop's test is monotone in n, so the estimate
-    (r_omega - R) / aR is bracketed and the bracket bisected. Rounding
-    puts the estimate at most a step or two above the count, so the
-    bracket steps down by ones; it can lie far below the count when aR is
-    finer than the float spacing at r_omega (R + n*aR then rounds to one
-    float for many n), so the bracket steps up by doubling. That is two
-    tests in the common case and about a hundred at worst. ValueError
-    names the radius when the count is not finite (aR underflowing to 0
-    is one case) or reaches 2**53."""
+    loop ``while radius + n * step <= r_omega: n += 1``, found by one
+    bisection of the loop's test, which is monotone in n, over the
+    estimate (r_omega - R) / aR +- 2 when that holds the count (four
+    tests), else over [0, 2**53) (55 tests): aR finer than the float
+    spacing at r_omega rounds R + n*aR to one float for many n. ValueError
+    names the radius when the count reaches 2**53, past which ring indices
+    (floats) are not exact; aR underflowing to 0 is one case."""
     if not radius <= r_omega:
         return 0
-    count = (r_omega - radius) / step if step else math.inf
-    if count < _MAX_ANNULI:
-        # lo passes the loop's test (or is 0, which does), hi fails it
-        lo, hi, gap = int(count), int(count) + 1, 1
-        while radius + hi * step <= r_omega:
-            lo, hi, gap = hi, hi + gap, 2 * gap
-        while lo and radius + lo * step > r_omega:
-            lo, hi = lo - 1, lo
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if radius + mid * step > r_omega:
-                hi = mid
-            else:
-                lo = mid
-        count = hi
-    if not count < _MAX_ANNULI:
+
+    def past(n):
+        return radius + n * step > r_omega
+    # the count lies in (lo, hi]: lo passes the loop's test, as 0 does
+    lo, hi = 0, 2**53
+    estimate = (r_omega - radius) / step if step else math.inf
+    if estimate < 2**53:
+        guess = int(estimate)
+        if not past(max(guess - 2, 0)) and past(guess + 2):
+            lo, hi = max(guess - 2, 0), guess + 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if past(mid):
+            hi = mid
+        else:
+            lo = mid
+    if hi >= 2**53:
         raise ValueError(f"radius {radius!r} is too small: annuli of "
                          f"thickness {step!r} up to {r_omega!r} number "
-                         f"{count!r}, not fewer than 2**53")
-    return count
+                         "2**53 or more")
+    return hi
 
 
 def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
@@ -304,9 +288,9 @@ def select(mesh, candidates, radius, a=0.8, b=1.3, strategy="random",
     The first point comes from ``seed_point`` when given, otherwise from
     the strategy (seeded RNG for "random"). Annuli of thickness a*R are
     laid out from radius R up to the farthest candidate; their number is
-    taken in closed form, and a radius so small that the count is not
-    finite or reaches 2**53 (a*R underflowing to 0, say) raises
-    ValueError naming the radius. Each subsequent pick is drawn from the
+    found by one bisection, and a radius so small that the count reaches
+    2**53 (a*R underflowing to 0, say) raises ValueError naming the
+    radius. Each subsequent pick is drawn from the
     current annulus restricted to distances (R, b*R] from the previous
     pick, every pick removes the closed ball of radius R around itself,
     and an exhausted ring hands over to the lowest ring still holding a

@@ -59,6 +59,10 @@ def test_weights_reject_coincident_controls():
     ([0.5, 0.5], np.empty((0, 2)), "^need at least one control point$"),
     ([0.5, 0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]],
      "^point has dim 3, controls have dim 2$"),
+    # NumPy alone would read both as numbers, and the weights as [0, 1]
+    (["1", 0, 0], [[0, 0, 0], [1, 0, 0]], "^point must hold numbers, got '1'$"),
+    ([1, 0, 0], [[0, 0, 0], [True, 0, 0]],
+     "^controls must hold numbers, got True$"),
 ])
 def test_weights_reject_missing_or_mismatched_controls(x, controls, match):
     with pytest.raises(ValueError, match=match):

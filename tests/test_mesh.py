@@ -153,6 +153,7 @@ def test_field_restrict_copies_the_request_and_rejects_duplicates():
     ([np.nan], "integers"),
     (np.array([True, False, True]), "boolean mask"),
     ([0, True], "integers"),  # NumPy alone would read the bool as 1
+    (["3"], "must be integers, got '3'$"),  # the entry, not NumPy's dtype
 ])
 def test_field_and_restrict_reject_non_integer_ids(bad, match):
     f = DisplacementField([0, 1, 2], np.zeros((3, 2)))
@@ -1322,6 +1323,25 @@ def test_read_mesh_rejects_non_integer_ids(tiny_wing, tmp_path, where, value):
     with pytest.raises(MeshFormatError, match="integers") as err:
         read_mesh(path)
     assert str(err.value).startswith(f"{path}: malformed mesh document: ")
+
+
+def test_an_id_that_is_not_a_number_is_named(tiny_wing, tmp_path):
+    # NumPy reads [0, 1, 2, "3"] as strings: the refusal names the entry,
+    # not that dtype
+    nodes = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+             [0.0, 0.0, 1.0]]
+    with pytest.raises(ValueError) as err:
+        Mesh(3, nodes, [[0, 1, 2, "3"]], [0, 1, 2, 3], [])
+    assert str(err.value) == "elements must be integers, got '3'"
+    path = tmp_path / "mesh.json"
+    write_mesh(tiny_wing, path)
+    doc = json.loads(path.read_text())
+    doc["elements"][0][1] = "3"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MeshFormatError) as err:
+        read_mesh(path)
+    assert str(err.value) == (f"{path}: malformed mesh document: "
+                              "elements must be integers, got '3'")
 
 
 @pytest.mark.parametrize("dim", [3.5, True, "3", None])

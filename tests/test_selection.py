@@ -15,7 +15,7 @@ from morphkit import (BaselineStats, DegenerateSampleError, RegionParams,
                       SelectionParams, enrich, random_baseline_stats,
                       read_selection, select, select_multi, select_random,
                       write_selection)
-from morphkit import _kernels, selection
+from morphkit import selection
 from morphkit.selection import STRATEGIES
 from conftest import make_lattice2d
 
@@ -156,34 +156,19 @@ def test_multi_region_walk_golden_row_path(study_wing, r_lr, seed, row_path):
 # the per-mesh memo of candidate distances
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("block", [None, 1, 50])
-def test_pairwise_rows_are_bitwise_distances(dim, block, monkeypatch):
-    if block is not None:   # 1: one row per block; 50: a ragged last block
-        monkeypatch.setattr(_kernels, "_CHUNK_BUDGET", block * 90)
-    rng = np.random.default_rng(dim)
-    coords = rng.standard_normal((90, dim)) * rng.uniform(0.1, 1e3, dim)
-    dist = selection._pairwise(coords)
-    for i in range(coords.shape[0]):
+@pytest.mark.parametrize("n", [1, 2, 50, 256])
+def test_memo_rows_are_bitwise_distance_rows(dim, n):
+    # the memo and a computed row are one function: a walk reads the same
+    # bits on either path
+    rng = np.random.default_rng(dim * n)
+    coords = rng.standard_normal((n, dim)) * rng.uniform(0.1, 1e3, dim)
+    dist = selection._distances(coords, coords[:, None])
+    assert dist.shape == (n, n)
+    for i in range(n):
         np.testing.assert_array_equal(dist[i],
                                       selection._distances(coords, coords[i]))
-
-
-def test_pairwise_runs_under_the_kernels_buffer(monkeypatch):
-    # a memoized set is one chunk of the weight kernel, consumed in the
-    # kernel's small ufunc buffer
-    assert selection._MEMO_BUDGET == _kernels._CHUNK_BUDGET
-    sizes, row_blocks = [], _kernels._row_blocks
-
-    def spy(*args, **kwargs):
-        for item in row_blocks(*args, **kwargs):
-            sizes.append(np.getbufsize())
-            yield item
-
-    monkeypatch.setattr(_kernels, "_row_blocks", spy)
-    before = np.getbufsize()
-    selection._pairwise(np.random.default_rng(0).standard_normal((90, 3)))
-    assert sizes and set(sizes) == {_kernels._BUFSIZE}
-    assert np.getbufsize() == before
+        np.testing.assert_array_equal(dist[i],
+                                      reference_distances(coords, coords[i]))
 
 
 def memo_bytes(mesh):
@@ -525,6 +510,25 @@ def test_annuli_finer_than_floats_count_promptly(deadline):
         res = select(mesh, ids, 1.0, a=2.0**-104, seed_point=0)
     assert res.annulus_count == 3 * 2**51
     assert res.order == (0, 1)
+
+
+def test_annulus_count_is_refused_from_2_53():
+    # too many annuli to run the loop: each count is checked against the
+    # loop's test on either side of it. Unit annuli from R = 1 up to
+    # 2**53 - 1 number 2**53 - 1, the largest count returned; from R = 2
+    # up to 2**53 they number 2**53, the least refused
+    assert 1.0 + (2**53 - 2) * 1.0 <= 2.0**53 - 1 < 1.0 + (2**53 - 1) * 1.0
+    assert selection._annulus_count(1.0, 1.0, 2.0**53 - 1) == 2**53 - 1
+    assert 2.0 + (2**53 - 1) * 1.0 <= 2.0**53 < 2.0 + 2**53 * 1.0
+    with pytest.raises(ValueError, match=r"^radius 2\.0 is too small"):
+        selection._annulus_count(2.0, 1.0, 2.0**53)
+    # below the float spacing the estimate, 1.6 * 2**52, lies under 2**53
+    # while the count, about 1.2 * 2**53, does not
+    step, far = 2.0**-52 / (1.6 * 2**52), 1.0 + 2.0**-52
+    assert (far - 1.0) / step < 2**53
+    assert 1.0 + (2**53 - 1) * step <= far
+    with pytest.raises(ValueError, match=r"^radius 1\.0 is too small"):
+        selection._annulus_count(1.0, step, far)
 
 
 def test_rim_candidate_stays_in_the_last_ring():
