@@ -371,7 +371,8 @@ def cmd_morph(args):
                       if args.reference == "idw" else (None, None))
     deformed, row = morph_once(mesh, _thinned(mesh, cfg, args), d_boundary,
                                d_ref, args.repeat)
-    write_mesh(deformed, out / "deformed.json")
+    # a law can collapse two nodes, which read_mesh would refuse
+    write_mesh(deformed.validate(), out / "deformed.json")
     if args.vtk:
         write_mesh(deformed, out / "deformed.vtk", format="vtk-legacy-ascii")
     _write_reports([r for r in (row, ref_row) if r is not None], out, "report")
@@ -429,7 +430,7 @@ def cmd_pod_online(args):
                                  repeat=args.repeat)
 
     deformed, quality = _quality(mesh, d_boundary, d_interior)
-    write_mesh(deformed, out / "deformed.json")
+    write_mesh(deformed.validate(), out / "deformed.json")
     method = "pod"
     if model.selection_params and "method" in model.selection_params:
         method = f"pod-{model.selection_params['method']}"

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import _kernels
 from .mesh import (COINCIDENCE_FACTOR, DisplacementField, _bbox_diagonal,
-                   _node_ids, _numbers, _own, _scalar, _trusted,
-                   coincident_pair)
+                   _distances, _distinct, _node_ids, _numbers, _own, _scalar,
+                   _trusted)
 
 __all__ = [
     "IdwConfig",
@@ -96,13 +96,6 @@ class IdwOperator:
         return self.control_ids.size
 
 
-def _check_distinct_controls(controls, tol):
-    pair = coincident_pair(controls, tol)
-    if pair is not None:
-        i, j = pair
-        raise ValueError(f"control points {i} and {j} coincide within {tol:.3e}")
-
-
 def weights_at(x, controls, config=IdwConfig()):
     """Weight vector of ``controls`` at the single point ``x``.
 
@@ -117,11 +110,13 @@ def weights_at(x, controls, config=IdwConfig()):
                                         dtype=np.float64))
     if controls.shape[0] == 0:
         raise ValueError("need at least one control point")
+    if x.size == 0:
+        raise ValueError("point must have at least one coordinate")
     if controls.shape[1] != x.size:
         raise ValueError(f"point has dim {x.size}, controls have dim {controls.shape[1]}")
     tol = config.resolve_tol(np.vstack([controls, x[None, :]]))
-    _check_distinct_controls(controls, tol)
-    dist = np.linalg.norm(controls - x, axis=1)
+    _distinct(controls, tol, "control points")
+    dist = _distances(controls, x)
     dmin = dist.min()
     if dmin <= tol:
         w = np.zeros(len(controls))
@@ -142,7 +137,7 @@ def _validated(mesh, control_ids, target_ids):
     # a mesh that passed validate() has swept every node pair at tol, and
     # the control ids are unique
     if not mesh._valid:
-        _check_distinct_controls(controls, tol)
+        _distinct(controls, tol, "control points")
     return control_ids, target_ids, controls, tol
 
 

@@ -64,6 +64,29 @@ def _bbox_diagonal(points):
     return float(np.linalg.norm(np.ptp(points, axis=0))) if len(points) else 0.0
 
 
+def _distances(coords, points):
+    """Euclidean distances of the rows of ``coords`` to ``points``: one
+    point gives a row, one point per row their pairwise distances, and
+    ``coords[:, None]`` the n x n matrix whose row i is bitwise the row of
+    ``coords[i]``. The squares are summed one coordinate at a time,
+    ((dx²) + dy²) + dz², as ``np.add.reduce`` and ``np.linalg.norm`` do."""
+    diff = coords[:, 0] - points[..., 0]
+    dist = np.multiply(diff, diff, out=diff)
+    for k in range(1, coords.shape[1]):
+        diff = coords[:, k] - points[..., k]
+        dist += np.multiply(diff, diff, out=diff)
+    return np.sqrt(dist, out=dist)
+
+
+def _distinct(points, tol, what):
+    """Refuse, with ValueError, two of ``points`` at most ``tol`` apart,
+    naming the lowest such pair as ``what`` i and j."""
+    pair = coincident_pair(points, tol)
+    if pair is not None:
+        raise ValueError(f"{what} {pair[0]} and {pair[1]} coincide within "
+                         f"{tol:.3e}")
+
+
 def coincident_pair(points, tol):
     """Lowest index pair (i, j), i < j, of ``points`` at most ``tol`` apart.
 
@@ -95,8 +118,7 @@ def coincident_pair(points, tol):
         if near.size == 0:
             break  # every wider gap spans one of these differences
         a, b = order[near], order[near + gap]
-        diff = pts[a] - pts[b]
-        hit = np.sqrt(np.add.reduce(diff * diff, axis=1)) <= tol
+        hit = _distances(pts[a], pts[b]) <= tol
         if hit.any():
             lo, hi = np.minimum(a[hit], b[hit]), np.maximum(a[hit], b[hit])
             pair = min(zip(lo.tolist(), hi.tolist()))
@@ -219,13 +241,16 @@ def _not_numbers(value, what, rule="hold numbers"):
 def _int_ids(ids, what="indices"):
     """``ids``, at least 1-D and of any rank, through :func:`_own` as int64.
 
-    A boolean mask, a float that is not an integer or a non-numeric value
-    (named by its first entry that is not a number) raises ValueError
-    naming ``what`` instead of being cast silently, and so does a bool
-    inside a list or tuple, which NumPy would read as 0 or 1.
-    Arrays skip that look: a numeric array cannot hold a bool.
+    A boolean mask, a float that is not an integer, a ragged nesting or a
+    non-numeric value (named by its first entry that is not a number)
+    raises ValueError naming ``what`` instead of being cast silently, and
+    so does a bool inside a list or tuple, which NumPy would read as 0 or
+    1. Arrays skip that look: a numeric array cannot hold a bool.
     """
-    arr = np.atleast_1d(ids)
+    try:
+        arr = np.atleast_1d(ids)
+    except ValueError:  # a ragged nesting
+        raise _not_numbers(ids, what, "be integers") from None
     if arr.dtype.kind == "b":
         raise ValueError(f"{what} must be integer node ids, not a boolean mask")
     if arr.dtype.kind == "f":
@@ -315,7 +340,8 @@ class DisplacementField:
 
     @classmethod
     def zero(cls, indices, dim):
-        return cls(indices, np.zeros((np.size(indices), dim)))
+        indices = _node_ids(indices, "indices")
+        return cls(indices, np.zeros((indices.size, dim)))
 
     def restrict(self, ids):
         """Rows of this field at ``ids`` (all must be present), in that order.
@@ -515,15 +541,10 @@ class Mesh:
         """Refuse two nodes closer than the coincidence tolerance, with
         ValueError; returns self so calls chain. The structure was checked
         when the mesh was built."""
-        n = self.node_count
         tol = self.coincidence_tolerance
-        if n > 1:
-            if tol == 0.0:
-                raise ValueError("all nodes coincide")
-            pair = coincident_pair(self.nodes, tol)
-            if pair is not None:
-                i, j = pair
-                raise ValueError(f"nodes {i} and {j} coincide within {tol:.3e}")
+        if tol == 0.0 and self.node_count > 1:
+            raise ValueError("all nodes coincide")
+        _distinct(self.nodes, tol, "nodes")
         object.__setattr__(self, "_valid", True)
         return self
 

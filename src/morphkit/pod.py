@@ -109,7 +109,10 @@ class PodModel:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         object.__setattr__(self, "dim", _scalar(self.dim, "dim", True, 1))
-        object.__setattr__(self, "epsilon", _scalar(self.epsilon, "epsilon"))
+        object.__setattr__(self, "n_modes", _scalar(self.n_modes, "n_modes",
+                                                    True, 1))
+        object.__setattr__(self, "epsilon", _scalar(self.epsilon, "epsilon",
+                                                    minimum=0))
         object.__setattr__(self, "train_params", tuple(
             _scalar(m, "train_params entry") for m in self.train_params))
         if not isinstance(self.selection_params, (dict, type(None))):

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .mesh import (_group_names, _int_ids, _node_ids, _read_json, _scalar,
-                   _trusted, _write_artifact, sorted_unique)
+from .mesh import (_distances, _group_names, _int_ids, _node_ids, _read_json,
+                   _scalar, _trusted, _write_artifact, sorted_unique)
 
 __all__ = [
     "RegionParams",
@@ -131,7 +131,7 @@ class SelectionParams:
         if unknown:
             raise ValueError(f"seed_points {unknown} name no region of {groups}")
         for group, node in self.seed_points.items():
-            if np.ndim(node):
+            if isinstance(node, (list, tuple)) or np.ndim(node):
                 raise ValueError(f"seed point {node!r} of {group!r} is not one id")
         object.__setattr__(self, "seed_points", {
             group: _int_ids(node, f"seed point of {group!r}").item()
@@ -180,19 +180,6 @@ class SelectionResult:
         return int(self.selected.size)
 
 
-def _distances(coords, points):
-    """Euclidean distances of the rows of ``coords`` to ``points``: one
-    point gives a row, ``coords[:, None]`` the n x n matrix whose row i is
-    bitwise the row of ``coords[i]``. The squares are summed one coordinate
-    at a time, ((dx²) + dy²) + dz², as ``np.add.reduce`` sums a row."""
-    diff = coords[:, 0] - points[..., 0]
-    dist = np.multiply(diff, diff, out=diff)
-    for k in range(1, coords.shape[1]):
-        diff = coords[:, k] - points[..., k]
-        dist += np.multiply(diff, diff, out=diff)
-    return np.sqrt(dist, out=dist)
-
-
 def _memoized(mesh, candidates):
     """(coords, distances) of the sorted ``candidates``, memoized on the
     mesh, or None when n * n exceeds ``_MEMO_BUDGET`` or the entry would
@@ -214,20 +201,6 @@ def _memoized(mesh, candidates):
             arr.setflags(write=False)
         memo[key] = entry
     return entry
-
-
-def _pick_first(coords, strategy, rng, candidate_ids, seed_point):
-    if seed_point is not None:
-        where = np.nonzero(candidate_ids == seed_point)[0]
-        if where.size == 0:
-            raise ValueError(f"seed point {seed_point} is not a candidate")
-        return int(where[0])
-    if strategy == "random":
-        return int(rng.integers(0, len(coords)))
-    dist = _distances(coords, coords.mean(axis=0))
-    if strategy == "centroid_nearest":
-        return int(dist.argmin())
-    return int(dist.argmax())  # farthest_point: start far out
 
 
 def _pick_from(beta_positions, coords, strategy, rng, min_dist_to_selected):
@@ -331,7 +304,17 @@ def _walk(mesh, candidates, radius, a, b, strategy, seed, seed_point):
     # only the random strategy draws
     rng = np.random.default_rng(seed) if strategy == "random" else None
 
-    first = _pick_first(coords, strategy, rng, candidates, seed_point)
+    if seed_point is not None:
+        where = np.flatnonzero(candidates == seed_point)
+        if not where.size:
+            raise ValueError(f"seed point {seed_point} is not a candidate")
+        first = int(where[0])
+    else:
+        # every candidate is in the first pool; farthest_point starts far out
+        spread = (_distances(coords, coords.mean(axis=0))
+                  if strategy == "farthest_point" else None)
+        first = _pick_from(np.arange(candidates.size), coords, strategy, rng,
+                           spread)
     order = [int(candidates[first])]
     trace = [(order[0], candidates.size)]
     d_last = row(first)

@@ -210,6 +210,32 @@ def test_morph_tabulated_bend_fields_is_the_bend_morph(tmp_path):
         == (tmp_path / "bend" / "deformed.json").read_bytes()
 
 
+@pytest.mark.parametrize("commands", [["morph"], ["pod-offline", "pod-online"]])
+def test_no_command_writes_a_mesh_whose_nodes_coincide(tmp_path, capsys,
+                                                        commands):
+    # a table moving node 3 onto node 1, which share no element: the
+    # deformed mesh passes mesh_quality, but read_mesh would refuse it
+    mesh = mk.generate_box_wing(2, 2, 2, (1.0, 1.0, 1.0))
+    ids = mesh.boundary_ids
+    vectors = np.zeros((ids.size, 3))
+    vectors[np.searchsorted(ids, 3)] = mesh.nodes[1] - mesh.nodes[3]
+    table = tmp_path / "collapse.json"
+    table.write_text(json.dumps({"domain": [0.0, 1.0], "entries": [
+        {"mu": 1.0, "indices": ids.tolist(), "vectors": vectors.tolist()}]}))
+    cfg = write_cfg(tmp_path, mesh={"generator": "box_wing", "nx": 2, "ny": 2,
+                                    "nz": 2, "lengths": [1.0, 1.0, 1.0]},
+                    law={"kind": "tabulated", "path": str(table)},
+                    selection=None, mu=1.0)
+    out = tmp_path / "out"
+    *before, last = commands
+    for command in before:
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert main([last, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: nodes 1 and 3 coincide within 1.732e-12\n")
+    assert not (out / "deformed.json").exists()
+
+
 def test_pod_offline_then_online(tmp_path, monkeypatch):
     seen = []
     build_online = pod.build_online

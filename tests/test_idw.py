@@ -69,6 +69,13 @@ def test_weights_reject_missing_or_mismatched_controls(x, controls, match):
         weights_at(x, controls)
 
 
+@pytest.mark.parametrize("controls", [[], [[]], np.empty((3, 0))])
+def test_weights_reject_a_point_without_coordinates(controls):
+    with pytest.raises(ValueError,
+                       match="^point must have at least one coordinate$"):
+        weights_at([], controls)
+
+
 def test_weights_huge_exponent_does_not_overflow():
     # d^(-p) would overflow for p=300; the ratio form must not
     # x = 1e-8 lies far outside the tolerance of 1e-12 x the diagonal
@@ -181,8 +188,8 @@ def test_meshes_not_validated_still_refuse_coincident_controls(tiny_wing,
 
 def test_validated_mesh_skips_only_its_own_sweep(wing, monkeypatch):
     checked = []
-    monkeypatch.setattr(idw, "_check_distinct_controls",
-                        lambda controls, tol: checked.append(tol))
+    monkeypatch.setattr(idw, "_distinct",
+                        lambda controls, tol, what: checked.append(tol))
     d = DisplacementField(wing.boundary_ids,
                           np.ones((wing.boundary_ids.size, 3)))
     assemble(wing, wing.boundary_ids, wing.interior_ids)

@@ -94,6 +94,32 @@ def test_squared_distances_are_bitwise_cdist(dim):
             np.testing.assert_array_equal(block, ref)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_row_blocks_without_p_yield_squared_distances(dim, monkeypatch):
+    # p=None: each chunk's squared distances alone, in the reused buffer or
+    # in the caller's array; 7-row chunks, the last one shorter
+    targets, controls = random_cloud(11, 30, 16, dim)
+    targets *= 1e3
+    ref = cdist(targets, controls, "sqeuclidean")
+    monkeypatch.setattr(_kernels, "_CHUNK_BUDGET", 7 * 16)
+
+    @_kernels._small_buffer
+    def consume(out):
+        got, chunks = np.full_like(ref, np.nan), []
+        for rows, block in _kernels._row_blocks(
+                targets, np.ascontiguousarray(controls.T), out=out):
+            chunks.append(block.shape[0])
+            got[rows] = block
+        return got, chunks
+
+    for out in (None, np.empty_like(ref)):
+        got, chunks = consume(out)
+        assert chunks == [7, 7, 7, 7, 2]
+        np.testing.assert_array_equal(got, ref)
+        if out is not None:
+            np.testing.assert_array_equal(out, ref)
+
+
 def test_mismatched_dims_rejected():
     targets, _ = random_cloud(10, 4, 1)
     _, controls = random_cloud(10, 1, 4, dim=2)

@@ -20,7 +20,8 @@ from morphkit import (DisplacementField, Mesh, MeshFormatError,
                       generate_tunnel, merge_fields, mesh_quality, read_mesh,
                       read_selection, read_tabulated, write_mesh)
 from morphkit import mesh as mesh_module
-from morphkit.mesh import _squared_edges, has_duplicates, sorted_unique
+from morphkit.mesh import (_distances, _squared_edges, has_duplicates,
+                           sorted_unique)
 from conftest import make_lattice2d
 
 
@@ -968,6 +969,24 @@ def test_assembled_operator_holds_the_kernel_output(post_inits, tiny_wing,
 
 
 # ---------------------------------------------------------------------------
+# the one point-distance routine
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e8])
+def test_distances_are_bitwise_the_sums_they_replace(dim, scale):
+    # coincident_pair summed each pair's squares by np.add.reduce, and
+    # weights_at took np.linalg.norm of the differences: both sum
+    # ((dx²) + dy²) + dz², as _distances does
+    rng = np.random.default_rng(dim)
+    a, b = rng.standard_normal((2, 20_000, dim)) * scale
+    diff = a - b
+    np.testing.assert_array_equal(
+        _distances(a, b), np.sqrt(np.add.reduce(diff * diff, axis=1)))
+    np.testing.assert_array_equal(_distances(a, b[0]),
+                                  np.linalg.norm(a - b[0], axis=1))
+
+
+# ---------------------------------------------------------------------------
 # coincident_pair against a brute-force oracle
 
 def brute_pair(points, tol):
@@ -1342,6 +1361,34 @@ def test_an_id_that_is_not_a_number_is_named(tiny_wing, tmp_path):
         read_mesh(path)
     assert str(err.value) == (f"{path}: malformed mesh document: "
                               "elements must be integers, got '3'")
+
+
+def test_a_ragged_id_list_is_refused_as_such(tiny_wing, tmp_path):
+    # NumPy cannot read [[0, 1], [2]] as one array: the refusal says so,
+    # as it does for ragged nodes and vectors
+    nodes = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+             [0.0, 0.0, 1.0]]
+    with pytest.raises(ValueError) as err:
+        Mesh(3, nodes, [[0, 1, 2, 3], [0, 1]], [0, 1, 2, 3], [])
+    assert str(err.value) == "elements must be a regular array of numbers"
+    for build, what in (
+            (lambda: DisplacementField([[0, 1], [2]], np.zeros((2, 3))),
+             "indices"),
+            (lambda: DisplacementField.zero([[0, 1], [2]], 3), "indices"),
+            (lambda: DisplacementField([0, 1, 2], np.zeros((3, 3))).restrict(
+                [[0, 1], [2]]), "ids")):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == f"{what} must be a regular array of numbers"
+    path = tmp_path / "mesh.json"
+    write_mesh(tiny_wing, path)
+    doc = json.loads(path.read_text())
+    doc["elements"][0] = doc["elements"][0][:2]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MeshFormatError) as err:
+        read_mesh(path)
+    assert str(err.value) == (f"{path}: malformed mesh document: "
+                              "elements must be a regular array of numbers")
 
 
 @pytest.mark.parametrize("dim", [3.5, True, "3", None])

@@ -963,6 +963,38 @@ def test_read_model_rejects_bad_mode_and_dim(wing, tmp_path, meta, words):
     assert str(path) in str(err.value) and words in str(err.value)
 
 
+def _one_mode_model(n_modes=1, epsilon=0.0):
+    return mk.PodModel(np.ones((1, 1)), np.ones(1), n_modes, epsilon, "plain",
+                       np.array([[1.0]]), [2], [5], 1)
+
+
+def test_pod_model_checks_its_scalars_as_the_offline_stage_does(
+        wing, tmp_path):
+    # a one-column basis: True and 1.0 match its shape, as 1 does
+    model = _one_mode_model(n_modes=1.0)
+    assert type(model.n_modes) is int and model.n_modes == 1
+    for n_modes in (True, 1.5, "1", None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_modes must be an integer >= 1, got {n_modes!r}")):
+            _one_mode_model(n_modes=n_modes)
+    # compute_pod keeps at least one mode; a model of none would morph the
+    # interior by zero
+    with pytest.raises(ValueError,
+                       match=r"^n_modes must be an integer >= 1, got 0$"):
+        mk.PodModel(np.ones((1, 0)), np.ones(1), 0, 0.0, "plain",
+                    np.ones((0, 1)), [2], [5], 1)
+    with pytest.raises(ValueError,
+                       match=r"^epsilon must be a finite number >= 0, got -1\.0$"):
+        _one_mode_model(epsilon=-1.0)
+    # compute_pod and build_pod_model refuse it, and so does a model file
+    path = tmp_path / "model.bin"
+    write_model(_small_model(wing), path)
+    _with_members(path, meta=json.dumps({**GOOD_META, "epsilon": -1}))
+    with pytest.raises(ValueError, match="bad model file") as err:
+        read_model(path)
+    assert "epsilon must be a finite number >= 0, got -1" in str(err.value)
+
+
 @pytest.mark.parametrize("member, value, words", [
     ("basis", None, "There is no item named 'basis.npy'"),
     ("meta", None, "There is no item named 'meta.npy'"),

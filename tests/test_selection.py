@@ -775,6 +775,14 @@ def test_params_validation():
     assert params.seed == 7 and type(params.seed) is int
 
 
+def test_a_ragged_seed_point_is_not_one_id():
+    # NumPy cannot take the ndim of [[1], [2, 3]]; the refusal is morphkit's
+    with pytest.raises(ValueError, match=(
+            r"^seed point \[\[1\], \[2, 3\]\] of 'left' is not one id$")):
+        SelectionParams((RegionParams("left", 1.0),),
+                        seed_points={"left": [[1], [2, 3]]})
+
+
 def test_enrich_unions_groups(wing):
     base = wing.group("top")[:2]
     out = enrich(base, wing, ["left_edge", "right_edge"])
