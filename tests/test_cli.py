@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand against tiny generated meshes."""
 
 import csv
+import gc
 import json
 import os
 import re
@@ -1278,16 +1279,68 @@ def test_pod_online_without_model(tmp_path, capsys):
     capsys.readouterr()
 
 
+def run_command(args, cwd=None, code=None):
+    """The command as its own process: ``python -m morphkit.cli args``, or
+    ``python -c code args``."""
+    src = os.path.dirname(os.path.dirname(mk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    head = ["-m", "morphkit.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable] + head + args, cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_cli_import_loads_no_scipy():
     # the package runs on NumPy alone; SciPy is only a test oracle. difflib
     # is imported only to name the key closest to an unknown one
     code = ("import sys, morphkit.cli; print(sorted(m for m in sys.modules "
             "if m in ('scipy', 'difflib') or m.startswith('scipy.')))")
-    src = os.path.dirname(os.path.dirname(mk.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    proc = run_command([], code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_process_entry_morph(tmp_path):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    proc = run_command(["morph", "--config", str(cfg), "--out", str(out)],
+                       tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"sidw: card=\d+ rel_error=\S+ max_Q=\S+\n",
+                        proc.stdout)
+    assert proc.stderr == ""
+    assert json.loads((out / "report.json").read_text())[0]["method"] == "sidw"
+    assert read_mesh(out / "deformed.json").node_count == cli_mesh().node_count
+
+
+def test_process_entry_missing_config(tmp_path):
+    out = tmp_path / "out"
+    proc = run_command(["morph", "--config", str(tmp_path / "none.json"),
+                        "--out", str(out)], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "none.json" in proc.stderr
+    assert not out.exists()
+
+
+def test_process_entry_help_freezes_the_heap_before_atexit(tmp_path):
+    # run() freezes the collector on every exit, --help's SystemExit too;
+    # the atexit handlers still run after it
+    code = ("import atexit, gc, runpy; atexit.register(lambda: print("
+            "'frozen', gc.get_freeze_count() > 0)); "
+            "runpy.run_module('morphkit.cli', run_name='__main__')")
+    proc = run_command(["--help"], tmp_path, code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")
+    assert proc.stdout.endswith("frozen True\n")
+
+
+def test_in_process_main_leaves_the_collector_alone(tmp_path):
+    cfg = write_cfg(tmp_path)
+    before = gc.get_freeze_count()
+    assert main(["morph", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert main(["morph", "--config", str(tmp_path / "none.json")]) == 1
+    assert gc.get_freeze_count() == before
 
 
 def test_library_loads_no_numpy_ma():
@@ -1304,8 +1357,6 @@ def test_library_loads_no_numpy_ma():
                         mk.DisplacementField.zero([1, 4], 3))
         print("numpy.ma" in sys.modules)
     """
-    src = os.path.dirname(os.path.dirname(mk.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    proc = run_command([], code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -166,6 +166,14 @@ def test_field_and_restrict_reject_non_integer_ids(bad, match):
         DisplacementField.zero(bad, 2)
 
 
+@pytest.mark.parametrize("dim", [2.5, True, "3", 0])
+def test_zero_field_rejects_a_bad_dim(dim):
+    # NumPy alone raised TypeError for the first three and built a field
+    # of width 0 for the last
+    with pytest.raises(ValueError, match=r"^dim must be an integer >= 1"):
+        DisplacementField.zero([0, 1], dim)
+
+
 def test_field_accepts_integral_float_ids():
     f = DisplacementField([0.0, 2.0], [[1.0, 0.0], [2.0, 0.0]])
     assert f.indices.dtype == np.int64

@@ -45,6 +45,14 @@ def test_pod_energy_hand_case():
         pod_energy([0.0, 0.0], 1)
 
 
+@pytest.mark.parametrize("n", [-1, True, 1.5])
+def test_pod_energy_rejects_a_bad_mode_count(n):
+    # -1 sliced off the last mode's share (0.0714 of [3, 2, 1]), True read
+    # as 1 and 1.5 failed as a slicing TypeError
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 0"):
+        pod_energy([3.0, 2.0, 1.0], n)
+
+
 @pytest.mark.parametrize("epsilon,expected", [(0.5, 1), (0.2, 2), (0.0, 3)])
 def test_truncation_count(epsilon, expected):
     S = synthetic_snapshots([2.0, 1.0, 1.0])
